@@ -54,7 +54,6 @@ from .offline import (
     alpha_from_bound,
     check_assumption2,
     load_offline,
-    run_offline,
     save_offline,
     simulate_offline,
 )

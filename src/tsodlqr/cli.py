@@ -14,17 +14,9 @@ import numpy as np
 
 from .errors import ConfigError, TsodLqrError, UsageError
 from .config import load_experiment_config
-from .harness import (
-    delta1_for,
-    hash64,
-    run_diagnostics,
-    run_experiment,
-    scaling_study,
-    STREAM_OFFLINE,
-)
+from .harness import RunSpec, collect_offline, run_diagnostics, run_experiment, scaling_study
 from .lqr import solve_dare
-from .offline import save_offline, simulate_offline
-from .rng import RngStream
+from .offline import save_offline
 
 logger = logging.getLogger("tsodlqr")
 
@@ -55,7 +47,8 @@ config keys (JSON object; matrices are nested numeric arrays):
   beta_mdelta_scale     scale on the sqrt(lambda_max(U)) * M_delta width term
   max_attempts          rejection-sampling budget per step
   share_offline         reuse one offline dataset across runs
-  workers               parallel worker processes
+  workers               worker processes for run, diagnostics and sweep
+                        (at most one per CPU and per run)
   output_dir            output directory (also --out / TSOD_OUT_DIR)
   diag_runs, diag_delta1, diag_delta2
                         diagnostics run count and direct delta overrides
@@ -114,19 +107,10 @@ def _cmd_offline(cfg, out_dir) -> int:
     out = Path(out_dir) / "offline"
     out.mkdir(parents=True, exist_ok=True)
     for s_len in cfg.s_values:
-        delta1 = delta1_for(cfg.delta, s_len, cfg.t_horizon)
         for run_id in range(cfg.num_runs):
-            seed = hash64(cfg.base_seed, "tsod", run_id, s_len)
-            summary, states, controls = simulate_offline(
-                cfg.theta_sim,
-                cfg.costs,
-                s_len,
-                cfg.offline,
-                delta1,
-                cfg.m_delta,
-                RngStream(seed, STREAM_OFFLINE),
-            )
-            save_offline(out / f"s{s_len}_run{run_id:03d}", summary, states, controls)
+            # The dataset that run `run_id` of the tsod variant collects.
+            dataset = collect_offline(RunSpec(cfg, "tsod", s_len, run_id))
+            save_offline(out / f"s{s_len}_run{run_id:03d}", *dataset)
             logger.info("wrote offline dataset S=%d run=%d", s_len, run_id)
     print(f"offline datasets written to {out}")
     return EXIT_OK

@@ -6,14 +6,13 @@ from __future__ import annotations
 import copy
 import json
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .controller import VARIANTS
 from .errors import ConfigError, UsageError
 from .harness import ExperimentConfig
-from .lqr import ConstraintSetP, ConstraintSetQ, CostMatrices, ThetaParams, in_set_q
+from .lqr import ConstraintSetP, ConstraintSetQ, CostMatrices, in_set_q
 from .offline import CONTROLLER_MODES, OfflineConfig
 
 # Full key schema with defaults; None means "required or derived".
@@ -298,6 +297,3 @@ def load_experiment_config(path, overrides=None) -> ExperimentConfig:
     data = apply_overrides(data, overrides)
     return build_experiment_config(data)
 
-
-def theta_from_config(cfg: ExperimentConfig) -> Optional[ThetaParams]:
-    return cfg.theta_star_explicit

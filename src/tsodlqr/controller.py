@@ -165,7 +165,7 @@ def init_belief(sources: SourcesLike) -> BeliefState:
 
 def compute_beta(
     belief: BeliefState,
-    sources: SourcesLike,
+    sources: MultiSourceSummary,
     delta2: float,
     m_delta_scale: float = 1.0,
 ) -> float:
@@ -173,12 +173,12 @@ def compute_beta(
     dissimilarity terms.  Nondecreasing in t for fixed delta2."""
     if not 0.0 < delta2 < 1.0:
         raise DomainError("delta2 must lie in (0, 1)")
-    src = as_sources(sources)
     half_ratio = 0.5 * (belief.logdet_v - belief.logdet_u)
     if half_ratio < -1e-6 * max(1.0, abs(belief.logdet_u)):
         raise DomainError("log-det ratio fell below one; belief caches are inconsistent")
     inner = max(half_ratio, 0.0) + math.log(1.0 / delta2)
-    return belief.n * math.sqrt(2.0 * inner) + src.alpha_sum + m_delta_scale * src.mdelta_sum
+    online = belief.n * math.sqrt(2.0 * inner)
+    return online + sources.alpha_sum + m_delta_scale * sources.mdelta_sum
 
 
 def _fallback_candidates(
@@ -279,35 +279,40 @@ def update_belief(belief: BeliefState, z_vector, next_state) -> BeliefState:
     )
 
 
+def no_offline_prior(
+    n: int, m: int, regularizer: float, s_len: int, delta1: float
+) -> OfflineSummary:
+    """The prior of a learner that ignores the offline data: precision
+    regularizer * I, zero estimate, and no radius or dissimilarity term."""
+    return OfflineSummary(
+        u_matrix=regularizer * np.eye(n + m),
+        theta_hat_sim=ThetaParams.zeros(n, m),
+        alpha=0.0,
+        s_len=s_len,
+        m_delta=0.0,
+        delta1=delta1,
+        regularizer=regularizer,
+    )
+
+
 def effective_sources(sources: SourcesLike, variant: str) -> MultiSourceSummary:
     """Transform the offline summaries according to the algorithm variant.
 
-    ts_no_offline keeps only the regularizer as prior precision and zeroes the
-    estimate and width terms; offline_estimate_only keeps the estimate but
-    drops the precision, radius, and dissimilarity terms.
+    ts_no_offline replaces each summary by the no-offline prior;
+    offline_estimate_only keeps the offline estimate on that prior.
     """
     src = as_sources(sources)
     if variant in ("tsod", "oracle"):
         return src
-    if variant == "ts_no_offline":
-        transformed = tuple(
-            replace(
-                s,
-                u_matrix=s.regularizer * np.eye(s.n + s.m),
-                theta_hat_sim=ThetaParams.zeros(s.n, s.m),
-                alpha=0.0,
-                m_delta=0.0,
-            )
-            for s in src.summaries
-        )
-        return MultiSourceSummary(transformed)
-    if variant == "offline_estimate_only":
-        transformed = tuple(
-            replace(s, u_matrix=s.regularizer * np.eye(s.n + s.m), alpha=0.0, m_delta=0.0)
-            for s in src.summaries
-        )
-        return MultiSourceSummary(transformed)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant not in ("ts_no_offline", "offline_estimate_only"):
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    transformed = []
+    for s in src.summaries:
+        prior = no_offline_prior(s.n, s.m, s.regularizer, s.s_len, s.delta1)
+        if variant == "offline_estimate_only":
+            prior = replace(prior, theta_hat_sim=s.theta_hat_sim)
+        transformed.append(prior)
+    return MultiSourceSummary(tuple(transformed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,7 +396,6 @@ def run_episode(
     accepted_steps = 0
     true_cl_max = 0.0
     true_cl_violations = 0
-    max_gain_norm = 0.0
 
     for idx in range(horizon):
         step_t = idx + 1
@@ -432,7 +436,6 @@ def run_episode(
         true_cl_max = max(true_cl_max, true_cl)
         if true_cl > set_q.rho:
             true_cl_violations += 1
-        max_gain_norm = max(max_gain_norm, float(np.linalg.norm(outcome.gain, 2)))
 
         control = outcome.gain @ state.state
         record = step_system(theta_star_hidden, state, control, costs, rng)
@@ -490,6 +493,5 @@ def run_episode(
         accepted_steps=accepted_steps,
         true_closed_loop_max=true_cl_max,
         true_closed_loop_violations=true_cl_violations,
-        max_gain_norm=max_gain_norm,
     )
     return EpisodeResult(trace=trace, belief=belief, diagnostics=diagnostics)

@@ -6,16 +6,17 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.stats import binom
 
-from .controller import EpisodeResult, MultiSourceSummary, run_episode
-from .errors import ConfigError
+from .controller import EpisodeResult, MultiSourceSummary, no_offline_prior, run_episode
+from .errors import ConfigError, TsodLqrError
 from .lqr import (
     ConstraintSetP,
     ConstraintSetQ,
@@ -66,18 +67,18 @@ class ExperimentConfig:
     set_q: ConstraintSetQ
     set_p: ConstraintSetP
     offline: OfflineConfig
-    beta_mdelta_scale: float = 1.0
-    max_attempts: int = 100
-    share_offline: bool = False
-    workers: int = 1
-    output_dir: str = "out"
-    state_ceiling: float = 1e6
-    diag_runs: int = 200
-    diag_delta1: Optional[float] = None
-    diag_delta2: Optional[float] = None
-    sweep_s_values: Optional[Tuple[int, ...]] = None
-    sweep_t_values: Optional[Tuple[int, ...]] = None
-    raw: dict = field(default_factory=dict, repr=False)
+    beta_mdelta_scale: float
+    max_attempts: int
+    share_offline: bool
+    workers: int
+    output_dir: str
+    state_ceiling: float
+    diag_runs: int
+    diag_delta1: Optional[float]
+    diag_delta2: Optional[float]
+    sweep_s_values: Optional[Tuple[int, ...]]
+    sweep_t_values: Optional[Tuple[int, ...]]
+    raw: dict = field(repr=False)
 
     @property
     def costs(self) -> CostMatrices:
@@ -121,7 +122,6 @@ class AggregateResult:
     mean_cum_regret: np.ndarray
     std_cum_regret: np.ndarray
     n_runs: int
-    fingerprint: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,61 +162,82 @@ def _resolve_theta_star(
     )
 
 
-def _synthetic_prior_summary(cfg: ExperimentConfig, s_len: int, delta1: float) -> OfflineSummary:
-    # Placeholder for variants that ignore the offline data entirely.
-    d = cfg.n + cfg.m
-    lam0 = cfg.offline.regularizer
-    return OfflineSummary(
-        u_matrix=lam0 * np.eye(d),
-        theta_hat_sim=ThetaParams.zeros(cfg.n, cfg.m),
-        alpha=0.0,
-        s_len=s_len,
-        m_delta=0.0,
-        delta1=delta1,
-        regularizer=lam0,
+@dataclass(frozen=True, eq=False)
+class RunSpec:
+    """One (variant, S, run_id) run of a config: everything that decides its
+    seed, its offline dataset and its prior."""
+
+    cfg: ExperimentConfig
+    variant: str
+    s_len: int
+    run_id: int
+    shared_summary: Optional[OfflineSummary] = None
+    delta1_override: Optional[float] = None
+    delta2_override: Optional[float] = None
+    seed_tag: str = ""
+
+    @property
+    def seed(self) -> int:
+        """The seed plan: every stream of the run (offline, episode, delta)
+        is keyed by this one seed."""
+        return hash64(self.cfg.base_seed, self.seed_tag + self.variant, self.run_id, self.s_len)
+
+    @property
+    def delta1(self) -> float:
+        if self.delta1_override is not None:
+            return self.delta1_override
+        return delta1_for(self.cfg.delta, self.s_len, self.cfg.t_horizon)
+
+
+@dataclass(frozen=True, eq=False)
+class RunFailure:
+    """A run that raised instead of finishing."""
+
+    spec: RunSpec
+    error: TsodLqrError
+
+    def as_json(self) -> dict:
+        return {
+            "variant": self.spec.variant,
+            "S": self.spec.s_len,
+            "run_id": self.spec.run_id,
+            "seed": self.spec.seed,
+            "error": type(self.error).__name__,
+            "message": str(self.error),
+        }
+
+
+def collect_offline(spec: RunSpec) -> Tuple[OfflineSummary, np.ndarray, np.ndarray]:
+    """The offline dataset of the run: (summary, states, controls)."""
+    cfg = spec.cfg
+    return simulate_offline(
+        cfg.theta_sim,
+        cfg.costs,
+        spec.s_len,
+        cfg.offline,
+        spec.delta1,
+        cfg.m_delta,
+        RngStream(spec.seed, STREAM_OFFLINE),
     )
 
 
-def execute_single_run(
-    cfg: ExperimentConfig,
-    variant: str,
-    s_len: int,
-    run_id: int,
-    shared_summary: Optional[OfflineSummary] = None,
-    delta1_override: Optional[float] = None,
-    delta2_override: Optional[float] = None,
-    seed_tag: str = "",
-) -> RunRecord:
+def execute_single_run(spec: RunSpec) -> RunRecord:
     """Run one (variant, S, run_id) cell: offline data, then the episode."""
-    seed = hash64(cfg.base_seed, seed_tag + variant, run_id, s_len)
-    costs = cfg.costs
-    delta1 = delta1_override if delta1_override is not None else delta1_for(
-        cfg.delta, s_len, cfg.t_horizon
-    )
+    cfg, variant, s_len = spec.cfg, spec.variant, spec.s_len
+    seed = spec.seed
     theta_star, delta_norm = _resolve_theta_star(cfg, RngStream(seed, STREAM_DELTA))
 
     assumption2 = None
     if variant == "ts_no_offline":
-        summary = _synthetic_prior_summary(cfg, s_len, delta1)
-    elif shared_summary is not None:
-        summary = shared_summary
-        assumption2 = check_assumption2(summary, cfg.theta_sim, cfg.n, cfg.m)
+        summary = no_offline_prior(cfg.n, cfg.m, cfg.offline.regularizer, s_len, spec.delta1)
     else:
-        summary, _, _ = simulate_offline(
-            cfg.theta_sim,
-            costs,
-            s_len,
-            cfg.offline,
-            delta1,
-            cfg.m_delta,
-            RngStream(seed, STREAM_OFFLINE),
-        )
+        summary = spec.shared_summary or collect_offline(spec)[0]
         assumption2 = check_assumption2(summary, cfg.theta_sim, cfg.n, cfg.m)
 
     result: EpisodeResult = run_episode(
         theta_star,
         MultiSourceSummary((summary,)),
-        costs,
+        cfg.costs,
         cfg.set_q,
         cfg.t_horizon,
         cfg.delta,
@@ -225,14 +246,14 @@ def execute_single_run(
         max_attempts=cfg.max_attempts,
         beta_mdelta_scale=cfg.beta_mdelta_scale,
         state_ceiling=cfg.state_ceiling,
-        delta2_override=delta2_override,
-        run_id=run_id,
+        delta2_override=spec.delta2_override,
+        run_id=spec.run_id,
         seed=seed,
     )
     return RunRecord(
         variant=variant,
         s_len=s_len,
-        run_id=run_id,
+        run_id=spec.run_id,
         seed=seed,
         trace=result.trace,
         diagnostics=result.diagnostics,
@@ -241,12 +262,33 @@ def execute_single_run(
     )
 
 
-def _execute_run_spec(args) -> RunRecord:
-    cfg, variant, s_len, run_id, shared = args
-    return execute_single_run(cfg, variant, s_len, run_id, shared_summary=shared)
+def _attempt(spec: RunSpec) -> Union[RunRecord, RunFailure]:
+    try:
+        return execute_single_run(spec)
+    except TsodLqrError as exc:
+        return RunFailure(spec, exc)
 
 
-def _aggregate(label: str, traces: Sequence[RegretTrace], fingerprint: str) -> AggregateResult:
+def execute_runs(
+    specs: Sequence[RunSpec], workers: int
+) -> Tuple[List[RunRecord], List[RunFailure]]:
+    """Run every spec, serially or on min(workers, #specs, #CPUs) processes.
+
+    Both lists keep spec order, so the worker count never changes an output.
+    A run that raises TsodLqrError becomes a RunFailure and the others finish.
+    """
+    processes = min(workers, len(specs), os.cpu_count() or 1)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            outcomes = list(pool.map(_attempt, specs))
+    else:
+        outcomes = [_attempt(spec) for spec in specs]
+    records = [o for o in outcomes if isinstance(o, RunRecord)]
+    failures = [o for o in outcomes if isinstance(o, RunFailure)]
+    return records, failures
+
+
+def _aggregate(label: str, traces: Sequence[RegretTrace]) -> AggregateResult:
     stack = np.vstack([tr.cum_regret for tr in traces])
     mean = stack.mean(axis=0)
     std = stack.std(axis=0, ddof=1) if len(traces) > 1 else np.zeros_like(mean)
@@ -256,7 +298,6 @@ def _aggregate(label: str, traces: Sequence[RegretTrace], fingerprint: str) -> A
         mean_cum_regret=mean,
         std_cum_regret=std,
         n_runs=len(traces),
-        fingerprint=fingerprint,
     )
 
 
@@ -279,68 +320,68 @@ def _validate_for_run(cfg: ExperimentConfig) -> None:
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Run every (variant, S, run) cell, write per-run CSVs, the aggregate CSV,
-    and the SVG plot.  Deterministic for a fixed config and base seed."""
+    and the SVG plot.  Deterministic for a fixed config and base seed.
+
+    When runs fail, the finished runs' CSVs, experiment.json and failures.json
+    are written, the aggregate CSV and the plot are not, and the first
+    failure is re-raised."""
     _validate_for_run(cfg)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-    fingerprint = cfg.fingerprint()
     multiple_s = len(cfg.s_values) > 1
 
-    shared: Dict[Tuple[str, int], Optional[OfflineSummary]] = {}
+    # share_offline: every run of a cell reuses run 0's dataset.
+    shared: Dict[Tuple[str, int], OfflineSummary] = {}
     if cfg.share_offline:
         for variant in cfg.variants:
+            if variant == "ts_no_offline":
+                continue
             for s_len in cfg.s_values:
-                if variant == "ts_no_offline":
-                    shared[(variant, s_len)] = None
-                    continue
-                seed = hash64(cfg.base_seed, variant, 0, s_len)
-                delta1 = delta1_for(cfg.delta, s_len, cfg.t_horizon)
-                summary, _, _ = simulate_offline(
-                    cfg.theta_sim,
-                    cfg.costs,
-                    s_len,
-                    cfg.offline,
-                    delta1,
-                    cfg.m_delta,
-                    RngStream(seed, STREAM_OFFLINE),
-                )
-                shared[(variant, s_len)] = summary
+                shared[(variant, s_len)] = collect_offline(RunSpec(cfg, variant, s_len, 0))[0]
 
     specs = [
-        (cfg, variant, s_len, run_id, shared.get((variant, s_len)))
+        RunSpec(cfg, variant, s_len, run_id, shared.get((variant, s_len)))
         for variant in cfg.variants
         for s_len in cfg.s_values
         for run_id in range(cfg.num_runs)
     ]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_execute_run_spec, specs))
-    else:
-        records = [_execute_run_spec(spec) for spec in specs]
+    records, failures = execute_runs(specs, cfg.workers)
+
+    labels = {
+        (variant, s_len): run_label(variant, s_len, multiple_s)
+        for variant in cfg.variants
+        for s_len in cfg.s_values
+    }
+    for rec in records:
+        label = labels[(rec.variant, rec.s_len)]
+        write_run_csv(runs_dir / f"{label}_run{rec.run_id:03d}.csv", rec.trace)
+    with open(out / "experiment.json", "w", encoding="utf-8") as fh:
+        payload = {"fingerprint": cfg.fingerprint(), "config": cfg.raw}
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    if failures:
+        # A mean over the surviving runs would be biased, so none is written.
+        with open(out / "failures.json", "w", encoding="utf-8") as fh:
+            json.dump([f.as_json() for f in failures], fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        raise failures[0].error
 
     aggregates: Dict[str, AggregateResult] = {}
     agg_rows = []
-    for variant in cfg.variants:
-        for s_len in cfg.s_values:
-            label = run_label(variant, s_len, multiple_s)
-            cell = [r for r in records if r.variant == variant and r.s_len == s_len]
-            for rec in cell:
-                write_run_csv(runs_dir / f"{label}_run{rec.run_id:03d}.csv", rec.trace)
-            agg = _aggregate(label, [r.trace for r in cell], fingerprint)
-            aggregates[label] = agg
-            for i in range(len(agg.t)):
-                agg_rows.append(
-                    (agg.t[i], agg.mean_cum_regret[i], agg.std_cum_regret[i], label, agg.n_runs)
-                )
+    for (variant, s_len), label in labels.items():
+        cell = [r.trace for r in records if r.variant == variant and r.s_len == s_len]
+        agg = _aggregate(label, cell)
+        aggregates[label] = agg
+        for i in range(len(agg.t)):
+            agg_rows.append(
+                (agg.t[i], agg.mean_cum_regret[i], agg.std_cum_regret[i], label, agg.n_runs)
+            )
     write_aggregate_csv(out / "aggregate.csv", agg_rows)
     render_regret_svg(
         {label: (agg.mean_cum_regret, agg.std_cum_regret) for label, agg in aggregates.items()},
         out / "regret.svg",
     )
-    with open(out / "experiment.json", "w", encoding="utf-8") as fh:
-        json.dump({"fingerprint": fingerprint, "config": cfg.raw}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     return ExperimentResult(aggregates=aggregates, runs=records, out_dir=out)
 
 
@@ -370,27 +411,46 @@ def binomial_lower_test(successes: int, trials: int, target: float, confidence: 
     return float(binom.cdf(successes, trials, target)) >= 1.0 - confidence
 
 
+def _printed_as(key: str):
+    return field(metadata={"key": key})
+
+
 @dataclass(frozen=True, eq=False)
 class DiagnosticsReport:
-    n_runs: int
-    delta1: float
-    delta2: float
-    coverage_target: float
-    coverage_fraction: float
-    coverage_pass: bool
-    lemma_checked_runs: int
-    zt_violations: int
-    polylog_violations: int
-    assumption2_s_ok: int
-    assumption2_lambda_ok: int
-    assumption2_coverage_ok: int
-    assumption2_runs: int
-    true_closed_loop_max: float
-    true_closed_loop_violation_steps: int
-    fallback_steps: int
-    accepted_steps: int
-    logt_fit_r2: Optional[float]
-    lines: Tuple[str, ...]
+    """The diagnostics summary.  Each field prints as one KEY=VALUE line, in
+    field order; a field that is None is left out."""
+
+    n_runs: int = _printed_as("RUNS")
+    s_len: int = _printed_as("S")
+    t_horizon: int = _printed_as("T")
+    delta1: float = _printed_as("DELTA1")
+    delta2: float = _printed_as("DELTA2")
+    coverage_fraction: float = _printed_as("THM1_COVERAGE")
+    coverage_target: float = _printed_as("THM1_TARGET")
+    coverage_pass: bool = _printed_as("THM1_BINOMIAL_PASS")
+    lemma_checked_runs: int = _printed_as("LEMMA_CHECKED_RUNS")
+    zt_violations: int = _printed_as("BOUND_ZT_VIOLATIONS")
+    polylog_violations: int = _printed_as("POLYLOG_BETA_VIOLATIONS")
+    assumption2_runs: int = _printed_as("ASSUMPTION2_RUNS")
+    assumption2_s_ok: int = _printed_as("ASSUMPTION2_S_OK")
+    assumption2_lambda_ok: int = _printed_as("ASSUMPTION2_LAMBDA_OK")
+    assumption2_coverage_ok: int = _printed_as("ASSUMPTION2_COVERAGE_OK")
+    true_closed_loop_max: float = _printed_as("TRUE_CLOSED_LOOP_MAX")
+    true_closed_loop_violation_steps: int = _printed_as("TRUE_CLOSED_LOOP_VIOLATION_STEPS")
+    fallback_steps: int = _printed_as("FALLBACK_STEPS")
+    accepted_steps: int = _printed_as("ACCEPTED_STEPS")
+    # Advisory: goodness of a c0 + c1*log(t) fit to the mean regret curve.
+    logt_fit_r2: Optional[float] = _printed_as("LOGT_FIT_R2")
+
+    @property
+    def lines(self) -> Tuple[str, ...]:
+        lines = ["# diagnostics report"]
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if value is not None:
+                text = f"{value:.17g}" if isinstance(value, float) else str(int(value))
+                lines.append(f"{item.metadata['key']}={text}")
+        return tuple(lines)
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -411,8 +471,8 @@ def run_diagnostics(
     delta2 = cfg.diag_delta2 if cfg.diag_delta2 is not None else cfg.delta / (
         16.0 * cfg.t_horizon
     )
-    records = [
-        execute_single_run(
+    specs = [
+        RunSpec(
             cfg,
             "tsod",
             s_len,
@@ -423,68 +483,39 @@ def run_diagnostics(
         )
         for run_id in range(runs)
     ]
+    records, failures = execute_runs(specs, cfg.workers)
+    if failures:
+        raise failures[0].error
 
     covered = sum(1 for r in records if r.diagnostics.coverage_ok)
-    coverage_fraction = covered / runs if runs else 1.0
     target = max(0.0, 1.0 - delta1 - delta2)
-    coverage_pass = binomial_lower_test(covered, runs, target)
-
     lemma_runs = [r for r in records if r.diagnostics.prior_lambda_ok]
-    zt_viol = sum(r.diagnostics.zt_violations for r in lemma_runs)
-    polylog_viol = sum(0 if r.diagnostics.polylog_ok else 1 for r in lemma_runs)
-
     a2 = [r.assumption2 for r in records if r.assumption2 is not None]
-    true_cl_max = max((r.diagnostics.true_closed_loop_max for r in records), default=0.0)
-    true_cl_viol = sum(r.diagnostics.true_closed_loop_violations for r in records)
-    fallback_steps = sum(r.diagnostics.fallback_steps for r in records)
-    accepted_steps = sum(r.diagnostics.accepted_steps for r in records)
-    logt_fit_r2 = _logt_fit_r2([r.trace for r in records])
-
-    lines = [
-        "# diagnostics report",
-        f"RUNS={runs}",
-        f"S={s_len}",
-        f"T={cfg.t_horizon}",
-        f"DELTA1={delta1:.17g}",
-        f"DELTA2={delta2:.17g}",
-        f"THM1_COVERAGE={coverage_fraction:.17g}",
-        f"THM1_TARGET={target:.17g}",
-        f"THM1_BINOMIAL_PASS={int(coverage_pass)}",
-        f"LEMMA_CHECKED_RUNS={len(lemma_runs)}",
-        f"BOUND_ZT_VIOLATIONS={zt_viol}",
-        f"POLYLOG_BETA_VIOLATIONS={polylog_viol}",
-        f"ASSUMPTION2_RUNS={len(a2)}",
-        f"ASSUMPTION2_S_OK={sum(1 for rep in a2 if rep.s_ok)}",
-        f"ASSUMPTION2_LAMBDA_OK={sum(1 for rep in a2 if rep.lambda_ok)}",
-        f"ASSUMPTION2_COVERAGE_OK={sum(1 for rep in a2 if rep.coverage_ok)}",
-        f"TRUE_CLOSED_LOOP_MAX={true_cl_max:.17g}",
-        f"TRUE_CLOSED_LOOP_VIOLATION_STEPS={true_cl_viol}",
-        f"FALLBACK_STEPS={fallback_steps}",
-        f"ACCEPTED_STEPS={accepted_steps}",
-    ]
-    if logt_fit_r2 is not None:
-        # Advisory: goodness of a c0 + c1*log(t) fit to the mean regret curve.
-        lines.append(f"LOGT_FIT_R2={logt_fit_r2:.17g}")
     report = DiagnosticsReport(
         n_runs=runs,
+        s_len=s_len,
+        t_horizon=cfg.t_horizon,
         delta1=delta1,
         delta2=delta2,
         coverage_target=target,
-        coverage_fraction=coverage_fraction,
-        coverage_pass=coverage_pass,
+        coverage_fraction=covered / runs if runs else 1.0,
+        coverage_pass=binomial_lower_test(covered, runs, target),
         lemma_checked_runs=len(lemma_runs),
-        zt_violations=zt_viol,
-        polylog_violations=polylog_viol,
+        zt_violations=sum(r.diagnostics.zt_violations for r in lemma_runs),
+        polylog_violations=sum(0 if r.diagnostics.polylog_ok else 1 for r in lemma_runs),
         assumption2_s_ok=sum(1 for rep in a2 if rep.s_ok),
         assumption2_lambda_ok=sum(1 for rep in a2 if rep.lambda_ok),
         assumption2_coverage_ok=sum(1 for rep in a2 if rep.coverage_ok),
         assumption2_runs=len(a2),
-        true_closed_loop_max=true_cl_max,
-        true_closed_loop_violation_steps=true_cl_viol,
-        fallback_steps=fallback_steps,
-        accepted_steps=accepted_steps,
-        logt_fit_r2=logt_fit_r2,
-        lines=tuple(lines),
+        true_closed_loop_max=max(
+            (r.diagnostics.true_closed_loop_max for r in records), default=0.0
+        ),
+        true_closed_loop_violation_steps=sum(
+            r.diagnostics.true_closed_loop_violations for r in records
+        ),
+        fallback_steps=sum(r.diagnostics.fallback_steps for r in records),
+        accepted_steps=sum(r.diagnostics.accepted_steps for r in records),
+        logt_fit_r2=_logt_fit_r2([r.trace for r in records]),
     )
     if out_dir is not None or cfg.output_dir:
         out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
@@ -517,27 +548,31 @@ def scaling_study(
 ) -> ScalingResult:
     """Mean final regret over an (S, T) grid plus the fitted log-log exponent
     of regret against T/S."""
+    grid = [(int(s_len), int(t_horizon)) for s_len in s_values for t_horizon in t_values]
+    specs = []
+    for s_len, t_horizon in grid:
+        if s_len <= t_horizon:
+            logger.warning("cell S=%d, T=%d violates S > T", s_len, t_horizon)
+        cell_cfg = replace(cfg, s_values=(s_len,), t_horizon=t_horizon)
+        specs += [RunSpec(cell_cfg, "tsod", s_len, run_id) for run_id in range(cfg.num_runs)]
+    records, failures = execute_runs(specs, cfg.workers)
+    if failures:
+        raise failures[0].error
+
     cells = []
-    for s_len in s_values:
-        for t_horizon in t_values:
-            if s_len <= t_horizon:
-                logger.warning("cell S=%d, T=%d violates S > T", s_len, t_horizon)
-            cell_cfg = _with_overrides(cfg, s_values=(int(s_len),), t_horizon=int(t_horizon))
-            finals = []
-            for run_id in range(cfg.num_runs):
-                rec = execute_single_run(cell_cfg, "tsod", int(s_len), run_id)
-                finals.append(rec.trace.final_cum_regret)
-            finals = np.asarray(finals)
-            std = float(finals.std(ddof=1)) if len(finals) > 1 else 0.0
-            cells.append(
-                ScalingCell(
-                    s_len=int(s_len),
-                    t_horizon=int(t_horizon),
-                    mean_final_regret=float(finals.mean()),
-                    std_final_regret=std,
-                    n_runs=cfg.num_runs,
-                )
+    for index, (s_len, t_horizon) in enumerate(grid):
+        cell = records[index * cfg.num_runs : (index + 1) * cfg.num_runs]
+        finals = np.asarray([rec.trace.final_cum_regret for rec in cell])
+        std = float(finals.std(ddof=1)) if len(finals) > 1 else 0.0
+        cells.append(
+            ScalingCell(
+                s_len=s_len,
+                t_horizon=t_horizon,
+                mean_final_regret=float(finals.mean()),
+                std_final_regret=std,
+                n_runs=cfg.num_runs,
             )
+        )
     usable = [c for c in cells if c.mean_final_regret > 0]
     slope = None
     if len(usable) >= 2:
@@ -558,9 +593,3 @@ def scaling_study(
             if slope is not None:
                 fh.write(f"# fitted log-log slope of regret vs T/S: {slope:.17g}\n")
     return ScalingResult(cells=tuple(cells), slope=slope)
-
-
-def _with_overrides(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(cfg, **kwargs)

@@ -147,7 +147,6 @@ class ConstraintSetQ:
 
     m_p: float
     rho: float
-    m_k_cache: Optional[float] = None
 
     def __post_init__(self):
         if self.m_p <= 0:
@@ -242,23 +241,26 @@ def closed_loop_norm(theta: ThetaParams, gain: np.ndarray) -> float:
     return float(np.linalg.norm(theta.a_matrix + theta.b_matrix @ gain, 2))
 
 
+def _admissible(
+    theta: ThetaParams, costs: CostMatrices, trace_bound: float, rho: float
+) -> Optional[RiccatiSolution]:
+    """Riccati solution when trace(P) <= trace_bound and ||A + B K||_2 <= rho,
+    else None.  The closed loop is evaluated with theta's own (A, B); solver
+    failure means non-membership."""
+    try:
+        sol = solve_dare(theta, costs, trace_cap=trace_bound * (1.0 + 1e-9))
+    except NonStabilizable:
+        return None
+    if sol.avg_cost > trace_bound or closed_loop_norm(theta, sol.gain) > rho:
+        return None
+    return sol
+
+
 def q_membership(
     theta: ThetaParams, costs: CostMatrices, set_q: ConstraintSetQ
 ) -> Optional[RiccatiSolution]:
-    """Riccati solution when theta is admissible, else None.
-
-    The closed loop is evaluated with the candidate's own (A, B); solver
-    failure means non-membership.
-    """
-    try:
-        sol = solve_dare(theta, costs, trace_cap=set_q.m_p * (1.0 + 1e-9))
-    except NonStabilizable:
-        return None
-    if sol.avg_cost > set_q.m_p:
-        return None
-    if closed_loop_norm(theta, sol.gain) > set_q.rho:
-        return None
-    return sol
+    """Riccati solution when theta is admissible, else None."""
+    return _admissible(theta, costs, set_q.m_p, set_q.rho)
 
 
 def in_set_q(theta: ThetaParams, costs: CostMatrices, set_q: ConstraintSetQ) -> bool:
@@ -271,15 +273,7 @@ def p_membership(
     """Riccati solution when theta lies in the auxiliary-system set, else None."""
     if theta.frobenius_norm() > set_p.phi:
         return None
-    try:
-        sol = solve_dare(theta, costs, trace_cap=set_p.m_sim * (1.0 + 1e-9))
-    except NonStabilizable:
-        return None
-    if sol.avg_cost > set_p.m_sim:
-        return None
-    if closed_loop_norm(theta, sol.gain) > set_p.rho_sim:
-        return None
-    return sol
+    return _admissible(theta, costs, set_p.m_sim, set_p.rho_sim)
 
 
 def in_set_p(theta: ThetaParams, costs: CostMatrices, set_p: ConstraintSetP) -> bool:

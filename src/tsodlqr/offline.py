@@ -199,20 +199,6 @@ def simulate_offline(
     return summary, states, controls
 
 
-def run_offline(
-    theta_sim: ThetaParams,
-    costs: CostMatrices,
-    s_len: int,
-    cfg: OfflineConfig,
-    delta1: float,
-    m_delta: float,
-    rng: RngStream,
-) -> OfflineSummary:
-    """Generate offline data and return the summary statistics only."""
-    summary, _, _ = simulate_offline(theta_sim, costs, s_len, cfg, delta1, m_delta, rng)
-    return summary
-
-
 @dataclass(frozen=True)
 class Assumption2Report:
     """Empirical check of the offline-algorithm interface requirements."""

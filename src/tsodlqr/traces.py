@@ -66,7 +66,6 @@ class EpisodeDiagnostics:
     accepted_steps: int
     true_closed_loop_max: float
     true_closed_loop_violations: int
-    max_gain_norm: float
 
 
 RUN_CSV_HEADER = ["t", "cost", "instant_regret", "cum_regret", "beta", "rejections", "state_norm"]

@@ -13,8 +13,8 @@ from tsodlqr import (
     in_set_q,
     init_belief,
     run_episode,
-    run_offline,
     sample_constrained,
+    simulate_offline,
     solve_dare,
     update_belief,
 )
@@ -151,10 +151,10 @@ class TestSampleConstrained:
 
     def test_accepted_samples_reverified(self, theta_star, theta_sim, costs32, set_q, set_p,
                                          offline_cfg):
-        summary = run_offline(
+        summary = simulate_offline(
             theta_sim, costs32, 3000, offline_cfg, delta1_for(0.1, 3000, 1500), 0.15,
             RngStream(5, 0),
-        )
+        )[0]
         src = MultiSourceSummary((summary,))
         belief = init_belief(src)
         beta = compute_beta(belief, src, 0.1 / (16 * 1500))
@@ -331,9 +331,9 @@ class TestRunEpisode:
     def test_multi_source_single_reduction_bit_identical(
         self, theta_star, theta_sim, costs32, set_q, offline_cfg
     ):
-        summary = run_offline(
+        summary = simulate_offline(
             theta_sim, costs32, 500, offline_cfg, 0.01, 0.15, RngStream(9, 0)
-        )
+        )[0]
         res_single = run_episode(
             theta_star, summary, costs32, set_q, 200, 0.1, "tsod", RngStream(10, 1)
         )
@@ -352,9 +352,9 @@ class TestRunEpisode:
         assert np.array_equal(res_single.belief.v_matrix, res_multi.belief.v_matrix)
 
     def test_variant_priors(self, theta_star, theta_sim, costs32, set_q, offline_cfg):
-        summary = run_offline(
+        summary = simulate_offline(
             theta_sim, costs32, 400, offline_cfg, 0.01, 0.15, RngStream(11, 0)
-        )
+        )[0]
         from tsodlqr import effective_sources
 
         no_off = effective_sources(summary, "ts_no_offline").summaries[0]
@@ -367,9 +367,9 @@ class TestRunEpisode:
         assert est_only.alpha == 0.0 and est_only.m_delta == 0.0
 
     def test_coverage_checkpoints_recorded(self, theta_star, theta_sim, costs32, set_q, offline_cfg):
-        summary = run_offline(
+        summary = simulate_offline(
             theta_sim, costs32, 400, offline_cfg, 0.01, 0.15, RngStream(12, 0)
-        )
+        )[0]
         result = run_episode(
             theta_star, summary, costs32, set_q, 100, 0.1, "tsod", RngStream(13, 1)
         )

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from tsodlqr import solve_dare
+import tsodlqr.harness as harness
+from tsodlqr import UnstableRollout, hash64, load_offline, solve_dare
+from tsodlqr.cli import main
 from tsodlqr.config import build_experiment_config
 from tsodlqr.harness import (
     binomial_lower_test,
@@ -36,6 +38,29 @@ def tiny_config(**overrides):
     }
     data.update(overrides)
     return build_experiment_config(data)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swaps the harness's ProcessPoolExecutor for a stand-in that runs inline;
+    returns the max_workers of every pool created."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return sizes
 
 
 def zero_system_config(**overrides):
@@ -142,6 +167,82 @@ class TestRunExperiment:
             twin = tmp_path / "parallel" / "runs" / name.name
             assert name.read_bytes() == twin.read_bytes()
 
+    @pytest.mark.parametrize(
+        "workers, runs, cpus, expected",
+        [(64, 2, 8, [2]), (64, 4, 3, [3]), (2, 4, 8, [2]), (8, 4, None, []), (1, 4, 8, [])],
+    )
+    def test_workers_are_bounded(
+        self, tmp_path, monkeypatch, pool_sizes, workers, runs, cpus, expected
+    ):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        cfg = tiny_config(num_runs=runs, workers=workers, t_horizon=10)
+        run_experiment(cfg, out_dir=tmp_path)
+        assert pool_sizes == expected
+
+    def test_failed_run_keeps_finished_runs(self, tmp_path, monkeypatch):
+        cfg = tiny_config(num_runs=3)
+        run_experiment(cfg, out_dir=tmp_path / "clean")
+        real_episode = harness.run_episode
+
+        def fail_run_one(*args, **kwargs):
+            if kwargs["run_id"] == 1:
+                raise UnstableRollout("online state norm exceeded 1e+06 at step 7")
+            return real_episode(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_episode", fail_run_one)
+        out = tmp_path / "failed"
+        with pytest.raises(UnstableRollout, match="at step 7"):
+            run_experiment(cfg, out_dir=out)
+        written = sorted(p.name for p in (out / "runs").iterdir())
+        assert written == ["tsod_run000.csv", "tsod_run002.csv"]
+        for name in written:
+            clean = tmp_path / "clean" / "runs" / name
+            assert (out / "runs" / name).read_bytes() == clean.read_bytes()
+        assert not (out / "aggregate.csv").exists()
+        assert not (out / "regret.svg").exists()
+        assert json.loads((out / "failures.json").read_text()) == [
+            {
+                "variant": "tsod",
+                "S": 250,
+                "run_id": 1,
+                "seed": hash64(42, "tsod", 1, 250),
+                "error": "UnstableRollout",
+                "message": "online state norm exceeded 1e+06 at step 7",
+            }
+        ]
+
+
+class TestSeedPlan:
+    def test_offline_subcommand_writes_the_tsod_runs_datasets(self, tmp_path, monkeypatch):
+        used = {}
+        real_episode = harness.run_episode
+
+        def record_prior(theta, sources, *args, **kwargs):
+            used[kwargs["run_id"]] = sources.summaries[0]
+            return real_episode(theta, sources, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_episode", record_prior)
+        data = {**tiny_config().raw, "num_runs": 2, "t_horizon": 10}
+        run_experiment(build_experiment_config(data), out_dir=tmp_path / "run")
+        config = tmp_path / "tiny.cfg"
+        config.write_text(json.dumps(data))
+        assert main(["offline", "--config", str(config), "--out", str(tmp_path / "off")]) == 0
+        for run_id in range(2):
+            cached, _, _ = load_offline(tmp_path / "off" / "offline" / f"s250_run{run_id:03d}")
+            assert np.array_equal(cached.u_matrix, used[run_id].u_matrix)
+            assert np.array_equal(cached.theta_hat_sim.stacked, used[run_id].theta_hat_sim.stacked)
+
+    def test_shared_offline_is_run_zero_dataset(self, tmp_path):
+        variants = ["tsod", "offline_estimate_only"]
+        run_experiment(tiny_config(num_runs=2, variants=variants), out_dir=tmp_path / "own")
+        shared = tiny_config(num_runs=2, variants=variants, share_offline=True)
+        run_experiment(shared, out_dir=tmp_path / "shared")
+        for variant in variants:
+            name = f"{variant}_run000.csv"
+            assert (tmp_path / "own" / "runs" / name).read_bytes() == (
+                tmp_path / "shared" / "runs" / name
+            ).read_bytes()
+
 
 class TestDiagnostics:
     def test_report_contents(self, tmp_path):
@@ -154,6 +255,21 @@ class TestDiagnostics:
         assert report.n_runs == 20
         assert report.zt_violations == 0
         assert report.polylog_violations == 0
+        assert report.text() == text
+        assert "S=250\nT=60\n" in text
+
+    def test_workers_match_serial(self, tmp_path):
+        for workers in (1, 2):
+            cfg = tiny_config(workers=workers)
+            run_diagnostics(cfg, num_runs=4, out_dir=tmp_path / str(workers))
+        assert (tmp_path / "1" / "diagnostics.txt").read_bytes() == (
+            tmp_path / "2" / "diagnostics.txt"
+        ).read_bytes()
+
+    def test_workers_are_bounded(self, tmp_path, monkeypatch, pool_sizes):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        run_diagnostics(tiny_config(workers=3, t_horizon=10), num_runs=5, out_dir=tmp_path)
+        assert pool_sizes == [3]
 
     def test_binomial_lower_test(self):
         assert binomial_lower_test(400, 400, 0.9)
@@ -178,6 +294,20 @@ class TestScalingStudy:
         assert len(study.cells) == 4
         finals = {(c.s_len, c.t_horizon) for c in study.cells}
         assert finals == {(200, 40), (200, 80), (400, 40), (400, 80)}
+
+    def test_workers_match_serial(self, tmp_path):
+        for workers in (1, 2):
+            cfg = tiny_config(num_runs=2, workers=workers)
+            scaling_study(cfg, [200, 400], [40], out_dir=tmp_path / str(workers))
+        assert (tmp_path / "1" / "scaling.csv").read_bytes() == (
+            tmp_path / "2" / "scaling.csv"
+        ).read_bytes()
+
+    def test_workers_are_bounded(self, tmp_path, monkeypatch, pool_sizes):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        cfg = tiny_config(num_runs=2, workers=64, t_horizon=10)
+        scaling_study(cfg, [200, 400], [10], out_dir=tmp_path)
+        assert pool_sizes == [4]
 
 
 class TestConfigValidation:

@@ -10,7 +10,6 @@ from tsodlqr import (
     alpha_from_bound,
     check_assumption2,
     load_offline,
-    run_offline,
     save_offline,
     simulate_offline,
 )
@@ -182,8 +181,3 @@ class TestSerialization:
         assert loaded.m_delta == summary.m_delta
         assert loaded.delta1 == summary.delta1
         assert loaded.regularizer == summary.regularizer
-
-    def test_run_offline_returns_summary(self, theta_sim, costs32, offline_cfg):
-        summary = run_offline(theta_sim, costs32, 30, offline_cfg, 0.1, 0.15, RngStream(9, 0))
-        assert summary.s_len == 30
-        assert summary.alpha > 0
