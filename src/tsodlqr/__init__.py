@@ -1,6 +1,7 @@
 """Online LQR control warm-started from offline trajectories of a similar
 linear system, plus a Monte-Carlo experiment harness."""
 
+from .config import ExperimentConfig
 from .controller import (
     BeliefState,
     EpisodeResult,
@@ -27,7 +28,6 @@ from .errors import (
 from .harness import (
     AggregateResult,
     DiagnosticsReport,
-    ExperimentConfig,
     ExperimentResult,
     RunRecord,
     ScalingResult,

@@ -8,12 +8,13 @@ import argparse
 import logging
 import os
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, TsodLqrError, UsageError
-from .config import load_experiment_config
+from .config import dotted_keys, load_experiment_config
 from .harness import RunSpec, collect_offline, run_diagnostics, run_experiment, scaling_study
 from .lqr import solve_dare
 from .offline import save_offline
@@ -25,36 +26,13 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-CONFIG_KEY_HELP = """\
-config keys (JSON object; matrices are nested numeric arrays):
-  n, m                  state / input dimensions
-  a_star, b_star        true system matrices (omit with sample_delta)
-  a_sim, b_sim          auxiliary (offline) system matrices
-  sample_delta          draw the true system as sim + random offset per run
-  m_delta               dissimilarity bound M_delta on the offset norm
-  q_matrix, r_matrix    cost weights Q, R (default: identity)
-  s_len                 offline trajectory length S (int or list of ints)
-  t_horizon             online horizon T
-  delta                 overall confidence budget delta, split as
-                        delta1 = delta/(16 max(S, T+1)), delta2 = delta/(16 T)
-  num_runs, base_seed   Monte-Carlo repetitions and seed
-  variants              subset of: tsod, ts_no_offline, offline_estimate_only, oracle
-  set_q.m_p, set_q.rho  admissible-set constants M_P and rho
-  set_p.m_sim, set_p.phi, set_p.rho_sim
-                        auxiliary-system set constants M_sim, phi, rho_sim
-  offline.*             offline collector: dither_std, regularizer, controller_mode,
-                        fixed_gain, gain_refresh, state_ceiling
-  beta_mdelta_scale     scale on the sqrt(lambda_max(U)) * M_delta width term
-  max_attempts          rejection-sampling budget per step
-  share_offline         reuse one offline dataset across runs
-  workers               worker processes for run, diagnostics and sweep
-                        (at most one per CPU and per run)
-  output_dir            output directory (also --out / TSOD_OUT_DIR)
-  diag_runs, diag_delta1, diag_delta2
-                        diagnostics run count and direct delta overrides
-  sweep_s_values, sweep_t_values
-                        grids for the sweep subcommand
-"""
+
+def _config_key_help() -> str:
+    """The --help epilog: one line per config key, from the config schema."""
+    lines = ["config keys (JSON object; matrices are nested numeric arrays):"]
+    for name, key in dotted_keys():
+        lines.append(textwrap.fill(key.help, 79, initial_indent=f"  {name:<24}", subsequent_indent=" " * 26))
+    return "\n".join(lines) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Simulation and experiment harness for online LQR control that "
             "warm-starts from offline trajectories of a similar system."
         ),
-        epilog=CONFIG_KEY_HELP,
+        epilog=_config_key_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)

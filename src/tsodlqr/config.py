@@ -1,60 +1,156 @@
-"""Config file loading, override handling, and validation into an
+"""The experiment config: its key schema with defaults and help lines, file
+loading, override handling, and the validation that turns it into an
 ExperimentConfig."""
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
+import logging
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .controller import VARIANTS
 from .errors import ConfigError, UsageError
-from .harness import ExperimentConfig
-from .lqr import ConstraintSetP, ConstraintSetQ, CostMatrices, in_set_q
-from .offline import CONTROLLER_MODES, OfflineConfig
+from .lqr import ConstraintSetP, ConstraintSetQ, CostMatrices, ThetaParams, in_set_p, in_set_q
+from .offline import OfflineConfig
 
-# Full key schema with defaults; None means "required or derived".
-DEFAULTS = {
-    "n": None,
-    "m": None,
-    "a_sim": None,
-    "b_sim": None,
-    "a_star": None,
-    "b_star": None,
-    "sample_delta": False,
-    "m_delta": 0.0,
-    "q_matrix": None,  # identity when omitted
-    "r_matrix": None,  # identity when omitted
-    "s_len": None,
-    "t_horizon": None,
-    "delta": 0.1,
-    "num_runs": 10,
-    "base_seed": 1,
-    "variants": ["tsod"],
-    "set_q": {"m_p": 50.0, "rho": 0.99},
-    "set_p": {"m_sim": 50.0, "phi": 5.0, "rho_sim": 0.99},
-    "offline": {
-        "dither_std": 1.0,
-        "regularizer": 1.0,
-        "controller_mode": "ce_dither",
-        "fixed_gain": None,
-        "gain_refresh": 50,
-        "state_ceiling": 1e6,
+logger = logging.getLogger(__name__)
+
+
+class Key(NamedTuple):
+    """One config key: its default (None means required or derived) and the
+    line that documents it in `tsodlqr --help`."""
+
+    default: object
+    help: str
+
+
+# The key schema; a nested dict is a section, addressed with dotted keys.
+SCHEMA = {
+    "n": Key(None, "state dimension"),
+    "m": Key(None, "input dimension"),
+    "a_sim": Key(None, "auxiliary (offline) system matrix A_sim"),
+    "b_sim": Key(None, "auxiliary (offline) system matrix B_sim"),
+    "a_star": Key(None, "true system matrix A (omit with sample_delta)"),
+    "b_star": Key(None, "true system matrix B (omit with sample_delta)"),
+    "sample_delta": Key(False, "draw the true system as sim + random offset per run"),
+    "m_delta": Key(0.0, "dissimilarity bound M_delta on the offset norm"),
+    "q_matrix": Key(None, "state cost weight Q (default: identity)"),
+    "r_matrix": Key(None, "input cost weight R (default: identity)"),
+    "s_len": Key(None, "offline trajectory length S (int or list of ints)"),
+    "t_horizon": Key(None, "online horizon T"),
+    "delta": Key(0.1, "confidence budget: delta1 = delta/(16 max(S, T+1)), delta2 = delta/(16 T)"),
+    "num_runs": Key(10, "Monte-Carlo repetitions per variant and S"),
+    "base_seed": Key(1, "seed every run's seed derives from"),
+    "variants": Key(["tsod"], "subset of: " + ", ".join(VARIANTS)),
+    "set_q": {
+        "m_p": Key(50.0, "admissible-set trace bound M_P"),
+        "rho": Key(0.99, "admissible-set closed-loop norm bound rho"),
     },
-    "beta_mdelta_scale": 1.0,
-    "max_attempts": 100,
-    "share_offline": False,
-    "workers": 1,
-    "output_dir": "out",
-    "state_ceiling": 1e6,
-    "diag_runs": 200,
-    "diag_delta1": None,
-    "diag_delta2": None,
-    "sweep_s_values": None,
-    "sweep_t_values": None,
+    "set_p": {
+        "m_sim": Key(50.0, "auxiliary-system trace bound M_sim"),
+        "phi": Key(5.0, "auxiliary-system Frobenius-norm bound phi"),
+        "rho_sim": Key(0.99, "auxiliary-system closed-loop norm bound rho_sim"),
+    },
+    "offline": {
+        "dither_std": Key(1.0, "standard deviation of the offline exploration dither"),
+        "regularizer": Key(1.0, "ridge regularizer lambda of the offline estimate"),
+        "controller_mode": Key("ce_dither", "ce_dither (a_sim, b_sim must lie in set_p) or fixed_gain"),
+        "fixed_gain": Key(None, "m x n gain of fixed_gain mode"),
+        "gain_refresh": Key(50, "steps between ce_dither gain refreshes"),
+        "state_ceiling": Key(1e6, "offline state norm that aborts the rollout"),
+    },
+    "beta_mdelta_scale": Key(1.0, "scale on the sqrt(lambda_max(U)) * M_delta width term"),
+    "max_attempts": Key(100, "rejection-sampling budget per step"),
+    "share_offline": Key(False, "reuse one offline dataset across the runs of a cell"),
+    "workers": Key(1, "processes for run, diagnostics and sweep (at most one per CPU and run)"),
+    "output_dir": Key("out", "output directory (also --out / TSOD_OUT_DIR)"),
+    "state_ceiling": Key(1e6, "online state norm that aborts the episode"),
+    "diag_runs": Key(200, "diagnostics run count"),
+    "diag_delta1": Key(None, "diagnostics override of delta1"),
+    "diag_delta2": Key(None, "diagnostics override of delta2"),
+    "sweep_s_values": Key(None, "S grid of the sweep subcommand (default: s_len)"),
+    "sweep_t_values": Key(None, "T grid of the sweep subcommand (default: t_horizon)"),
 }
+
+
+DEFAULTS = {
+    name: entry.default if isinstance(entry, Key) else {sub: key.default for sub, key in entry.items()}
+    for name, entry in SCHEMA.items()
+}
+
+
+def dotted_keys():
+    """Yield (dotted name, Key) for every config key, sections flattened."""
+    for name, entry in SCHEMA.items():
+        if isinstance(entry, Key):
+            yield name, entry
+        else:
+            yield from ((f"{name}.{sub}", key) for sub, key in entry.items())
+
+
+@dataclass(frozen=True, eq=False)
+class ExperimentConfig:
+    """Fully resolved and validated experiment description.
+
+    `s_values` always holds at least one offline trajectory length; labels in
+    the outputs carry the length only when more than one is configured.  The
+    true system is drawn per run (`sample_delta`) exactly when `a_star` is
+    None.
+    """
+
+    n: int
+    m: int
+    a_sim: np.ndarray
+    b_sim: np.ndarray
+    a_star: Optional[np.ndarray]
+    b_star: Optional[np.ndarray]
+    m_delta: float
+    q_matrix: np.ndarray
+    r_matrix: np.ndarray
+    s_values: Tuple[int, ...]
+    t_horizon: int
+    delta: float
+    num_runs: int
+    base_seed: int
+    variants: Tuple[str, ...]
+    set_q: ConstraintSetQ
+    offline: OfflineConfig
+    beta_mdelta_scale: float
+    max_attempts: int
+    share_offline: bool
+    workers: int
+    output_dir: str
+    state_ceiling: float
+    diag_runs: int
+    diag_delta1: Optional[float]
+    diag_delta2: Optional[float]
+    sweep_s_values: Optional[Tuple[int, ...]]
+    sweep_t_values: Optional[Tuple[int, ...]]
+    raw: dict = field(repr=False)
+
+    @property
+    def costs(self) -> CostMatrices:
+        return CostMatrices(self.q_matrix, self.r_matrix)
+
+    @property
+    def theta_sim(self) -> ThetaParams:
+        return ThetaParams(self.a_sim, self.b_sim)
+
+    @property
+    def theta_star_explicit(self) -> Optional[ThetaParams]:
+        if self.a_star is None:
+            return None
+        return ThetaParams(self.a_star, self.b_star)
+
+    def fingerprint(self) -> str:
+        canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def load_config_file(path) -> dict:
@@ -216,8 +312,6 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid offline section: {exc}") from exc
-    if offline_cfg.controller_mode not in CONTROLLER_MODES:
-        raise ConfigError(f"offline.controller_mode must be one of {CONTROLLER_MODES}")
 
     num_runs = _positive_int(merged["num_runs"], "num_runs")
     workers = _positive_int(merged["workers"], "workers")
@@ -227,23 +321,36 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
         if merged[key] is not None and not 0.0 < float(merged[key]) < 1.0:
             raise ConfigError(f"{key} must lie in (0, 1)")
 
-    sweep_s = merged["sweep_s_values"]
-    sweep_t = merged["sweep_t_values"]
-    sweep_s_values = (
-        tuple(_positive_int(v, "sweep_s_values") for v in sweep_s) if sweep_s else None
-    )
-    sweep_t_values = (
-        tuple(_positive_int(v, "sweep_t_values") for v in sweep_t) if sweep_t else None
+    sweep_s_values, sweep_t_values = (
+        tuple(_positive_int(v, key) for v in merged[key]) if merged[key] else None
+        for key in ("sweep_s_values", "sweep_t_values")
     )
 
-    cfg = ExperimentConfig(
+    if a_star is not None and not in_set_q(ThetaParams(a_star, b_star), costs, set_q):
+        raise ConfigError(
+            "the configured true system (a_star, b_star) lies outside set_q; "
+            "adjust set_q.m_p / set_q.rho or the matrices"
+        )
+    if offline_cfg.controller_mode == "ce_dither" and not in_set_p(
+        ThetaParams(a_sim, b_sim), costs, set_p
+    ):
+        raise ConfigError(
+            "the auxiliary system (a_sim, b_sim) lies outside set_p, which "
+            "offline.controller_mode=ce_dither requires; adjust set_p or the matrices"
+        )
+    if min(s_values) <= t_horizon:
+        logger.warning(
+            "offline length S=%d does not exceed the horizon T=%d; the confidence "
+            "schedule falls back to max(S, T + 1)", min(s_values), t_horizon
+        )
+
+    return ExperimentConfig(
         n=n,
         m=m,
         a_sim=a_sim,
         b_sim=b_sim,
         a_star=a_star,
         b_star=b_star,
-        sample_delta=sample_delta,
         m_delta=m_delta,
         q_matrix=costs.q_matrix,
         r_matrix=costs.r_matrix,
@@ -254,7 +361,6 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
         base_seed=int(merged["base_seed"]),
         variants=tuple(variants),
         set_q=set_q,
-        set_p=set_p,
         offline=offline_cfg,
         beta_mdelta_scale=float(merged["beta_mdelta_scale"]),
         max_attempts=max_attempts,
@@ -269,14 +375,6 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
         sweep_t_values=sweep_t_values,
         raw=_canonical_raw(merged),
     )
-
-    explicit = cfg.theta_star_explicit
-    if explicit is not None and not in_set_q(explicit, cfg.costs, cfg.set_q):
-        raise ConfigError(
-            "the configured true system (a_star, b_star) lies outside set_q; "
-            "adjust set_q.m_p / set_q.rho or the matrices"
-        )
-    return cfg
 
 
 def _canonical_raw(merged: dict) -> dict:

@@ -3,6 +3,7 @@ width, constrained sampling with rejection, and the per-episode loop."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence, Tuple, Union
@@ -65,7 +66,6 @@ class SampleOutcome:
     theta_tilde: ThetaParams
     gain: np.ndarray
     rejections: int
-    beta_value: float
     fallback_used: bool
 
 
@@ -226,27 +226,20 @@ def sample_constrained(
     inv_half = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
     mean = belief.theta_hat.stacked
     gen = rng.generator
-    for attempt in range(max_attempts):
-        eta = gen.standard_normal((n + m, n))
-        candidate = ThetaParams.from_stacked(mean + beta * (inv_half @ eta), n, m)
+    # Lazy, so that each draw happens only after the previous one was rejected.
+    draws = (
+        ThetaParams.from_stacked(mean + beta * (inv_half @ gen.standard_normal((n + m, n))), n, m)
+        for _ in range(max_attempts)
+    )
+    candidates = itertools.chain(draws, _fallback_candidates(belief.theta_hat, anchor, last_accepted))
+    for index, candidate in enumerate(candidates):
         sol = q_membership(candidate, costs, set_q)
         if sol is not None:
             return SampleOutcome(
                 theta_tilde=candidate,
                 gain=sol.gain,
-                rejections=attempt,
-                beta_value=beta,
-                fallback_used=False,
-            )
-    for candidate in _fallback_candidates(belief.theta_hat, anchor, last_accepted):
-        sol = q_membership(candidate, costs, set_q)
-        if sol is not None:
-            return SampleOutcome(
-                theta_tilde=candidate,
-                gain=sol.gain,
-                rejections=max_attempts,
-                beta_value=beta,
-                fallback_used=True,
+                rejections=min(index, max_attempts),
+                fallback_used=index >= max_attempts,
             )
     raise NonStabilizable("no admissible fallback parameter found")
 
@@ -315,6 +308,11 @@ def effective_sources(sources: SourcesLike, variant: str) -> MultiSourceSummary:
     return MultiSourceSummary(tuple(transformed))
 
 
+def delta2_for(delta: float, horizon: int) -> float:
+    """Online confidence split: delta / (16 T)."""
+    return delta / (16.0 * max(horizon, 1))
+
+
 @dataclass(frozen=True, eq=False)
 class EpisodeResult:
     trace: RegretTrace
@@ -373,7 +371,7 @@ def run_episode(
 
     belief = init_belief(src)
     anchor = belief.theta_hat
-    delta2 = delta2_override if delta2_override is not None else delta / (16.0 * max(horizon, 1))
+    delta2 = delta2_override if delta2_override is not None else delta2_for(delta, horizon)
 
     checkpoint_ts = sorted({max(1, int(round(horizon * f))) for f in checkpoint_fractions if horizon >= 1})
 
@@ -383,7 +381,11 @@ def run_episode(
     rej_arr = np.zeros(horizon, dtype=np.int64)
     norm_arr = np.zeros(horizon)
 
-    oracle_sol = star_sol if variant == "oracle" else None
+    oracle_outcome = None
+    if variant == "oracle":
+        oracle_outcome = SampleOutcome(
+            theta_tilde=theta_star_hidden, gain=star_sol.gain, rejections=0, fallback_used=False
+        )
     last_accepted: Optional[ThetaParams] = None
     state = SimState.zero(n)
     checkpoints = []
@@ -400,14 +402,8 @@ def run_episode(
     for idx in range(horizon):
         step_t = idx + 1
         beta_t = compute_beta(belief, src, delta2, beta_mdelta_scale)
-        if variant == "oracle":
-            outcome = SampleOutcome(
-                theta_tilde=theta_star_hidden,
-                gain=oracle_sol.gain,
-                rejections=0,
-                beta_value=beta_t,
-                fallback_used=False,
-            )
+        if oracle_outcome is not None:
+            outcome = oracle_outcome
         else:
             outcome = sample_constrained(
                 belief,

@@ -3,9 +3,9 @@ mean/std aggregation, diagnostics suites, scaling studies, and file output."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -13,19 +13,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.stats import binom
 
-from .controller import EpisodeResult, MultiSourceSummary, no_offline_prior, run_episode
+from .config import ExperimentConfig
+from .controller import EpisodeResult, MultiSourceSummary, delta2_for, no_offline_prior, run_episode
 from .errors import ConfigError, TsodLqrError
-from .lqr import (
-    ConstraintSetP,
-    ConstraintSetQ,
-    CostMatrices,
-    ThetaParams,
-    in_set_p,
-    in_set_q,
-)
-from .offline import Assumption2Report, OfflineConfig, OfflineSummary, check_assumption2, simulate_offline
+from .lqr import ThetaParams, in_set_q
+from .offline import Assumption2Report, OfflineSummary, check_assumption2, simulate_offline
 from .rng import RngStream, hash64
 from .sim import make_true_theta, sample_theta_delta
 from .svgplot import render_regret_svg
@@ -38,65 +31,6 @@ STREAM_EPISODE = 1
 STREAM_DELTA = 2
 
 _DELTA_RESAMPLE_ATTEMPTS = 100
-
-
-@dataclass(frozen=True, eq=False)
-class ExperimentConfig:
-    """Fully resolved experiment description.
-
-    `s_values` always holds at least one offline trajectory length; labels in
-    the outputs carry the length only when more than one is configured.
-    """
-
-    n: int
-    m: int
-    a_sim: np.ndarray
-    b_sim: np.ndarray
-    a_star: Optional[np.ndarray]
-    b_star: Optional[np.ndarray]
-    sample_delta: bool
-    m_delta: float
-    q_matrix: np.ndarray
-    r_matrix: np.ndarray
-    s_values: Tuple[int, ...]
-    t_horizon: int
-    delta: float
-    num_runs: int
-    base_seed: int
-    variants: Tuple[str, ...]
-    set_q: ConstraintSetQ
-    set_p: ConstraintSetP
-    offline: OfflineConfig
-    beta_mdelta_scale: float
-    max_attempts: int
-    share_offline: bool
-    workers: int
-    output_dir: str
-    state_ceiling: float
-    diag_runs: int
-    diag_delta1: Optional[float]
-    diag_delta2: Optional[float]
-    sweep_s_values: Optional[Tuple[int, ...]]
-    sweep_t_values: Optional[Tuple[int, ...]]
-    raw: dict = field(repr=False)
-
-    @property
-    def costs(self) -> CostMatrices:
-        return CostMatrices(self.q_matrix, self.r_matrix)
-
-    @property
-    def theta_sim(self) -> ThetaParams:
-        return ThetaParams(self.a_sim, self.b_sim)
-
-    @property
-    def theta_star_explicit(self) -> Optional[ThetaParams]:
-        if self.a_star is None or self.b_star is None:
-            return None
-        return ThetaParams(self.a_star, self.b_star)
-
-    def fingerprint(self) -> str:
-        canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,11 +79,8 @@ def _resolve_theta_star(
     cfg: ExperimentConfig, rng: RngStream
 ) -> Tuple[ThetaParams, float]:
     explicit = cfg.theta_star_explicit
-    if explicit is not None and not cfg.sample_delta:
-        delta_norm = float(
-            np.linalg.norm(explicit.stacked - cfg.theta_sim.stacked)
-        )
-        return explicit, delta_norm
+    if explicit is not None:
+        return explicit, float(np.linalg.norm(explicit.stacked - cfg.theta_sim.stacked))
     costs = cfg.costs
     for _ in range(_DELTA_RESAMPLE_ATTEMPTS):
         delta = sample_theta_delta(cfg.m_delta, cfg.n, cfg.m, rng)
@@ -187,6 +118,12 @@ class RunSpec:
         if self.delta1_override is not None:
             return self.delta1_override
         return delta1_for(self.cfg.delta, self.s_len, self.cfg.t_horizon)
+
+    @property
+    def delta2(self) -> float:
+        if self.delta2_override is not None:
+            return self.delta2_override
+        return delta2_for(self.cfg.delta, self.cfg.t_horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +183,7 @@ def execute_single_run(spec: RunSpec) -> RunRecord:
         max_attempts=cfg.max_attempts,
         beta_mdelta_scale=cfg.beta_mdelta_scale,
         state_ceiling=cfg.state_ceiling,
-        delta2_override=spec.delta2_override,
+        delta2_override=spec.delta2,
         run_id=spec.run_id,
         seed=seed,
     )
@@ -301,23 +238,6 @@ def _aggregate(label: str, traces: Sequence[RegretTrace]) -> AggregateResult:
     )
 
 
-def _validate_for_run(cfg: ExperimentConfig) -> None:
-    explicit = cfg.theta_star_explicit
-    if explicit is not None and not in_set_q(explicit, cfg.costs, cfg.set_q):
-        raise ConfigError("the configured true system lies outside the admissible set (set_q)")
-    if cfg.offline.controller_mode == "ce_dither" and not in_set_p(
-        cfg.theta_sim, cfg.costs, cfg.set_p
-    ):
-        raise ConfigError("the auxiliary system lies outside set_p required by ce_dither mode")
-    if min(cfg.s_values) <= cfg.t_horizon:
-        logger.warning(
-            "offline length S=%d does not exceed the horizon T=%d; the confidence "
-            "schedule falls back to max(S, T + 1)",
-            min(cfg.s_values),
-            cfg.t_horizon,
-        )
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Run every (variant, S, run) cell, write per-run CSVs, the aggregate CSV,
     and the SVG plot.  Deterministic for a fixed config and base seed.
@@ -325,7 +245,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     When runs fail, the finished runs' CSVs, experiment.json and failures.json
     are written, the aggregate CSV and the plot are not, and the first
     failure is re-raised."""
-    _validate_for_run(cfg)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
@@ -406,9 +325,18 @@ def _logt_fit_r2(traces: Sequence[RegretTrace]) -> Optional[float]:
 def binomial_lower_test(successes: int, trials: int, target: float, confidence: float = 0.99) -> bool:
     """One-sided test: accept the claim that the true success probability is at
     least `target` unless the observed count is improbably low."""
-    if target <= 0:
+    if target <= 0 or successes >= trials:
         return True
-    return float(binom.cdf(successes, trials, target)) >= 1.0 - confidence
+    # Lower binomial tail P[X <= successes], summed in log space.
+    log_p, log_q = math.log(target), math.log1p(-target)
+    log_terms = [
+        math.lgamma(trials + 1) - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+        + k * log_p + (trials - k) * log_q
+        for k in range(successes + 1)
+    ]
+    peak = max(log_terms)
+    tail = math.exp(peak) * math.fsum(math.exp(t - peak) for t in log_terms)
+    return tail >= 1.0 - confidence
 
 
 def _printed_as(key: str):
@@ -462,27 +390,19 @@ def run_diagnostics(
     """Monte-Carlo property checks: estimation-error coverage at the trace
     checkpoints, the two information inequalities, the offline-interface
     checks, and the true-system closed-loop predicate."""
-    _validate_for_run(cfg)
     runs = num_runs if num_runs is not None else cfg.diag_runs
     s_len = cfg.s_values[0]
-    delta1 = cfg.diag_delta1 if cfg.diag_delta1 is not None else delta1_for(
-        cfg.delta, s_len, cfg.t_horizon
+    first = RunSpec(
+        cfg,
+        "tsod",
+        s_len,
+        0,
+        delta1_override=cfg.diag_delta1,
+        delta2_override=cfg.diag_delta2,
+        seed_tag="diag:",
     )
-    delta2 = cfg.diag_delta2 if cfg.diag_delta2 is not None else cfg.delta / (
-        16.0 * cfg.t_horizon
-    )
-    specs = [
-        RunSpec(
-            cfg,
-            "tsod",
-            s_len,
-            run_id,
-            delta1_override=delta1,
-            delta2_override=delta2,
-            seed_tag="diag:",
-        )
-        for run_id in range(runs)
-    ]
+    delta1, delta2 = first.delta1, first.delta2
+    specs = [replace(first, run_id=run_id) for run_id in range(runs)]
     records, failures = execute_runs(specs, cfg.workers)
     if failures:
         raise failures[0].error

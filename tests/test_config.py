@@ -1,0 +1,76 @@
+import json
+import logging
+import re
+
+import pytest
+
+from tsodlqr.cli import build_parser, main
+from tsodlqr.config import build_experiment_config, dotted_keys
+from tsodlqr.errors import ConfigError
+
+# The test_cli system: (a_sim, b_sim) has Frobenius norm about 2.16, so it
+# lies in set_p for phi = 5 and outside it for phi = 2.
+SYSTEM = {
+    "n": 3,
+    "m": 2,
+    "a_star": [[0.6, 0.5, 0.4], [0.0, 0.5, 0.4], [0.0, 0.0, 0.4]],
+    "b_star": [[1.0, 0.5], [0.5, 1.0], [0.5, 0.5]],
+    "a_sim": [[0.7, 0.5, 0.4], [0.0, 0.5, 0.4], [0.0, 0.0, 0.4]],
+    "b_sim": [[1.1, 0.5], [0.5, 1.0], [0.5, 0.5]],
+    "m_delta": 0.15,
+    "s_len": 120,
+    "t_horizon": 20,
+    "num_runs": 1,
+    "base_seed": 11,
+}
+OUTSIDE_SET_P = {**SYSTEM, "set_p": {"m_sim": 50.0, "phi": 2.0, "rho_sim": 0.99}}
+FIXED_GAIN = {"controller_mode": "fixed_gain", "fixed_gain": [[0.0] * 3] * 2}
+
+
+def write(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestAdmissibilityAtLoad:
+    def test_ce_dither_needs_sim_in_set_p(self):
+        with pytest.raises(ConfigError, match="set_p"):
+            build_experiment_config(OUTSIDE_SET_P)
+
+    @pytest.mark.parametrize("subcommand", ["sweep", "offline", "run", "diagnostics"])
+    def test_every_subcommand_exits_two(self, tmp_path, capsys, subcommand):
+        config = write(tmp_path / "c.cfg", OUTSIDE_SET_P)
+        assert main([subcommand, "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert "set_p" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_fixed_gain_accepts_sim_outside_set_p(self, tmp_path):
+        cfg = build_experiment_config({**OUTSIDE_SET_P, "offline": FIXED_GAIN})
+        assert cfg.offline.controller_mode == "fixed_gain"
+        config = write(tmp_path / "c.cfg", {**OUTSIDE_SET_P, "offline": FIXED_GAIN})
+        assert main(["offline", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "offline" / "s120_run000.json").is_file()
+
+
+class TestHorizonWarning:
+    def test_logged_once_at_load(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="tsodlqr"):
+            build_experiment_config({**SYSTEM, "s_len": 20, "t_horizon": 20})
+        assert [r.getMessage() for r in caplog.records] == [
+            "offline length S=20 does not exceed the horizon T=20; the confidence "
+            "schedule falls back to max(S, T + 1)"
+        ]
+
+    def test_silent_when_s_exceeds_t(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="tsodlqr"):
+            build_experiment_config(SYSTEM)
+        assert caplog.records == []
+
+
+class TestSchema:
+    def test_help_lists_every_schema_key(self):
+        text = build_parser().format_help()
+        names = [name for name, _ in dotted_keys()]
+        assert "set_q.m_p" in names and "offline.fixed_gain" in names
+        for name in names:
+            assert re.search(rf"^  {re.escape(name)} ", text, re.MULTILINE), name

@@ -1,0 +1,89 @@
+"""The package's own numerics checked against scipy, which the package itself
+does not import: the Riccati solver against the Schur-method DARE solver
+(Arnold & Laub, 1984), and the binomial lower test against scipy's binomial
+CDF."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom
+
+import tsodlqr
+from tsodlqr import CostMatrices, ThetaParams, solve_dare
+from tsodlqr.harness import binomial_lower_test
+
+
+def random_spd(rng, k):
+    root = rng.standard_normal((k, k))
+    return root @ root.T + 0.1 * np.eye(k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    m=st.integers(1, 5),
+    spectral_radius=st.floats(0.1, 1.6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_dare_matches_scipy(n, m, spectral_radius, seed):
+    # Gaussian (A, B) is controllable with probability one; A is scaled to the
+    # drawn spectral radius, so above 1 it is unstable in open loop.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    a *= spectral_radius / max(abs(np.linalg.eigvals(a)))
+    b = rng.standard_normal((n, m))
+    q, r = random_spd(rng, n), random_spd(rng, m)
+    p_ref = scipy.linalg.solve_discrete_are(a, b, q, r)
+    # The value iteration stops on an absolute step of 1e-10, which a nearly
+    # uncontrollable system with a huge P never reaches.
+    assume(np.linalg.norm(p_ref) <= 1e4)
+    k_ref = -np.linalg.solve(r + b.T @ p_ref @ b, b.T @ p_ref @ a)
+
+    sol = solve_dare(ThetaParams(a, b), CostMatrices(q, r))
+    assert np.linalg.norm(sol.p_matrix - p_ref) <= 1e-8 * np.linalg.norm(p_ref)
+    assert np.linalg.norm(sol.gain - k_ref) <= 1e-8 * np.linalg.norm(k_ref)
+
+
+def binomial_grid():
+    """Every count for small trial numbers, and a window around the 1 % and
+    10 % quantiles, where the verdict flips, for large ones."""
+    for trials in (1, 2, 3, 5, 10, 20, 50, 100, 200, 400, 1000, 5000, 20000):
+        for target in (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999):
+            if trials <= 400:
+                counts = set(range(trials + 1))
+            else:
+                counts = {0, trials - 1, trials}
+                for level in (0.01, 0.1):
+                    centre = int(binom.ppf(level, trials, target))
+                    counts.update(range(max(0, centre - 8), min(trials, centre + 8) + 1))
+            for successes in sorted(counts):
+                yield successes, trials, target
+
+
+@pytest.mark.parametrize("confidence", [0.99, 0.9])
+def test_binomial_lower_test_matches_scipy(confidence):
+    mismatches = [
+        (s, n, p)
+        for s, n, p in binomial_grid()
+        if binomial_lower_test(s, n, p, confidence)
+        != (float(binom.cdf(s, n, p)) >= 1.0 - confidence)
+    ]
+    assert mismatches == []
+
+
+def test_package_imports_without_scipy():
+    src = str(Path(tsodlqr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, tsodlqr.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
