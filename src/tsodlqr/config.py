@@ -21,6 +21,10 @@ from .offline import OfflineConfig
 
 logger = logging.getLogger(__name__)
 
+# A fixed ceiling on `workers`; the executor further clamps it to the number
+# of runs and of CPUs.
+MAX_WORKERS = 256
+
 
 class Key(NamedTuple):
     """One config key: its default (None means required or derived) and the
@@ -68,7 +72,7 @@ SCHEMA = {
     "beta_mdelta_scale": Key(1.0, "scale on the sqrt(lambda_max(U)) * M_delta width term"),
     "max_attempts": Key(100, "rejection-sampling budget per step"),
     "share_offline": Key(False, "reuse one offline dataset across the runs of a cell"),
-    "workers": Key(1, "processes for run, diagnostics and sweep (at most one per CPU and run)"),
+    "workers": Key(1, f"processes for run, diagnostics and sweep (at most {MAX_WORKERS}, one per CPU and run)"),
     "output_dir": Key("out", "output directory (also --out / TSOD_OUT_DIR)"),
     "state_ceiling": Key(1e6, "online state norm that aborts the episode"),
     "diag_runs": Key(200, "diagnostics run count"),
@@ -222,13 +226,27 @@ def _positive_int(value, key: str) -> int:
     return int(value)
 
 
+def _positive_ints(value, key: str) -> Tuple[int, ...]:
+    """One positive integer or a list of them, as a tuple."""
+    return tuple(_positive_int(v, key) for v in (value if isinstance(value, list) else [value]))
+
+
+def _number(value, key: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+
+
 def build_experiment_config(data: dict) -> ExperimentConfig:
     """Merge defaults, coerce matrices, and validate cross-field constraints."""
     merged = copy.deepcopy(DEFAULTS)
     for key, value in data.items():
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key: {key}")
-        if isinstance(DEFAULTS[key], dict) and isinstance(value, dict):
+        if isinstance(DEFAULTS[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key} must be a section (a JSON object), got {value!r}")
             for sub_key, sub_value in value.items():
                 if sub_key not in DEFAULTS[key]:
                     raise ConfigError(f"unknown config key: {key}.{sub_key}")
@@ -263,17 +281,15 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    s_raw = _require(merged, "s_len")
-    s_list = s_raw if isinstance(s_raw, list) else [s_raw]
-    s_values = tuple(_positive_int(s, "s_len") for s in s_list)
+    s_values = _positive_ints(_require(merged, "s_len"), "s_len")
     if not s_values:
         raise ConfigError("s_len must name at least one offline length")
     t_horizon = _positive_int(_require(merged, "t_horizon"), "t_horizon")
 
-    delta = float(merged["delta"])
+    delta = _number(merged["delta"], "delta")
     if not 0.0 < delta < 1.0:
         raise ConfigError("delta must lie in (0, 1)")
-    m_delta = float(merged["m_delta"])
+    m_delta = _number(merged["m_delta"], "m_delta")
     if m_delta < 0:
         raise ConfigError("m_delta must be nonnegative")
     if sample_delta and m_delta == 0.0:
@@ -287,14 +303,8 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
     try:
-        set_q = ConstraintSetQ(
-            m_p=float(merged["set_q"]["m_p"]), rho=float(merged["set_q"]["rho"])
-        )
-        set_p = ConstraintSetP(
-            m_sim=float(merged["set_p"]["m_sim"]),
-            phi=float(merged["set_p"]["phi"]),
-            rho_sim=float(merged["set_p"]["rho_sim"]),
-        )
+        set_q = ConstraintSetQ(**{k: _number(v, f"set_q.{k}") for k, v in merged["set_q"].items()})
+        set_p = ConstraintSetP(**{k: _number(v, f"set_p.{k}") for k, v in merged["set_p"].items()})
     except ValueError as exc:
         raise ConfigError(f"invalid constraint-set constants: {exc}") from exc
 
@@ -303,26 +313,30 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
     try:
         offline_cfg = OfflineConfig(
             set_p=set_p,
-            dither_std=float(off["dither_std"]),
-            regularizer=float(off["regularizer"]),
+            dither_std=_number(off["dither_std"], "offline.dither_std"),
+            regularizer=_number(off["regularizer"], "offline.regularizer"),
             controller_mode=str(off["controller_mode"]),
             fixed_gain=None if fixed_gain is None else _matrix(fixed_gain, "offline.fixed_gain", (m, n)),
             gain_refresh=_positive_int(off["gain_refresh"], "offline.gain_refresh"),
-            state_ceiling=float(off["state_ceiling"]),
+            state_ceiling=_number(off["state_ceiling"], "offline.state_ceiling"),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid offline section: {exc}") from exc
 
     num_runs = _positive_int(merged["num_runs"], "num_runs")
     workers = _positive_int(merged["workers"], "workers")
+    if workers > MAX_WORKERS:
+        raise ConfigError(f"workers must be at most {MAX_WORKERS}, got {workers}")
     max_attempts = _positive_int(merged["max_attempts"], "max_attempts")
     diag_runs = _positive_int(merged["diag_runs"], "diag_runs")
+    diag_deltas = {}
     for key in ("diag_delta1", "diag_delta2"):
-        if merged[key] is not None and not 0.0 < float(merged[key]) < 1.0:
+        value = diag_deltas[key] = None if merged[key] is None else _number(merged[key], key)
+        if value is not None and not 0.0 < value < 1.0:
             raise ConfigError(f"{key} must lie in (0, 1)")
 
     sweep_s_values, sweep_t_values = (
-        tuple(_positive_int(v, key) for v in merged[key]) if merged[key] else None
+        _positive_ints(merged[key], key) if merged[key] else None
         for key in ("sweep_s_values", "sweep_t_values")
     )
 
@@ -358,19 +372,18 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
         t_horizon=t_horizon,
         delta=delta,
         num_runs=num_runs,
-        base_seed=int(merged["base_seed"]),
+        base_seed=_number(merged["base_seed"], "base_seed", int),
         variants=tuple(variants),
         set_q=set_q,
         offline=offline_cfg,
-        beta_mdelta_scale=float(merged["beta_mdelta_scale"]),
+        beta_mdelta_scale=_number(merged["beta_mdelta_scale"], "beta_mdelta_scale"),
         max_attempts=max_attempts,
         share_offline=bool(merged["share_offline"]),
         workers=workers,
         output_dir=str(merged["output_dir"]),
-        state_ceiling=float(merged["state_ceiling"]),
+        state_ceiling=_number(merged["state_ceiling"], "state_ceiling"),
         diag_runs=diag_runs,
-        diag_delta1=None if merged["diag_delta1"] is None else float(merged["diag_delta1"]),
-        diag_delta2=None if merged["diag_delta2"] is None else float(merged["diag_delta2"]),
+        **diag_deltas,
         sweep_s_values=sweep_s_values,
         sweep_t_values=sweep_t_values,
         raw=_canonical_raw(merged),

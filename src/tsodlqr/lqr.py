@@ -17,6 +17,9 @@ from .errors import DimensionMismatch, NonStabilizable
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_NORM_CEILING = 1e8
+# Relative floor of the stopping step: rounding moves a large P by a multiple
+# of eps * ||P|| each iteration, which an absolute tol alone may never undercut.
+_STEP_EPS = 64 * np.finfo(np.float64).eps
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -192,6 +195,7 @@ def solve_dare(
 ) -> RiccatiSolution:
     """Solve the discrete algebraic Riccati equation by value iteration from P0 = Q.
 
+    The iteration stops once ||P_next - P||_F <= max(tol, 64 eps ||P_next||_F).
     Convergence doubles as a stabilizability certificate: divergence (Frobenius
     norm above `norm_ceiling`) or failure to converge within `max_iters` raises
     NonStabilizable.  `trace_cap`, when given, aborts as soon as trace(P_k)
@@ -213,14 +217,16 @@ def solve_dare(
     converged = False
     for _ in range(max_iters):
         bp = b.T @ p
-        gain = -np.linalg.solve(r + bp @ b, bp @ a)
-        p_next = q + a.T @ p @ a + (bp @ a).T @ gain
+        bpa = bp @ a
+        gain = -np.linalg.solve(r + bp @ b, bpa)
+        p_next = q + a.T @ p @ a + bpa.T @ gain
         p_next = 0.5 * (p_next + p_next.T)
-        if not np.all(np.isfinite(p_next)) or np.linalg.norm(p_next) > norm_ceiling:
+        norm = np.linalg.norm(p_next)
+        if not norm <= norm_ceiling:  # also true when p_next has a NaN or an inf
             raise NonStabilizable("riccati iteration diverged")
         if trace_cap is not None and float(np.trace(p_next)) > trace_cap:
             raise NonStabilizable(f"riccati trace exceeded cap {trace_cap:g}")
-        if np.linalg.norm(p_next - p) <= tol:
+        if np.linalg.norm(p_next - p) <= max(tol, _STEP_EPS * norm):
             p = p_next
             converged = True
             break
@@ -241,12 +247,37 @@ def closed_loop_norm(theta: ThetaParams, gain: np.ndarray) -> float:
     return float(np.linalg.norm(theta.a_matrix + theta.b_matrix @ gain, 2))
 
 
+def closed_loop_floor(theta: ThetaParams) -> float:
+    """Lower bound on ||A + B K||_2 over every gain K: ||N^T A||_2, where N
+    holds the last n - m columns of the complete QR factor of B.
+
+    Those columns are orthonormal and orthogonal to range(B), so
+    N^T (A + B K) = N^T A and ||A + B K||_2 >= ||N^T A||_2 for any B; for B
+    of full column rank the bound is the minimum over K. It is 0 when
+    m >= n, and then costs nothing.
+    """
+    n, m = theta.n, theta.m
+    if m >= n:
+        return 0.0
+    complement = np.linalg.qr(theta.b_matrix, mode="complete")[0][:, m:]
+    rows = complement.T @ theta.a_matrix
+    # One row's spectral norm is its Euclidean length, which needs no SVD.
+    return float(np.linalg.norm(rows[0] if n - m == 1 else rows, 2))
+
+
 def _admissible(
     theta: ThetaParams, costs: CostMatrices, trace_bound: float, rho: float
 ) -> Optional[RiccatiSolution]:
     """Riccati solution when trace(P) <= trace_bound and ||A + B K||_2 <= rho,
     else None.  The closed loop is evaluated with theta's own (A, B); solver
-    failure means non-membership."""
+    failure means non-membership.
+
+    A theta whose closed-loop floor already exceeds rho is rejected before
+    the Riccati solve; the 1e-9 relative margin lies far above the rounding
+    error of either 2-norm, so the screen never rejects a theta that the
+    solve and the norm test would admit."""
+    if closed_loop_floor(theta) > rho * (1.0 + 1e-9):
+        return None
     try:
         sol = solve_dare(theta, costs, trace_cap=trace_bound * (1.0 + 1e-9))
     except NonStabilizable:

@@ -4,8 +4,9 @@ import re
 
 import pytest
 
+from tsodlqr import harness
 from tsodlqr.cli import build_parser, main
-from tsodlqr.config import build_experiment_config, dotted_keys
+from tsodlqr.config import MAX_WORKERS, build_experiment_config, dotted_keys
 from tsodlqr.errors import ConfigError
 
 # The test_cli system: (a_sim, b_sim) has Frobenius norm about 2.16, so it
@@ -74,3 +75,51 @@ class TestSchema:
         assert "set_q.m_p" in names and "offline.fixed_gain" in names
         for name in names:
             assert re.search(rf"^  {re.escape(name)} ", text, re.MULTILINE), name
+
+
+class TestWrongTypes:
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"set_q": 5},
+            {"set_p": [50.0, 5.0, 0.99]},
+            {"offline": "ce_dither"},
+            {"delta": "abc"},
+            {"m_delta": [0.15]},
+            {"beta_mdelta_scale": "wide"},
+            {"state_ceiling": None},
+            {"diag_delta1": "abc"},
+            {"diag_delta2": {}},
+            {"base_seed": "abc"},
+            {"set_q": {"rho": "high"}},
+            {"set_p": {"phi": None}},
+            {"offline": {"dither_std": [1.0]}},
+            {"offline": {"state_ceiling": "big"}},
+            {"sweep_s_values": "abc"},
+            {"sweep_t_values": 2.5},
+        ],
+    )
+    def test_config_error(self, override):
+        with pytest.raises(ConfigError):
+            build_experiment_config({**SYSTEM, **override})
+
+    @pytest.mark.parametrize("override", [{"set_q": 5}, {"delta": "abc"}])
+    def test_riccati_exits_two(self, tmp_path, capsys, override):
+        config = write(tmp_path / "c.cfg", {**SYSTEM, **override})
+        assert main(["riccati", "--config", config]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+class TestWorkersCeiling:
+    def test_absurd_count_exits_two_before_any_process(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda *a, **k: pytest.fail("pool started"))
+        config = write(tmp_path / "c.cfg", SYSTEM)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--workers", "100000", "--out", str(out)]) == 2
+        assert f"workers must be at most {MAX_WORKERS}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ceiling_loads(self):
+        assert build_experiment_config({**SYSTEM, "workers": MAX_WORKERS}).workers == MAX_WORKERS
+        with pytest.raises(ConfigError, match="workers"):
+            build_experiment_config({**SYSTEM, "workers": MAX_WORKERS + 1})

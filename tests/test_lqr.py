@@ -18,6 +18,7 @@ from tsodlqr import (
     riccati_map,
     solve_dare,
 )
+from tsodlqr.lqr import closed_loop_floor, p_membership, q_membership
 
 
 def scalar_p_root(a, b, q, r):
@@ -141,6 +142,93 @@ class TestMembership:
         for step in range(1, 51):
             x = m @ x
             assert np.linalg.norm(x) <= set_q.rho**step * x0_norm + 1e-12
+
+
+def unscreened_membership(theta, costs, trace_bound, rho):
+    """The membership test without the closed-loop floor: the Riccati solve,
+    then the trace and closed-loop norm tests."""
+    try:
+        sol = solve_dare(theta, costs, trace_cap=trace_bound * (1.0 + 1e-9))
+    except NonStabilizable:
+        return None
+    if sol.avg_cost > trace_bound or closed_loop_norm(theta, sol.gain) > rho:
+        return None
+    return sol
+
+
+def random_theta(rng, n, m, rank, scale):
+    """A scaled to spectral norm `scale`; B of the given rank (rank 0 is B = 0)."""
+    a = rng.standard_normal((n, n))
+    a *= scale / np.linalg.norm(a, 2)
+    b = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+    return ThetaParams(a, b)
+
+
+def same_solution(got, ref):
+    if ref is None:
+        return got is None
+    return (
+        got is not None
+        and np.array_equal(got.p_matrix, ref.p_matrix)
+        and np.array_equal(got.gain, ref.gain)
+        and got.avg_cost == ref.avg_cost
+    )
+
+
+class TestClosedLoopFloor:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        m=st.integers(1, 5),
+        rank_drop=st.integers(0, 2),
+        scale=st.floats(0.05, 3.0),
+        m_p=st.floats(2.0, 200.0),
+        rho=st.floats(0.2, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_screen_keeps_every_decision_and_bit(self, n, m, rank_drop, scale, m_p, rho, seed):
+        rng = np.random.default_rng(seed)
+        rank = max(0, min(n, m) - rank_drop)
+        theta = random_theta(rng, n, m, rank, scale)
+        costs = CostMatrices.identity(n, m)
+        ref = unscreened_membership(theta, costs, m_p, rho)
+        assert same_solution(q_membership(theta, costs, ConstraintSetQ(m_p, rho)), ref)
+        set_p = ConstraintSetP(m_sim=m_p, phi=1e3, rho_sim=rho)
+        assert same_solution(p_membership(theta, costs, set_p), ref)
+
+        floor = closed_loop_floor(theta)
+        if m >= n:
+            assert floor == 0.0
+        gains = [rng.standard_normal((m, n)) * g for g in (0.1, 1.0, 10.0)]
+        gains.append(-np.linalg.pinv(theta.b_matrix) @ theta.a_matrix)
+        if ref is not None:
+            gains.append(ref.gain)
+        for gain in gains:
+            slack = 1e-12 * (1.0 + np.linalg.norm(theta.b_matrix, 2) * np.linalg.norm(gain, 2))
+            assert closed_loop_norm(theta, gain) >= floor * (1.0 - 1e-12) - slack
+        if rank == min(n, m):
+            # With B of full rank, K = -B^+ A attains the floor.
+            assert closed_loop_norm(theta, gains[3]) == pytest.approx(floor, rel=1e-9, abs=1e-12)
+
+    def test_sampler_like_candidates(self, theta_star, costs32, set_q):
+        # Perturbations of the Section V system, as the sampler draws them:
+        # the screen fires on many, some are admitted, and every decision and
+        # admitted solution matches the unscreened test.
+        rng = np.random.default_rng(7)
+        screened = admitted = 0
+        for _ in range(300):
+            theta = theta_star.add(ThetaParams(*(0.4 * rng.standard_normal(s) for s in ((3, 3), (3, 2)))))
+            ref = unscreened_membership(theta, costs32, set_q.m_p, set_q.rho)
+            assert same_solution(q_membership(theta, costs32, set_q), ref)
+            screened += closed_loop_floor(theta) > set_q.rho * (1.0 + 1e-9)
+            admitted += ref is not None
+        assert screened >= 30 and admitted >= 30
+
+    def test_screened_theta_skips_the_solve(self, monkeypatch):
+        theta = ThetaParams(2.0 * np.eye(3), np.eye(3)[:, :2])
+        assert closed_loop_floor(theta) == 2.0
+        monkeypatch.setattr("tsodlqr.lqr.solve_dare", lambda *args, **kwargs: pytest.fail("solved"))
+        assert q_membership(theta, CostMatrices.identity(3, 2), ConstraintSetQ(50.0, 0.99)) is None
 
 
 class TestThetaParams:

@@ -11,18 +11,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
 import tsodlqr
-from tsodlqr import CostMatrices, ThetaParams, solve_dare
+from tsodlqr import CostMatrices, NonStabilizable, ThetaParams, solve_dare
 from tsodlqr.harness import binomial_lower_test
 
 
 def random_spd(rng, k):
     root = rng.standard_normal((k, k))
     return root @ root.T + 0.1 * np.eye(k)
+
+
+def random_system(n, m, spectral_radius, seed):
+    # Gaussian (A, B) is controllable with probability one; A is scaled to the
+    # given spectral radius, so above 1 it is unstable in open loop.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    a *= spectral_radius / max(abs(np.linalg.eigvals(a)))
+    b = rng.standard_normal((n, m))
+    return a, b, random_spd(rng, n), random_spd(rng, m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -33,22 +43,32 @@ def random_spd(rng, k):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_solve_dare_matches_scipy(n, m, spectral_radius, seed):
-    # Gaussian (A, B) is controllable with probability one; A is scaled to the
-    # drawn spectral radius, so above 1 it is unstable in open loop.
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    a *= spectral_radius / max(abs(np.linalg.eigvals(a)))
-    b = rng.standard_normal((n, m))
-    q, r = random_spd(rng, n), random_spd(rng, m)
+    a, b, q, r = random_system(n, m, spectral_radius, seed)
     p_ref = scipy.linalg.solve_discrete_are(a, b, q, r)
-    # The value iteration stops on an absolute step of 1e-10, which a nearly
-    # uncontrollable system with a huge P never reaches.
-    assume(np.linalg.norm(p_ref) <= 1e4)
     k_ref = -np.linalg.solve(r + b.T @ p_ref @ b, b.T @ p_ref @ a)
 
-    sol = solve_dare(ThetaParams(a, b), CostMatrices(q, r))
+    try:
+        sol = solve_dare(ThetaParams(a, b), CostMatrices(q, r))
+    except NonStabilizable:
+        # On a few nearly uncontrollable systems with a huge P, the rounding
+        # error of one value-iteration step stays above 64 eps ||P||, so the
+        # iteration never meets its stopping rule; it must then raise rather
+        # than return a wrong P.
+        assert np.linalg.norm(p_ref) > 1e4
+        return
     assert np.linalg.norm(sol.p_matrix - p_ref) <= 1e-8 * np.linalg.norm(p_ref)
     assert np.linalg.norm(sol.gain - k_ref) <= 1e-8 * np.linalg.norm(k_ref)
+
+
+@pytest.mark.parametrize("n, seed", [(2, 281), (3, 138), (3, 52)])
+def test_solve_dare_converges_at_large_p(n, seed):
+    # ||P||_F from 9.2e4 to 3.2e5: value iteration meets the relative stopping
+    # step here, while an absolute step of 1e-10 alone is never reached.
+    a, b, q, r = random_system(n, 1, 1.6, seed)
+    p_ref = scipy.linalg.solve_discrete_are(a, b, q, r)
+    assert np.linalg.norm(p_ref) > 5e4
+    sol = solve_dare(ThetaParams(a, b), CostMatrices(q, r))
+    assert np.linalg.norm(sol.p_matrix - p_ref) <= 1e-8 * np.linalg.norm(p_ref)
 
 
 def binomial_grid():
