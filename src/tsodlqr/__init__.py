@@ -58,7 +58,7 @@ from .offline import (
     simulate_offline,
 )
 from .rng import RngStream, hash64
-from .sim import SimState, StepRecord, advance, make_true_theta, sample_theta_delta, step_system
+from .sim import make_true_theta, sample_theta_delta, step_system
 from .traces import EpisodeDiagnostics, RegretTrace
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ import copy
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
@@ -232,10 +233,14 @@ def _positive_ints(value, key: str) -> Tuple[int, ...]:
 
 
 def _number(value, key: str, kind=float):
+    """A finite number of the given kind."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+    if isinstance(number, float) and not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
 
 
 def build_experiment_config(data: dict) -> ExperimentConfig:
@@ -294,6 +299,12 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
         raise ConfigError("m_delta must be nonnegative")
     if sample_delta and m_delta == 0.0:
         raise ConfigError("sample_delta requires a positive m_delta")
+    beta_mdelta_scale = _number(merged["beta_mdelta_scale"], "beta_mdelta_scale")
+    if beta_mdelta_scale < 0:
+        raise ConfigError("beta_mdelta_scale must be nonnegative")
+    state_ceiling = _number(merged["state_ceiling"], "state_ceiling")
+    if state_ceiling <= 0:
+        raise ConfigError("state_ceiling must be positive")
 
     variants = merged["variants"]
     if not isinstance(variants, list) or not variants:
@@ -376,12 +387,12 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
         variants=tuple(variants),
         set_q=set_q,
         offline=offline_cfg,
-        beta_mdelta_scale=_number(merged["beta_mdelta_scale"], "beta_mdelta_scale"),
+        beta_mdelta_scale=beta_mdelta_scale,
         max_attempts=max_attempts,
         share_offline=bool(merged["share_offline"]),
         workers=workers,
         output_dir=str(merged["output_dir"]),
-        state_ceiling=_number(merged["state_ceiling"], "state_ceiling"),
+        state_ceiling=state_ceiling,
         diag_runs=diag_runs,
         **diag_deltas,
         sweep_s_values=sweep_s_values,

@@ -51,7 +51,6 @@ class RunRecord:
 class AggregateResult:
     """Per-step mean and sample standard deviation of cumulative regret."""
 
-    label: str
     t: np.ndarray
     mean_cum_regret: np.ndarray
     std_cum_regret: np.ndarray
@@ -225,12 +224,11 @@ def execute_runs(
     return records, failures
 
 
-def _aggregate(label: str, traces: Sequence[RegretTrace]) -> AggregateResult:
+def _aggregate(traces: Sequence[RegretTrace]) -> AggregateResult:
     stack = np.vstack([tr.cum_regret for tr in traces])
     mean = stack.mean(axis=0)
     std = stack.std(axis=0, ddof=1) if len(traces) > 1 else np.zeros_like(mean)
     return AggregateResult(
-        label=label,
         t=traces[0].t.copy(),
         mean_cum_regret=mean,
         std_cum_regret=std,
@@ -290,7 +288,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     agg_rows = []
     for (variant, s_len), label in labels.items():
         cell = [r.trace for r in records if r.variant == variant and r.s_len == s_len]
-        agg = _aggregate(label, cell)
+        agg = _aggregate(cell)
         aggregates[label] = agg
         for i in range(len(agg.t)):
             agg_rows.append(

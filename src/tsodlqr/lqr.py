@@ -23,7 +23,7 @@ _STEP_EPS = 64 * np.finfo(np.float64).eps
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
-    mat = np.array(value, dtype=np.float64)
+    mat = np.array(value, dtype=np.float64, order="C")
     if mat.ndim != 2:
         raise DimensionMismatch(f"{name} must be a 2-d matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
@@ -84,10 +84,10 @@ class ThetaParams:
 
     @classmethod
     def from_stacked(cls, stacked, n: int, m: int) -> "ThetaParams":
-        arr = _as_matrix(stacked, "stacked parameter")
+        arr = np.asarray(stacked)
         if arr.shape != (n + m, n):
             raise DimensionMismatch(f"stacked parameter must be {(n + m, n)}, got {arr.shape}")
-        return cls(a_matrix=arr[:n].T.copy(), b_matrix=arr[n:].T.copy())
+        return cls(a_matrix=arr[:n].T, b_matrix=arr[n:].T)
 
     @classmethod
     def zeros(cls, n: int, m: int) -> "ThetaParams":

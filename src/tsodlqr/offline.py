@@ -47,6 +47,8 @@ class OfflineConfig:
             raise ValueError("fixed_gain mode requires a gain matrix")
         if self.gain_refresh < 1:
             raise ValueError("gain_refresh must be at least 1")
+        if self.state_ceiling <= 0:
+            raise ValueError("state_ceiling must be positive")
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,6 @@ standard-normal noise, plus construction of offset true parameters."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -13,48 +12,22 @@ from .lqr import CostMatrices, ThetaParams
 from .rng import RngStream
 
 
-@dataclass(frozen=True, eq=False)
-class SimState:
-    """State vector and step counter of a single rollout."""
-
-    state: np.ndarray
-    step: int = 0
-
-    def __post_init__(self):
-        x = np.array(self.state, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("state has non-finite entries")
-        x.setflags(write=False)
-        object.__setattr__(self, "state", x)
-
-    @classmethod
-    def zero(cls, n: int) -> "SimState":
-        return cls(state=np.zeros(n), step=0)
-
-
-@dataclass(frozen=True, eq=False)
-class StepRecord:
-    """One transition: regressor z = [x; u], successor state, and stage cost."""
-
-    z_vector: np.ndarray
-    next_state: np.ndarray
-    cost: float
-
-
 def step_system(
     theta: ThetaParams,
-    state: SimState,
+    state,
     control,
     costs: CostMatrices,
     rng: RngStream,
     noise: Optional[np.ndarray] = None,
-) -> StepRecord:
-    """Advance one step: next state is theta^T z + w with w standard normal.
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Simulate one step from state x under control u: returns the regressor
+    z = [x; u], the next state theta^T z + w with w standard normal, and the
+    stage cost of the current (x, u).
 
-    The stage cost is computed from the current (x, u).  `noise` overrides the
-    Gaussian draw, which lets tests pin transitions exactly.
+    `noise` overrides the Gaussian draw, which lets tests pin transitions
+    exactly.
     """
-    x = state.state
+    x = np.asarray(state, dtype=np.float64).reshape(-1)
     u = np.asarray(control, dtype=np.float64).reshape(-1)
     if x.shape != (theta.n,):
         raise DimensionMismatch(f"state must have length {theta.n}, got {x.shape}")
@@ -71,11 +44,7 @@ def step_system(
     z = np.concatenate([x, u])
     next_state = theta.stacked.T @ z + w
     cost = float(x @ costs.q_matrix @ x + u @ costs.r_matrix @ u)
-    return StepRecord(z_vector=z, next_state=next_state, cost=cost)
-
-
-def advance(state: SimState, record: StepRecord) -> SimState:
-    return SimState(state=record.next_state, step=state.step + 1)
+    return z, next_state, cost
 
 
 def make_true_theta(theta_sim: ThetaParams, theta_delta: ThetaParams) -> Tuple[ThetaParams, float]:

@@ -53,14 +53,8 @@ class EpisodeDiagnostics:
 
     checkpoints: Tuple[CheckpointRecord, ...]
     coverage_ok: bool
-    zt_lhs: float
-    zt_rhs: float
     zt_violations: int
-    polylog_lhs: float
-    polylog_rhs: float
     polylog_ok: bool
-    z_max: float
-    s_total: int
     prior_lambda_ok: bool
     fallback_steps: int
     accepted_steps: int

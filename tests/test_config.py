@@ -97,6 +97,11 @@ class TestWrongTypes:
             {"offline": {"state_ceiling": "big"}},
             {"sweep_s_values": "abc"},
             {"sweep_t_values": 2.5},
+            {"set_q": {"m_p": float("nan")}},
+            {"m_delta": float("nan")},
+            {"state_ceiling": -1},
+            {"offline": {"state_ceiling": 0}},
+            {"beta_mdelta_scale": -1000},
         ],
     )
     def test_config_error(self, override):

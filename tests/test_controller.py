@@ -9,6 +9,7 @@ from tsodlqr import (
     OfflineSummary,
     RngStream,
     ThetaParams,
+    UnstableRollout,
     compute_beta,
     in_set_q,
     init_belief,
@@ -376,3 +377,13 @@ class TestRunEpisode:
         ts = [c.t for c in result.diagnostics.checkpoints]
         assert ts == [25, 50, 100]
         assert result.diagnostics.prior_lambda_ok
+
+    def test_state_ceiling_names_the_step(self, theta_star, theta_sim, costs32, set_q):
+        args = (theta_star, make_summary(np.eye(5) * 50, theta_sim), costs32, set_q, 100, 0.1, "tsod")
+        # state_norm[t] is the norm of the state reached after step t.
+        norms = run_episode(*args, RngStream(3, 1)).trace.state_norm
+        ceiling = float(np.median(norms))
+        step = int(np.argmax(norms > ceiling))
+        assert step >= 1
+        with pytest.raises(UnstableRollout, match=f"at step {step}$"):
+            run_episode(*args, RngStream(3, 1), state_ceiling=ceiling)

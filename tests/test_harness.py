@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from tsodlqr import UnstableRollout, hash64, load_offline, solve_dare
 from tsodlqr.cli import main
 from tsodlqr.config import build_experiment_config
 from tsodlqr.harness import (
+    RunSpec,
     binomial_lower_test,
     delta1_for,
+    execute_runs,
     run_diagnostics,
     run_experiment,
     scaling_study,
@@ -210,6 +213,17 @@ class TestRunExperiment:
                 "message": "online state norm exceeded 1e+06 at step 7",
             }
         ]
+
+    def test_state_ceiling_fails_only_its_run(self):
+        cfg = tiny_config(num_runs=1)
+        low = tiny_config(num_runs=1, state_ceiling=0.5)
+        specs = [RunSpec(c, "tsod", 250, run_id) for run_id, c in enumerate((cfg, low, cfg))]
+        records, failures = execute_runs(specs, workers=1)
+        assert [r.run_id for r in records] == [0, 2]
+        assert all(len(r.trace) == cfg.t_horizon for r in records)
+        assert [f.spec.run_id for f in failures] == [1]
+        assert isinstance(failures[0].error, UnstableRollout)
+        assert re.fullmatch(r"online state norm exceeded 0\.5 at step \d+", str(failures[0].error))
 
 
 class TestSeedPlan:

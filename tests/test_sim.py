@@ -5,9 +5,7 @@ from tsodlqr import (
     CostMatrices,
     DimensionMismatch,
     RngStream,
-    SimState,
     ThetaParams,
-    advance,
     make_true_theta,
     sample_theta_delta,
     step_system,
@@ -18,42 +16,41 @@ class TestStepSystem:
     def test_zero_theta(self):
         theta = ThetaParams(np.zeros((3, 3)), np.zeros((3, 1)))
         costs = CostMatrices(np.eye(3), np.eye(1))
-        state = SimState(np.array([1.0, 2.0, 3.0]))
-        rec = step_system(theta, state, [0.0], costs, RngStream(0), noise=np.zeros(3))
-        assert np.array_equal(rec.next_state, np.zeros(3))
-        assert rec.cost == pytest.approx(14.0)  # x^T Q x with Q = I
-        assert np.array_equal(rec.z_vector, np.array([1.0, 2.0, 3.0, 0.0]))
+        state = np.array([1.0, 2.0, 3.0])
+        z, next_state, cost = step_system(theta, state, [0.0], costs, RngStream(0), noise=np.zeros(3))
+        assert np.array_equal(next_state, np.zeros(3))
+        assert cost == pytest.approx(14.0)  # x^T Q x with Q = I
+        assert np.array_equal(z, np.array([1.0, 2.0, 3.0, 0.0]))
 
     def test_identity_dynamics(self):
         theta = ThetaParams(np.eye(3), np.zeros((3, 1)))
         q = np.diag([2.0, 1.0, 1.0])
         costs = CostMatrices(q, np.eye(1))
-        state = SimState(np.array([1.0, 0.0, 0.0]))
-        rec = step_system(theta, state, [0.0], costs, RngStream(0), noise=np.zeros(3))
-        assert np.array_equal(rec.next_state, np.array([1.0, 0.0, 0.0]))
-        assert rec.cost == pytest.approx(q[0, 0])
+        state = np.array([1.0, 0.0, 0.0])
+        _, next_state, cost = step_system(theta, state, [0.0], costs, RngStream(0), noise=np.zeros(3))
+        assert np.array_equal(next_state, np.array([1.0, 0.0, 0.0]))
+        assert cost == pytest.approx(q[0, 0])
 
     def test_section_v_arithmetic(self, theta_star, costs32):
-        state = SimState(np.array([1.0, 0.0, 0.0]))
-        rec = step_system(theta_star, state, [1.0, 0.0], costs32, RngStream(0), noise=np.zeros(3))
-        assert np.allclose(rec.next_state, [1.6, 0.5, 0.5], atol=1e-15)
+        state = np.array([1.0, 0.0, 0.0])
+        next_state = step_system(theta_star, state, [1.0, 0.0], costs32, RngStream(0), noise=np.zeros(3))[1]
+        assert np.allclose(next_state, [1.6, 0.5, 0.5], atol=1e-15)
 
     def test_dimension_mismatch(self, theta_star, costs32):
         with pytest.raises(DimensionMismatch):
-            step_system(theta_star, SimState(np.zeros(3)), [1.0], costs32, RngStream(0))
+            step_system(theta_star, np.zeros(3), [1.0], costs32, RngStream(0))
         with pytest.raises(DimensionMismatch):
-            step_system(theta_star, SimState(np.zeros(2)), [1.0, 0.0], costs32, RngStream(0))
+            step_system(theta_star, np.zeros(2), [1.0, 0.0], costs32, RngStream(0))
 
     def test_determinism(self, theta_star, costs32):
         def rollout():
             rng = RngStream(12345, 7)
-            state = SimState.zero(3)
+            state = np.zeros(3)
             out = []
             for _ in range(200):
-                rec = step_system(theta_star, state, [0.1, -0.2], costs32, rng)
-                out.append(rec.next_state)
-                state = advance(state, rec)
-            return np.array(out), state.step
+                _, state, _ = step_system(theta_star, state, [0.1, -0.2], costs32, rng)
+                out.append(state)
+            return np.array(out), len(out)
 
         first, steps1 = rollout()
         second, steps2 = rollout()
@@ -62,25 +59,24 @@ class TestStepSystem:
 
     def test_cost_nonnegative_and_recomputable(self, theta_star, costs32):
         rng = RngStream(5)
-        state = SimState.zero(3)
+        state = np.zeros(3)
         for _ in range(100):
             u = rng.standard_normal(2)
-            rec = step_system(theta_star, state, u, costs32, rng)
-            assert rec.cost >= 0.0
-            x = rec.z_vector[:3]
+            z, next_state, cost = step_system(theta_star, state, u, costs32, rng)
+            assert cost >= 0.0
+            x = z[:3]
             recomputed = x @ costs32.q_matrix @ x + u @ costs32.r_matrix @ u
-            assert rec.cost == pytest.approx(recomputed, rel=1e-12)
-            state = advance(state, rec)
+            assert cost == pytest.approx(recomputed, rel=1e-12)
+            state = next_state
 
     def test_noise_whiteness(self):
         theta = ThetaParams(np.zeros((3, 3)), np.zeros((3, 1)))
         costs = CostMatrices(np.eye(3), np.eye(1))
         rng = RngStream(2024)
-        state = SimState.zero(3)
+        state = np.zeros(3)
         draws = np.empty((100_000, 3))
         for i in range(draws.shape[0]):
-            rec = step_system(theta, state, [0.0], costs, rng)
-            draws[i] = rec.next_state  # equals the noise because theta = 0
+            draws[i] = step_system(theta, state, [0.0], costs, rng)[1]  # the noise, as theta = 0
         assert np.all(np.abs(draws.mean(axis=0)) < 0.02)
         cov = np.cov(draws.T)
         assert np.all(np.abs(cov - np.eye(3)) < 0.05)
