@@ -106,8 +106,8 @@ def _cmd_run(cfg, out_dir) -> int:
     return EXIT_OK
 
 
-def _cmd_diagnostics(cfg, out_dir, runs) -> int:
-    report = run_diagnostics(cfg, num_runs=runs, out_dir=out_dir)
+def _cmd_diagnostics(cfg, out_dir) -> int:
+    report = run_diagnostics(cfg, out_dir=out_dir)
     sys.stdout.write(report.text())
     return EXIT_OK
 
@@ -154,6 +154,8 @@ def main(argv=None) -> int:
             overrides.append(f"base_seed={args.seed}")
         if args.workers is not None:
             overrides.append(f"workers={args.workers}")
+        if getattr(args, "runs", None) is not None:
+            overrides.append(f"diag_runs={args.runs}")
         cfg = load_experiment_config(args.config, overrides)
         out_dir = _resolve_out(args) or cfg.output_dir
         if args.subcommand == "offline":
@@ -161,7 +163,7 @@ def main(argv=None) -> int:
         if args.subcommand == "run":
             return _cmd_run(cfg, out_dir)
         if args.subcommand == "diagnostics":
-            return _cmd_diagnostics(cfg, out_dir, args.runs)
+            return _cmd_diagnostics(cfg, out_dir)
         if args.subcommand == "sweep":
             return _cmd_sweep(cfg, out_dir)
         if args.subcommand == "riccati":

@@ -233,14 +233,24 @@ def _positive_ints(value, key: str) -> Tuple[int, ...]:
 
 
 def _number(value, key: str, kind=float):
-    """A finite number of the given kind."""
+    """A finite JSON number, and an integer when kind is int; a bool or a
+    string is neither."""
+    allowed = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     try:
         number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"{key} must be finite, got {value!r}") from exc
     if isinstance(number, float) and not math.isfinite(number):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return number
+
+
+def _flag(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def build_experiment_config(data: dict) -> ExperimentConfig:
@@ -263,7 +273,7 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
     m = _positive_int(_require(merged, "m"), "m")
     a_sim = _matrix(_require(merged, "a_sim"), "a_sim", (n, n))
     b_sim = _matrix(_require(merged, "b_sim"), "b_sim", (n, m))
-    sample_delta = bool(merged["sample_delta"])
+    sample_delta = _flag(merged["sample_delta"], "sample_delta")
     a_star = b_star = None
     if not sample_delta:
         a_star = _matrix(_require(merged, "a_star"), "a_star", (n, n))
@@ -389,7 +399,7 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
         offline=offline_cfg,
         beta_mdelta_scale=beta_mdelta_scale,
         max_attempts=max_attempts,
-        share_offline=bool(merged["share_offline"]),
+        share_offline=_flag(merged["share_offline"], "share_offline"),
         workers=workers,
         output_dir=str(merged["output_dir"]),
         state_ceiling=state_ceiling,

@@ -37,12 +37,14 @@ class BeliefState:
 
     cross_term accumulates the regressor/next-state products plus the offline
     contribution, so theta_hat is always the solution of
-    v_matrix @ theta = cross_term.
+    v_matrix @ theta = cross_term.  info_sum is the running sum of
+    z^T V^{-1} z over the updates, each with V taken before its update.
     """
 
     v_matrix: np.ndarray
     theta_hat: ThetaParams
     logdet_v: float
+    info_sum: float
     logdet_u: float
     t: int
     cross_term: np.ndarray
@@ -158,6 +160,7 @@ def init_belief(sources: SourcesLike) -> BeliefState:
         v_matrix=v0,
         theta_hat=theta0,
         logdet_v=float(logdet),
+        info_sum=0.0,
         logdet_u=float(logdet),
         t=0,
         cross_term=cross,
@@ -248,7 +251,8 @@ def sample_constrained(
 def update_belief(belief: BeliefState, z_vector, next_state) -> BeliefState:
     """Rank-one information update with one observed transition.
 
-    The log-determinant cache uses log det(V + z z^T) = log det V + log(1 + z^T V^{-1} z).
+    The log-determinant cache uses log det(V + z z^T) = log det V + log(1 + z^T V^{-1} z),
+    and info_sum adds the same z^T V^{-1} z.
     """
     z = np.asarray(z_vector, dtype=np.float64).reshape(-1)
     x_next = np.asarray(next_state, dtype=np.float64).reshape(-1)
@@ -267,6 +271,7 @@ def update_belief(belief: BeliefState, z_vector, next_state) -> BeliefState:
         v_matrix=v_next,
         theta_hat=theta_next,
         logdet_v=belief.logdet_v + math.log1p(quad),
+        info_sum=belief.info_sum + quad,
         logdet_u=belief.logdet_u,
         t=belief.t + 1,
         cross_term=cross_next,
@@ -335,7 +340,6 @@ def run_episode(
     beta_mdelta_scale: float = 1.0,
     state_ceiling: float = DEFAULT_STATE_CEILING,
     delta2_override: Optional[float] = None,
-    run_id: int = 0,
     seed: int = 0,
 ) -> EpisodeResult:
     """Run one online episode of the given variant against the hidden system.
@@ -344,14 +348,13 @@ def run_episode(
     transition and stage cost, and apply the rank-one belief update.  The
     oracle variant plays the hidden parameters directly and serves as a
     policy-level sanity check.  A state whose norm exceeds `state_ceiling`,
-    or is not finite, raises UnstableRollout.
+    or is not finite, raises UnstableRollout.  The loop only records each
+    step; the property checks are computed from that record afterwards.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
     src_raw = as_sources(sources)
     src = effective_sources(src_raw, variant)
@@ -360,94 +363,50 @@ def run_episode(
         raise DimensionMismatch("hidden parameters do not match the offline summaries")
 
     star_sol = solve_dare(theta_star_hidden, costs)
-    j_star = star_sol.avg_cost
-    a_star, b_star = theta_star_hidden.a_matrix, theta_star_hidden.b_matrix
-    s_total = src_raw.s_total
-    # The information inequalities assume the warm-start precision actually
-    # used grows like S/40; variants that replace it are excluded.
-    prior_lambda_ok = all(
-        float(np.linalg.eigvalsh(s.u_matrix)[0]) - s.regularizer >= s.s_len / 40.0
-        for s in src.summaries
-    )
-
     belief = init_belief(src)
     anchor = belief.theta_hat
     delta2 = delta2_override if delta2_override is not None else delta2_for(delta, horizon)
-
     checkpoint_ts = sorted({max(1, int(round(horizon * f))) for f in CHECKPOINT_FRACTIONS if horizon >= 1})
 
-    t_arr = np.arange(1, horizon + 1, dtype=np.int64)
     cost_arr = np.zeros(horizon)
     beta_arr = np.zeros(horizon)
     rej_arr = np.zeros(horizon, dtype=np.int64)
     norm_arr = np.zeros(horizon)
+    fallback_arr = np.zeros(horizon, dtype=bool)
+    gain_arr = np.zeros((horizon, m, n))
+    z_norm_arr = np.zeros(horizon)
+    logdet_arr = np.zeros(horizon)
+    info_arr = np.zeros(horizon)
+    # The belief at sampling time of each checkpoint step.
+    checkpoint_beliefs = []
 
-    oracle_outcome = None
-    if variant == "oracle":
-        oracle_outcome = SampleOutcome(
-            theta_tilde=theta_star_hidden, gain=star_sol.gain, rejections=0, fallback_used=False
-        )
+    oracle = SampleOutcome(theta_star_hidden, star_sol.gain, 0, False) if variant == "oracle" else None
     last_accepted: Optional[ThetaParams] = None
     state = np.zeros(n)
     state_norm = 0.0
-    checkpoints = []
-    coverage_ok = True
-    zt_lhs = 0.0
-    zt_violations = 0
-    z_max = 0.0
-    fallback_steps = 0
-    accepted_steps = 0
-    true_cl_max = 0.0
-    true_cl_violations = 0
 
     for idx in range(horizon):
         step_t = idx + 1
         beta_t = compute_beta(belief, src, delta2, beta_mdelta_scale)
-        if oracle_outcome is not None:
-            outcome = oracle_outcome
-        else:
-            outcome = sample_constrained(
-                belief,
-                beta_t,
-                set_q,
-                costs,
-                rng,
-                max_attempts,
-                anchor=anchor,
-                last_accepted=last_accepted,
-            )
-        if outcome.fallback_used:
-            fallback_steps += 1
-        else:
-            accepted_steps += 1
-            last_accepted = outcome.theta_tilde
-
         if step_t in checkpoint_ts:
-            diff = belief.theta_hat.stacked - theta_star_hidden.stacked
-            err = math.sqrt(max(float(np.trace(diff.T @ belief.v_matrix @ diff)), 0.0))
-            ok = err <= beta_t
-            checkpoints.append(CheckpointRecord(t=step_t, error=err, beta=beta_t, ok=ok))
-            coverage_ok = coverage_ok and ok
-
-        true_cl = float(np.linalg.norm(a_star + b_star @ outcome.gain, 2))
-        true_cl_max = max(true_cl_max, true_cl)
-        if true_cl > set_q.rho:
-            true_cl_violations += 1
-
-        control = outcome.gain @ state
-        z, next_state, cost = step_system(theta_star_hidden, state, control, costs, rng)
-
-        z_max = max(z_max, float(np.linalg.norm(z)))
-        zt_lhs += float(z @ np.linalg.solve(belief.v_matrix, z))
+            checkpoint_beliefs.append(belief)
+        outcome = oracle or sample_constrained(
+            belief, beta_t, set_q, costs, rng, max_attempts, anchor=anchor, last_accepted=last_accepted
+        )
+        if not outcome.fallback_used:
+            last_accepted = outcome.theta_tilde
+        z, next_state, cost = step_system(theta_star_hidden, state, outcome.gain @ state, costs, rng)
         belief = update_belief(belief, z, next_state)
-        zt_rhs = 2.0 * max(1.0, 40.0 * z_max**2 / s_total) * (belief.logdet_v - belief.logdet_u)
-        if zt_lhs > zt_rhs * (1.0 + 1e-9) + 1e-9:
-            zt_violations += 1
 
         cost_arr[idx] = cost
         beta_arr[idx] = beta_t
         rej_arr[idx] = outcome.rejections
         norm_arr[idx] = state_norm
+        fallback_arr[idx] = outcome.fallback_used
+        gain_arr[idx] = outcome.gain
+        z_norm_arr[idx] = np.linalg.norm(z)
+        logdet_arr[idx] = belief.logdet_v
+        info_arr[idx] = belief.info_sum
 
         state = next_state
         state_norm = float(np.linalg.norm(state))
@@ -456,32 +415,55 @@ def run_episode(
                 f"online state norm exceeded {state_ceiling:g} at step {step_t}"
             )
 
-    d = n + m
+    # The property checks, from the per-step record.
+    checkpoints = []
+    for step_t, saved in zip(checkpoint_ts, checkpoint_beliefs):
+        diff = saved.theta_hat.stacked - theta_star_hidden.stacked
+        err = math.sqrt(max(float(np.trace(diff.T @ saved.v_matrix @ diff)), 0.0))
+        beta_t = float(beta_arr[step_t - 1])
+        checkpoints.append(CheckpointRecord(t=step_t, error=err, beta=beta_t, ok=err <= beta_t))
+
+    # Information inequalities: sum_s z_s^T V_s^{-1} z_s against the log-det
+    # growth, with the running max of ||z||; they assume the warm-start
+    # precision actually used grows like S/40, which variants that replace it
+    # do not.
+    d, s_total = n + m, src_raw.s_total
+    z_max = np.maximum.accumulate(z_norm_arr)
+    zt_rhs = 2.0 * np.maximum(1.0, 40.0 * z_max**2 / s_total) * (logdet_arr - belief.logdet_u)
+    z_top = float(z_max[-1]) if horizon else 0.0
     polylog_lhs = belief.logdet_v - belief.logdet_u
-    polylog_rhs = d * math.log1p(40.0 * horizon * z_max**2 / (d * s_total)) if horizon else 0.0
-    instant = cost_arr - j_star
+    polylog_rhs = d * math.log1p(40.0 * horizon * z_top**2 / (d * s_total))
+    prior_lambda_ok = all(
+        float(np.linalg.eigvalsh(s.u_matrix)[0]) - s.regularizer >= s.s_len / 40.0
+        for s in src.summaries
+    )
+
+    true_cl = np.linalg.norm(
+        theta_star_hidden.a_matrix + theta_star_hidden.b_matrix @ gain_arr, 2, axis=(1, 2)
+    )
+    fallback_steps = int(np.count_nonzero(fallback_arr))
+
+    instant = cost_arr - star_sol.avg_cost
     trace = RegretTrace(
-        t=t_arr,
+        t=np.arange(1, horizon + 1, dtype=np.int64),
         cost=cost_arr,
         instant_regret=instant,
         cum_regret=np.cumsum(instant),
         beta=beta_arr,
         rejections=rej_arr,
         state_norm=norm_arr,
-        j_star=j_star,
-        run_id=run_id,
-        variant=variant,
+        j_star=star_sol.avg_cost,
         seed=seed,
     )
     diagnostics = EpisodeDiagnostics(
         checkpoints=tuple(checkpoints),
-        coverage_ok=coverage_ok,
-        zt_violations=zt_violations,
+        coverage_ok=all(c.ok for c in checkpoints),
+        zt_violations=int(np.count_nonzero(info_arr > zt_rhs * (1.0 + 1e-9) + 1e-9)),
         polylog_ok=polylog_lhs <= polylog_rhs * (1.0 + 1e-9) + 1e-9,
         prior_lambda_ok=prior_lambda_ok,
         fallback_steps=fallback_steps,
-        accepted_steps=accepted_steps,
-        true_closed_loop_max=true_cl_max,
-        true_closed_loop_violations=true_cl_violations,
+        accepted_steps=horizon - fallback_steps,
+        true_closed_loop_max=float(true_cl.max(initial=0.0)),
+        true_closed_loop_violations=int(np.count_nonzero(true_cl > set_q.rho)),
     )
     return EpisodeResult(trace=trace, belief=belief, diagnostics=diagnostics)

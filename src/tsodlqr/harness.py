@@ -40,7 +40,6 @@ class RunRecord:
     variant: str
     s_len: int
     run_id: int
-    seed: int
     trace: RegretTrace
     diagnostics: EpisodeDiagnostics
     assumption2: Optional[Assumption2Report]
@@ -183,14 +182,12 @@ def execute_single_run(spec: RunSpec) -> RunRecord:
         beta_mdelta_scale=cfg.beta_mdelta_scale,
         state_ceiling=cfg.state_ceiling,
         delta2_override=spec.delta2,
-        run_id=spec.run_id,
         seed=seed,
     )
     return RunRecord(
         variant=variant,
         s_len=s_len,
         run_id=spec.run_id,
-        seed=seed,
         trace=result.trace,
         diagnostics=result.diagnostics,
         assumption2=assumption2,
@@ -389,6 +386,8 @@ def run_diagnostics(
     checkpoints, the two information inequalities, the offline-interface
     checks, and the true-system closed-loop predicate."""
     runs = num_runs if num_runs is not None else cfg.diag_runs
+    if runs < 1:
+        raise ConfigError(f"diagnostics needs at least one run, got {runs}")
     s_len = cfg.s_values[0]
     first = RunSpec(
         cfg,
@@ -416,7 +415,7 @@ def run_diagnostics(
         delta1=delta1,
         delta2=delta2,
         coverage_target=target,
-        coverage_fraction=covered / runs if runs else 1.0,
+        coverage_fraction=covered / runs,
         coverage_pass=binomial_lower_test(covered, runs, target),
         lemma_checked_runs=len(lemma_runs),
         zt_violations=sum(r.diagnostics.zt_violations for r in lemma_runs),

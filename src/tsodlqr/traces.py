@@ -25,8 +25,6 @@ class RegretTrace:
     rejections: np.ndarray
     state_norm: np.ndarray
     j_star: float
-    run_id: int
-    variant: str
     seed: int
 
     def __len__(self) -> int:
@@ -49,7 +47,7 @@ class CheckpointRecord:
 
 @dataclass(frozen=True, eq=False)
 class EpisodeDiagnostics:
-    """Side information collected during an episode for the property checks."""
+    """The property checks of one episode, computed from its per-step record."""
 
     checkpoints: Tuple[CheckpointRecord, ...]
     coverage_ok: bool

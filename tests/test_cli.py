@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from tsodlqr.cli import build_parser, main
 
 
@@ -48,6 +50,14 @@ class TestParsing:
         cfg = write_config(tmp_path / "c.cfg")
         code = main(["run", "--config", str(cfg), "--set", "novalue"])
         assert code == 1
+
+    @pytest.mark.parametrize("runs", ["0", "-5"])
+    def test_diagnostics_runs_below_one_exits_two(self, tmp_path, capsys, runs):
+        cfg = write_config(tmp_path / "c.cfg")
+        out_dir = tmp_path / "out"
+        assert main(["diagnostics", "--config", str(cfg), "--runs", runs, "--out", str(out_dir)]) == 2
+        assert "diag_runs" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_help_lists_config_symbols(self):
         text = build_parser().format_help()

@@ -26,6 +26,20 @@ SYSTEM = {
 }
 OUTSIDE_SET_P = {**SYSTEM, "set_p": {"m_sim": 50.0, "phi": 2.0, "rho_sim": 0.99}}
 FIXED_GAIN = {"controller_mode": "fixed_gain", "fixed_gain": [[0.0] * 3] * 2}
+# Values that a bare int(), float() or bool() conversion would accept.
+LOOSELY_TYPED = [
+    {"base_seed": 3.7},
+    {"base_seed": True},
+    {"base_seed": "7"},
+    {"m_delta": True},
+    {"state_ceiling": True},
+    {"delta": "0.1"},
+    {"set_q": {"rho": True}},
+    {"share_offline": "false"},
+    {"share_offline": 1},
+    {"sample_delta": "true"},
+    {"sample_delta": 0},
+]
 
 
 def write(path, data):
@@ -102,13 +116,14 @@ class TestWrongTypes:
             {"state_ceiling": -1},
             {"offline": {"state_ceiling": 0}},
             {"beta_mdelta_scale": -1000},
+            *LOOSELY_TYPED,
         ],
     )
     def test_config_error(self, override):
         with pytest.raises(ConfigError):
             build_experiment_config({**SYSTEM, **override})
 
-    @pytest.mark.parametrize("override", [{"set_q": 5}, {"delta": "abc"}])
+    @pytest.mark.parametrize("override", [{"set_q": 5}, {"delta": "abc"}, *LOOSELY_TYPED])
     def test_riccati_exits_two(self, tmp_path, capsys, override):
         config = write(tmp_path / "c.cfg", {**SYSTEM, **override})
         assert main(["riccati", "--config", config]) == 2

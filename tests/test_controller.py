@@ -11,14 +11,17 @@ from tsodlqr import (
     ThetaParams,
     UnstableRollout,
     compute_beta,
+    effective_sources,
     in_set_q,
     init_belief,
     run_episode,
     sample_constrained,
     simulate_offline,
     solve_dare,
+    step_system,
     update_belief,
 )
+from tsodlqr.controller import CHECKPOINT_FRACTIONS, SampleOutcome, as_sources, delta2_for
 from tsodlqr.harness import delta1_for
 
 
@@ -255,6 +258,7 @@ class TestUpdateBelief:
             brute += float(z @ np.linalg.solve(v, z))
             v += np.outer(z, z)
         assert abs(brute - incremental) <= 1e-8 * max(1.0, abs(brute))
+        assert belief.info_sum == incremental
         z_max = max(np.linalg.norm(z) for z in zs)
         rhs = 2.0 * max(1.0, 40.0 * z_max**2 / s_len) * (belief.logdet_v - logdet_u)
         assert incremental <= rhs
@@ -387,3 +391,108 @@ class TestRunEpisode:
         assert step >= 1
         with pytest.raises(UnstableRollout, match=f"at step {step}$"):
             run_episode(*args, RngStream(3, 1), state_ceiling=ceiling)
+
+
+def reference_episode(theta_star, sources, costs, set_q, horizon, delta, variant, rng, max_attempts):
+    """The episode loop written out step by step, every property check updated
+    inside the loop, through the public per-step functions only."""
+    src_raw = as_sources(sources)
+    src = effective_sources(src_raw, variant)
+    star_sol = solve_dare(theta_star, costs)
+    s_total = src_raw.s_total
+    belief = init_belief(src)
+    anchor = belief.theta_hat
+    delta2 = delta2_for(delta, horizon)
+    checkpoint_ts = sorted({max(1, int(round(horizon * f))) for f in CHECKPOINT_FRACTIONS})
+    oracle = SampleOutcome(theta_star, star_sol.gain, 0, False) if variant == "oracle" else None
+    trace = {name: [] for name in ("cost", "beta", "rejections", "state_norm")}
+    checkpoints, last_accepted = [], None
+    state, state_norm = np.zeros(theta_star.n), 0.0
+    zt_lhs, z_max, zt_violations, fallback_steps = 0.0, 0.0, 0, 0
+    true_cl_max, true_cl_violations = 0.0, 0
+    for step_t in range(1, horizon + 1):
+        beta_t = compute_beta(belief, src, delta2)
+        outcome = oracle or sample_constrained(
+            belief, beta_t, set_q, costs, rng, max_attempts, anchor=anchor, last_accepted=last_accepted
+        )
+        if outcome.fallback_used:
+            fallback_steps += 1
+        else:
+            last_accepted = outcome.theta_tilde
+        if step_t in checkpoint_ts:
+            diff = belief.theta_hat.stacked - theta_star.stacked
+            err = math.sqrt(max(float(np.trace(diff.T @ belief.v_matrix @ diff)), 0.0))
+            checkpoints.append((step_t, err, beta_t, err <= beta_t))
+        true_cl = float(np.linalg.norm(theta_star.a_matrix + theta_star.b_matrix @ outcome.gain, 2))
+        true_cl_max = max(true_cl_max, true_cl)
+        true_cl_violations += true_cl > set_q.rho
+        z, next_state, cost = step_system(theta_star, state, outcome.gain @ state, costs, rng)
+        z_max = max(z_max, float(np.linalg.norm(z)))
+        zt_lhs += float(z @ np.linalg.solve(belief.v_matrix, z))
+        belief = update_belief(belief, z, next_state)
+        zt_rhs = 2.0 * max(1.0, 40.0 * z_max**2 / s_total) * (belief.logdet_v - belief.logdet_u)
+        zt_violations += zt_lhs > zt_rhs * (1.0 + 1e-9) + 1e-9
+        for name, value in zip(trace, (cost, beta_t, outcome.rejections, state_norm)):
+            trace[name].append(value)
+        state = next_state
+        state_norm = float(np.linalg.norm(state))
+    d = belief.dim
+    polylog_lhs = belief.logdet_v - belief.logdet_u
+    polylog_rhs = d * math.log1p(40.0 * horizon * z_max**2 / (d * s_total))
+    diagnostics = {
+        "checkpoints": checkpoints,
+        "coverage_ok": all(c[3] for c in checkpoints),
+        "zt_violations": zt_violations,
+        "polylog_ok": polylog_lhs <= polylog_rhs * (1.0 + 1e-9) + 1e-9,
+        "prior_lambda_ok": all(
+            float(np.linalg.eigvalsh(s.u_matrix)[0]) - s.regularizer >= s.s_len / 40.0
+            for s in src.summaries
+        ),
+        "fallback_steps": fallback_steps,
+        "accepted_steps": horizon - fallback_steps,
+        "true_closed_loop_max": true_cl_max,
+        "true_closed_loop_violations": true_cl_violations,
+    }
+    trace = {name: np.asarray(values) for name, values in trace.items()}
+    trace["t"] = np.arange(1, horizon + 1)
+    trace["instant_regret"] = trace["cost"] - star_sol.avg_cost
+    trace["cum_regret"] = np.cumsum(trace["instant_regret"])
+    return trace, star_sol.avg_cost, belief, diagnostics
+
+
+class TestReferenceReplay:
+    """run_episode equals the step-by-step reference bit for bit on the tiny
+    golden system (S = 250, T = 60), in every trace array and every check."""
+
+    @staticmethod
+    def bits(value):
+        return value.hex() if isinstance(value, float) else value
+
+    def test_matches_reference(self, theta_star, theta_sim, costs32, set_q, offline_cfg):
+        horizon, delta, totals = 60, 0.1, {"zt_violations": 0, "fallback_steps": 0}
+        for seed in (42, 7, 99):
+            summary = simulate_offline(
+                theta_sim, costs32, 250, offline_cfg, delta1_for(delta, 250, horizon), 0.15,
+                RngStream(seed, 0),
+            )[0]
+            for variant in ("tsod", "ts_no_offline", "offline_estimate_only", "oracle"):
+                args = (theta_star, summary, costs32, set_q, horizon, delta, variant)
+                trace, j_star, belief, expected = reference_episode(*args, RngStream(seed, 1), 20)
+                result = run_episode(*args, RngStream(seed, 1), max_attempts=20)
+                assert result.trace.j_star == j_star
+                assert np.array_equal(result.belief.v_matrix, belief.v_matrix)
+                assert np.array_equal(result.belief.theta_hat.stacked, belief.theta_hat.stacked)
+                assert result.belief.logdet_v == belief.logdet_v
+                for name, values in trace.items():
+                    assert np.array_equal(getattr(result.trace, name), values), (seed, variant, name)
+                diag = result.diagnostics
+                got = [(c.t, c.error, c.beta, c.ok) for c in diag.checkpoints]
+                assert [tuple(map(self.bits, c)) for c in got] == [
+                    tuple(map(self.bits, c)) for c in expected.pop("checkpoints")
+                ], (seed, variant)
+                for name, value in expected.items():
+                    assert self.bits(getattr(diag, name)) == self.bits(value), (seed, variant, name)
+                for name in totals:
+                    totals[name] += expected[name]
+        # The inequality count and the fallback ladder are both exercised.
+        assert totals["zt_violations"] > 0 and totals["fallback_steps"] > 0, totals

@@ -1,9 +1,9 @@
 """Byte-identity pins: SHA-256 digests of the harness outputs for fixed configs.
 
-The digests were recorded with numpy 2.4.6 and scipy 1.17.1 (Python 3.11.7).
-Bytes are only promised on the same numpy build, so the pins are checked only
-when those versions are installed.  A change that alters any digest changes
-the output contract and must say so.
+The digests were recorded with numpy 2.4.6 (Python 3.11.7).  The package
+runs on numpy alone and bytes are only promised on the same numpy build, so
+the pins are checked only when that version is installed.  A change that
+alters any digest changes the output contract and must say so.
 """
 
 import hashlib
@@ -11,17 +11,16 @@ import json
 
 import numpy as np
 import pytest
-import scipy
 
 from tsodlqr.cli import main
 from tsodlqr.config import build_experiment_config
 from tsodlqr.harness import run_diagnostics, run_experiment, scaling_study
 
-RECORDED_VERSIONS = ("2.4.6", "1.17.1")
+RECORDED_NUMPY = "2.4.6"
 
 pytestmark = pytest.mark.skipif(
-    (np.__version__, scipy.__version__) != RECORDED_VERSIONS,
-    reason=f"digests recorded with numpy/scipy {RECORDED_VERSIONS}",
+    np.__version__ != RECORDED_NUMPY,
+    reason=f"digests recorded with numpy {RECORDED_NUMPY}",
 )
 
 # The system of tiny_config in test_harness.py, copied so that the pins do not

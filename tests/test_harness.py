@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tsodlqr.harness as harness
-from tsodlqr import UnstableRollout, hash64, load_offline, solve_dare
+from tsodlqr import ConfigError, UnstableRollout, hash64, load_offline, solve_dare
 from tsodlqr.cli import main
 from tsodlqr.config import build_experiment_config
 from tsodlqr.harness import (
@@ -188,7 +188,7 @@ class TestRunExperiment:
         real_episode = harness.run_episode
 
         def fail_run_one(*args, **kwargs):
-            if kwargs["run_id"] == 1:
+            if kwargs["seed"] == hash64(42, "tsod", 1, 250):
                 raise UnstableRollout("online state norm exceeded 1e+06 at step 7")
             return real_episode(*args, **kwargs)
 
@@ -232,7 +232,7 @@ class TestSeedPlan:
         real_episode = harness.run_episode
 
         def record_prior(theta, sources, *args, **kwargs):
-            used[kwargs["run_id"]] = sources.summaries[0]
+            used[kwargs["seed"]] = sources.summaries[0]
             return real_episode(theta, sources, *args, **kwargs)
 
         monkeypatch.setattr(harness, "run_episode", record_prior)
@@ -243,8 +243,9 @@ class TestSeedPlan:
         assert main(["offline", "--config", str(config), "--out", str(tmp_path / "off")]) == 0
         for run_id in range(2):
             cached, _, _ = load_offline(tmp_path / "off" / "offline" / f"s250_run{run_id:03d}")
-            assert np.array_equal(cached.u_matrix, used[run_id].u_matrix)
-            assert np.array_equal(cached.theta_hat_sim.stacked, used[run_id].theta_hat_sim.stacked)
+            prior = used[hash64(42, "tsod", run_id, 250)]
+            assert np.array_equal(cached.u_matrix, prior.u_matrix)
+            assert np.array_equal(cached.theta_hat_sim.stacked, prior.theta_hat_sim.stacked)
 
     def test_shared_offline_is_run_zero_dataset(self, tmp_path):
         variants = ["tsod", "offline_estimate_only"]
@@ -284,6 +285,12 @@ class TestDiagnostics:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
         run_diagnostics(tiny_config(workers=3, t_horizon=10), num_runs=5, out_dir=tmp_path)
         assert pool_sizes == [3]
+
+    @pytest.mark.parametrize("runs", [0, -5])
+    def test_rejects_fewer_than_one_run(self, tmp_path, runs):
+        with pytest.raises(ConfigError, match="at least one run"):
+            run_diagnostics(tiny_config(), num_runs=runs, out_dir=tmp_path)
+        assert not (tmp_path / "diagnostics.txt").exists()
 
     def test_binomial_lower_test(self):
         assert binomial_lower_test(400, 400, 0.9)
