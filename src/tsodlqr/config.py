@@ -1,6 +1,6 @@
-"""The experiment config: its key schema with defaults and help lines, file
-loading, override handling, and the validation that turns it into an
-ExperimentConfig."""
+"""The experiment config: its key schema with defaults, parsers and help lines,
+file loading, override handling, and the checks across keys that turn it into
+an ExperimentConfig."""
 
 from __future__ import annotations
 
@@ -8,10 +8,11 @@ import copy
 import hashlib
 import json
 import logging
-import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -27,60 +28,146 @@ logger = logging.getLogger(__name__)
 MAX_WORKERS = 256
 
 
+# Parsers: each takes one raw value and its dotted key, checks the value's
+# type and range, and returns it or raises ConfigError.
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_count(x) -> bool:
+    return _is_int(x) and x >= 1
+
+
+def _is_finite(x) -> bool:
+    # The comparison is exact for any int, and false for nan.
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _is_distinct(items: list) -> bool:
+    return len(items) > 0 and len(set(items)) == len(items)
+
+
+def _check(test: Callable[[object], bool], words: str, convert: Callable):
+    """The parser that returns convert(value) for a value that passes `test`."""
+
+    def parse(value, key: str):
+        if not test(value):
+            raise ConfigError(f"{key} must be {words}, got {value!r}")
+        return convert(value)
+
+    return parse
+
+
+_integer = _check(_is_int, "an integer", int)
+_count = _check(_is_count, "a positive integer", int)
+_workers = _check(
+    lambda x: _is_count(x) and x <= MAX_WORKERS, f"at most {MAX_WORKERS}, and a positive integer", int
+)
+_counts = _check(
+    lambda x: _is_count(x) or (isinstance(x, list) and all(map(_is_count, x)) and _is_distinct(x)),
+    "a positive integer or a non-empty list of distinct ones",
+    lambda x: tuple(map(int, x)) if isinstance(x, list) else (int(x),),
+)
+_number = _check(_is_finite, "a finite number", float)
+_fraction = _check(lambda x: _is_finite(x) and 0.0 < x < 1.0, "a number in (0, 1)", float)
+_nonnegative = _check(lambda x: _is_finite(x) and x >= 0.0, "a nonnegative number", float)
+_positive = _check(lambda x: _is_finite(x) and x > 0.0, "a positive number", float)
+_flag = _check(lambda x: isinstance(x, bool), "true or false", bool)
+_text = _check(lambda x: isinstance(x, str) and x != "", "a non-empty string", str)
+_variants = _check(
+    lambda x: isinstance(x, list) and all(v in VARIANTS for v in x) and _is_distinct(x),
+    f"a non-empty list of distinct names from {VARIANTS}",
+    tuple,
+)
+
+
+def _matrix(value, key: str) -> np.ndarray:
+    """A finite numeric matrix; its shape is checked against n and m later."""
+    try:
+        mat = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} is not a numeric matrix: {exc}") from exc
+    if mat.ndim != 2:
+        raise ConfigError(f"{key} must be a matrix (nested numeric arrays), got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ConfigError(f"{key} has non-finite entries")
+    return mat
+
+
+def _optional(parse):
+    """None means unset; any other value goes through `parse`."""
+    return lambda value, key: None if value is None else parse(value, key)
+
+
+def _required(parse):
+    def required(value, key: str):
+        if value is None:
+            raise ConfigError(f"missing required config key: {key}")
+        return parse(value, key)
+
+    return required
+
+
 class Key(NamedTuple):
-    """One config key: its default (None means required or derived) and the
-    line that documents it in `tsodlqr --help`."""
+    """One config key: its default (None means required or unset), the parser
+    of its value, and the line that documents it in `tsodlqr --help`."""
 
     default: object
+    parse: Callable
     help: str
 
 
-# The key schema; a nested dict is a section, addressed with dotted keys.
+# The key schema; a nested dict is a section, addressed with dotted keys.  The
+# ranges of the section keys are checked by the dataclasses they build.
 SCHEMA = {
-    "n": Key(None, "state dimension"),
-    "m": Key(None, "input dimension"),
-    "a_sim": Key(None, "auxiliary (offline) system matrix A_sim"),
-    "b_sim": Key(None, "auxiliary (offline) system matrix B_sim"),
-    "a_star": Key(None, "true system matrix A (omit with sample_delta)"),
-    "b_star": Key(None, "true system matrix B (omit with sample_delta)"),
-    "sample_delta": Key(False, "draw the true system as sim + random offset per run"),
-    "m_delta": Key(0.0, "dissimilarity bound M_delta on the offset norm"),
-    "q_matrix": Key(None, "state cost weight Q (default: identity)"),
-    "r_matrix": Key(None, "input cost weight R (default: identity)"),
-    "s_len": Key(None, "offline trajectory length S (int or list of ints)"),
-    "t_horizon": Key(None, "online horizon T"),
-    "delta": Key(0.1, "confidence budget: delta1 = delta/(16 max(S, T+1)), delta2 = delta/(16 T)"),
-    "num_runs": Key(10, "Monte-Carlo repetitions per variant and S"),
-    "base_seed": Key(1, "seed every run's seed derives from"),
-    "variants": Key(["tsod"], "subset of: " + ", ".join(VARIANTS)),
+    "n": Key(None, _required(_count), "state dimension"),
+    "m": Key(None, _required(_count), "input dimension"),
+    "a_sim": Key(None, _required(_matrix), "auxiliary (offline) system matrix A_sim"),
+    "b_sim": Key(None, _required(_matrix), "auxiliary (offline) system matrix B_sim"),
+    "a_star": Key(None, _optional(_matrix), "true system matrix A (omit with sample_delta)"),
+    "b_star": Key(None, _optional(_matrix), "true system matrix B (omit with sample_delta)"),
+    "sample_delta": Key(False, _flag, "draw the true system as sim + random offset per run"),
+    "m_delta": Key(0.0, _nonnegative, "dissimilarity bound M_delta on the offset norm"),
+    "q_matrix": Key(None, _optional(_matrix), "state cost weight Q (default: identity)"),
+    "r_matrix": Key(None, _optional(_matrix), "input cost weight R (default: identity)"),
+    "s_len": Key(None, _required(_counts), "offline trajectory length S (int or list of ints)"),
+    "t_horizon": Key(None, _required(_count), "online horizon T"),
+    "delta": Key(0.1, _fraction, "confidence budget: delta1 = delta/(16 max(S, T+1)), delta2 = delta/(16 T)"),
+    "num_runs": Key(10, _count, "Monte-Carlo repetitions per variant and S"),
+    "base_seed": Key(1, _integer, "seed every run's seed derives from"),
+    "variants": Key(["tsod"], _variants, "subset of: " + ", ".join(VARIANTS)),
     "set_q": {
-        "m_p": Key(50.0, "admissible-set trace bound M_P"),
-        "rho": Key(0.99, "admissible-set closed-loop norm bound rho"),
+        "m_p": Key(50.0, _number, "admissible-set trace bound M_P"),
+        "rho": Key(0.99, _number, "admissible-set closed-loop norm bound rho"),
     },
     "set_p": {
-        "m_sim": Key(50.0, "auxiliary-system trace bound M_sim"),
-        "phi": Key(5.0, "auxiliary-system Frobenius-norm bound phi"),
-        "rho_sim": Key(0.99, "auxiliary-system closed-loop norm bound rho_sim"),
+        "m_sim": Key(50.0, _number, "auxiliary-system trace bound M_sim"),
+        "phi": Key(5.0, _number, "auxiliary-system Frobenius-norm bound phi"),
+        "rho_sim": Key(0.99, _number, "auxiliary-system closed-loop norm bound rho_sim"),
     },
     "offline": {
-        "dither_std": Key(1.0, "standard deviation of the offline exploration dither"),
-        "regularizer": Key(1.0, "ridge regularizer lambda of the offline estimate"),
-        "controller_mode": Key("ce_dither", "ce_dither (a_sim, b_sim must lie in set_p) or fixed_gain"),
-        "fixed_gain": Key(None, "m x n gain of fixed_gain mode"),
-        "gain_refresh": Key(50, "steps between ce_dither gain refreshes"),
-        "state_ceiling": Key(1e6, "offline state norm that aborts the rollout"),
+        "dither_std": Key(1.0, _number, "standard deviation of the offline exploration dither"),
+        "regularizer": Key(1.0, _number, "ridge regularizer lambda of the offline estimate"),
+        "controller_mode": Key("ce_dither", _text, "ce_dither (a_sim, b_sim must lie in set_p) or fixed_gain"),
+        "fixed_gain": Key(None, _optional(_matrix), "m x n gain of fixed_gain mode"),
+        "gain_refresh": Key(50, _count, "steps between ce_dither gain refreshes"),
+        "state_ceiling": Key(1e6, _number, "offline state norm that aborts the rollout"),
     },
-    "beta_mdelta_scale": Key(1.0, "scale on the sqrt(lambda_max(U)) * M_delta width term"),
-    "max_attempts": Key(100, "rejection-sampling budget per step"),
-    "share_offline": Key(False, "reuse one offline dataset across the runs of a cell"),
-    "workers": Key(1, f"processes for run, diagnostics and sweep (at most {MAX_WORKERS}, one per CPU and run)"),
-    "output_dir": Key("out", "output directory (also --out / TSOD_OUT_DIR)"),
-    "state_ceiling": Key(1e6, "online state norm that aborts the episode"),
-    "diag_runs": Key(200, "diagnostics run count"),
-    "diag_delta1": Key(None, "diagnostics override of delta1"),
-    "diag_delta2": Key(None, "diagnostics override of delta2"),
-    "sweep_s_values": Key(None, "S grid of the sweep subcommand (default: s_len)"),
-    "sweep_t_values": Key(None, "T grid of the sweep subcommand (default: t_horizon)"),
+    "beta_mdelta_scale": Key(1.0, _nonnegative, "scale on the sqrt(lambda_max(U)) * M_delta width term"),
+    "max_attempts": Key(100, _count, "rejection-sampling budget per step"),
+    "share_offline": Key(False, _flag, "reuse one offline dataset across the runs of a cell"),
+    "workers": Key(
+        1, _workers, f"processes for run, diagnostics and sweep (at most {MAX_WORKERS}, one per CPU and run)"
+    ),
+    "output_dir": Key("out", _text, "output directory (also --out / TSOD_OUT_DIR)"),
+    "state_ceiling": Key(1e6, _positive, "online state norm that aborts the episode"),
+    "diag_runs": Key(200, _count, "diagnostics run count"),
+    "diag_delta1": Key(None, _optional(_fraction), "diagnostics override of delta1"),
+    "diag_delta2": Key(None, _optional(_fraction), "diagnostics override of delta2"),
+    "sweep_s_values": Key(None, _optional(_counts), "S grid of the sweep subcommand (default: s_len)"),
+    "sweep_t_values": Key(None, _optional(_counts), "T grid of the sweep subcommand (default: t_horizon)"),
 }
 
 
@@ -173,242 +260,115 @@ def load_config_file(path) -> dict:
 
 
 def apply_overrides(data: dict, overrides) -> dict:
-    """Apply `key=value` strings (dotted keys for nested sections).
+    """Apply `key=value` strings, nesting dotted keys into sections.
 
-    Values parse as JSON when possible, otherwise as plain strings.
+    Values parse as JSON when possible, otherwise as plain strings.  Key names
+    are checked when the config is built.
     """
     merged = copy.deepcopy(data)
     for item in overrides or []:
         if "=" not in item:
             raise UsageError(f"override {item!r} is not of the form key=value")
         key, raw_value = item.split("=", 1)
-        key = key.strip()
         try:
             value = json.loads(raw_value)
         except json.JSONDecodeError:
             value = raw_value
-        parts = key.split(".")
-        schema = DEFAULTS
+        *sections, last = key.strip().split(".")
         node = merged
-        for i, part in enumerate(parts):
-            if not isinstance(schema, dict) or part not in schema:
-                raise ConfigError(f"override references unknown config key: {key}")
-            if i == len(parts) - 1:
-                node[part] = value
-            else:
-                schema = schema[part]
-                node = node.setdefault(part, {})
-                if not isinstance(node, dict):
-                    raise ConfigError(f"config key {part} is not a section")
+        for part in sections:
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"config key {part} is not a section")
+        node[last] = value
     return merged
 
 
-def _require(data: dict, key: str):
-    if key not in data or data[key] is None:
-        raise ConfigError(f"missing required config key: {key}")
-    return data[key]
+def _parse(schema: dict, data: dict, prefix: str = "") -> Tuple[dict, dict]:
+    """(raw, parsed): the keys of `data` laid over the schema defaults, and
+    each of those values run through its key's parser."""
+    for name in data:
+        if name not in schema:
+            raise ConfigError(f"unknown config key: {prefix}{name}")
+    raw, parsed = {}, {}
+    for name, entry in schema.items():
+        if isinstance(entry, Key):
+            raw[name] = data.get(name, entry.default)
+            parsed[name] = entry.parse(raw[name], prefix + name)
+            continue
+        section = data.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name} must be a section (a JSON object), got {section!r}")
+        raw[name], parsed[name] = _parse(entry, section, f"{name}.")
+    return raw, parsed
 
 
-def _matrix(data, key: str, shape) -> np.ndarray:
+def _build(cls, prefix: str, **kwargs):
     try:
-        mat = np.array(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} is not a numeric matrix: {exc}") from exc
-    if mat.shape != shape:
-        raise ConfigError(f"{key} must have shape {shape}, got {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ConfigError(f"{key} has non-finite entries")
-    return mat
-
-
-def _positive_int(value, key: str) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def _positive_ints(value, key: str) -> Tuple[int, ...]:
-    """One positive integer or a list of them, as a tuple."""
-    return tuple(_positive_int(v, key) for v in (value if isinstance(value, list) else [value]))
-
-
-def _number(value, key: str, kind=float):
-    """A finite JSON number, and an integer when kind is int; a bool or a
-    string is neither."""
-    allowed = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    try:
-        number = kind(value)
-    except OverflowError as exc:
-        raise ConfigError(f"{key} must be finite, got {value!r}") from exc
-    if isinstance(number, float) and not math.isfinite(number):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    return number
-
-
-def _flag(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
+        return cls(**kwargs)
+    except ValueError as exc:
+        # Every message of these constructors starts with the field's name.
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 def build_experiment_config(data: dict) -> ExperimentConfig:
-    """Merge defaults, coerce matrices, and validate cross-field constraints."""
-    merged = copy.deepcopy(DEFAULTS)
-    for key, value in data.items():
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key: {key}")
-        if isinstance(DEFAULTS[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{key} must be a section (a JSON object), got {value!r}")
-            for sub_key, sub_value in value.items():
-                if sub_key not in DEFAULTS[key]:
-                    raise ConfigError(f"unknown config key: {key}.{sub_key}")
-                merged[key][sub_key] = sub_value
-        else:
-            merged[key] = value
+    """Parse every key through its schema entry, then check what spans keys."""
+    raw, v = _parse(SCHEMA, data)
+    n, m = v["n"], v["m"]
+    if v["sample_delta"]:
+        if v["a_star"] is not None or v["b_star"] is not None:
+            raise ConfigError("a_star/b_star must be omitted when sample_delta is true")
+        if v["m_delta"] == 0.0:
+            raise ConfigError("sample_delta requires a positive m_delta")
+    else:
+        for key in ("a_star", "b_star"):
+            if v[key] is None:
+                raise ConfigError(f"missing required config key: {key}")
 
-    n = _positive_int(_require(merged, "n"), "n")
-    m = _positive_int(_require(merged, "m"), "m")
-    a_sim = _matrix(_require(merged, "a_sim"), "a_sim", (n, n))
-    b_sim = _matrix(_require(merged, "b_sim"), "b_sim", (n, m))
-    sample_delta = _flag(merged["sample_delta"], "sample_delta")
-    a_star = b_star = None
-    if not sample_delta:
-        a_star = _matrix(_require(merged, "a_star"), "a_star", (n, n))
-        b_star = _matrix(_require(merged, "b_star"), "b_star", (n, m))
-    elif merged.get("a_star") is not None or merged.get("b_star") is not None:
-        raise ConfigError("a_star/b_star must be omitted when sample_delta is true")
+    # Shapes come before anything is allocated from n or m.
+    shapes = {
+        "a_sim": (v["a_sim"], (n, n)),
+        "b_sim": (v["b_sim"], (n, m)),
+        "a_star": (v["a_star"], (n, n)),
+        "b_star": (v["b_star"], (n, m)),
+        "q_matrix": (v["q_matrix"], (n, n)),
+        "r_matrix": (v["r_matrix"], (m, m)),
+        "offline.fixed_gain": (v["offline"]["fixed_gain"], (m, n)),
+    }
+    for key, (mat, shape) in shapes.items():
+        if mat is not None and mat.shape != shape:
+            raise ConfigError(f"{key} must have shape {shape}, got {mat.shape}")
 
-    q = (
-        np.eye(n)
-        if merged["q_matrix"] is None
-        else _matrix(merged["q_matrix"], "q_matrix", (n, n))
+    q, r = v["q_matrix"], v["r_matrix"]
+    costs = _build(
+        CostMatrices, "", q_matrix=np.eye(n) if q is None else q, r_matrix=np.eye(m) if r is None else r
     )
-    r = (
-        np.eye(m)
-        if merged["r_matrix"] is None
-        else _matrix(merged["r_matrix"], "r_matrix", (m, m))
-    )
-    try:
-        costs = CostMatrices(q, r)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    set_q = _build(ConstraintSetQ, "set_q.", **v["set_q"])
+    set_p = _build(ConstraintSetP, "set_p.", **v["set_p"])
+    offline_cfg = _build(OfflineConfig, "offline.", set_p=set_p, **v["offline"])
 
-    s_values = _positive_ints(_require(merged, "s_len"), "s_len")
-    if not s_values:
-        raise ConfigError("s_len must name at least one offline length")
-    t_horizon = _positive_int(_require(merged, "t_horizon"), "t_horizon")
-
-    delta = _number(merged["delta"], "delta")
-    if not 0.0 < delta < 1.0:
-        raise ConfigError("delta must lie in (0, 1)")
-    m_delta = _number(merged["m_delta"], "m_delta")
-    if m_delta < 0:
-        raise ConfigError("m_delta must be nonnegative")
-    if sample_delta and m_delta == 0.0:
-        raise ConfigError("sample_delta requires a positive m_delta")
-    beta_mdelta_scale = _number(merged["beta_mdelta_scale"], "beta_mdelta_scale")
-    if beta_mdelta_scale < 0:
-        raise ConfigError("beta_mdelta_scale must be nonnegative")
-    state_ceiling = _number(merged["state_ceiling"], "state_ceiling")
-    if state_ceiling <= 0:
-        raise ConfigError("state_ceiling must be positive")
-
-    variants = merged["variants"]
-    if not isinstance(variants, list) or not variants:
-        raise ConfigError("variants must be a non-empty list")
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-    try:
-        set_q = ConstraintSetQ(**{k: _number(v, f"set_q.{k}") for k, v in merged["set_q"].items()})
-        set_p = ConstraintSetP(**{k: _number(v, f"set_p.{k}") for k, v in merged["set_p"].items()})
-    except ValueError as exc:
-        raise ConfigError(f"invalid constraint-set constants: {exc}") from exc
-
-    off = merged["offline"]
-    fixed_gain = off["fixed_gain"]
-    try:
-        offline_cfg = OfflineConfig(
-            set_p=set_p,
-            dither_std=_number(off["dither_std"], "offline.dither_std"),
-            regularizer=_number(off["regularizer"], "offline.regularizer"),
-            controller_mode=str(off["controller_mode"]),
-            fixed_gain=None if fixed_gain is None else _matrix(fixed_gain, "offline.fixed_gain", (m, n)),
-            gain_refresh=_positive_int(off["gain_refresh"], "offline.gain_refresh"),
-            state_ceiling=_number(off["state_ceiling"], "offline.state_ceiling"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid offline section: {exc}") from exc
-
-    num_runs = _positive_int(merged["num_runs"], "num_runs")
-    workers = _positive_int(merged["workers"], "workers")
-    if workers > MAX_WORKERS:
-        raise ConfigError(f"workers must be at most {MAX_WORKERS}, got {workers}")
-    max_attempts = _positive_int(merged["max_attempts"], "max_attempts")
-    diag_runs = _positive_int(merged["diag_runs"], "diag_runs")
-    diag_deltas = {}
-    for key in ("diag_delta1", "diag_delta2"):
-        value = diag_deltas[key] = None if merged[key] is None else _number(merged[key], key)
-        if value is not None and not 0.0 < value < 1.0:
-            raise ConfigError(f"{key} must lie in (0, 1)")
-
-    sweep_s_values, sweep_t_values = (
-        _positive_ints(merged[key], key) if merged[key] else None
-        for key in ("sweep_s_values", "sweep_t_values")
-    )
-
-    if a_star is not None and not in_set_q(ThetaParams(a_star, b_star), costs, set_q):
+    if v["a_star"] is not None and not in_set_q(ThetaParams(v["a_star"], v["b_star"]), costs, set_q):
         raise ConfigError(
             "the configured true system (a_star, b_star) lies outside set_q; "
             "adjust set_q.m_p / set_q.rho or the matrices"
         )
     if offline_cfg.controller_mode == "ce_dither" and not in_set_p(
-        ThetaParams(a_sim, b_sim), costs, set_p
+        ThetaParams(v["a_sim"], v["b_sim"]), costs, set_p
     ):
         raise ConfigError(
             "the auxiliary system (a_sim, b_sim) lies outside set_p, which "
             "offline.controller_mode=ce_dither requires; adjust set_p or the matrices"
         )
-    if min(s_values) <= t_horizon:
+    if min(v["s_len"]) <= v["t_horizon"]:
         logger.warning(
             "offline length S=%d does not exceed the horizon T=%d; the confidence "
-            "schedule falls back to max(S, T + 1)", min(s_values), t_horizon
+            "schedule falls back to max(S, T + 1)", min(v["s_len"]), v["t_horizon"]
         )
 
-    return ExperimentConfig(
-        n=n,
-        m=m,
-        a_sim=a_sim,
-        b_sim=b_sim,
-        a_star=a_star,
-        b_star=b_star,
-        m_delta=m_delta,
-        q_matrix=costs.q_matrix,
-        r_matrix=costs.r_matrix,
-        s_values=s_values,
-        t_horizon=t_horizon,
-        delta=delta,
-        num_runs=num_runs,
-        base_seed=_number(merged["base_seed"], "base_seed", int),
-        variants=tuple(variants),
-        set_q=set_q,
-        offline=offline_cfg,
-        beta_mdelta_scale=beta_mdelta_scale,
-        max_attempts=max_attempts,
-        share_offline=_flag(merged["share_offline"], "share_offline"),
-        workers=workers,
-        output_dir=str(merged["output_dir"]),
-        state_ceiling=state_ceiling,
-        diag_runs=diag_runs,
-        **diag_deltas,
-        sweep_s_values=sweep_s_values,
-        sweep_t_values=sweep_t_values,
-        raw=_canonical_raw(merged),
-    )
+    v["s_values"] = v.pop("s_len")
+    v.update(q_matrix=costs.q_matrix, r_matrix=costs.r_matrix, set_q=set_q, offline=offline_cfg)
+    del v["sample_delta"], v["set_p"]
+    return ExperimentConfig(**v, raw=_canonical_raw(raw))
 
 
 def _canonical_raw(merged: dict) -> dict:
@@ -428,4 +388,3 @@ def load_experiment_config(path, overrides=None) -> ExperimentConfig:
     data = load_config_file(path)
     data = apply_overrides(data, overrides)
     return build_experiment_config(data)
-

@@ -239,10 +239,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
     When runs fail, the finished runs' CSVs, experiment.json and failures.json
     are written, the aggregate CSV and the plot are not, and the first
-    failure is re-raised."""
+    failure is re-raised.  Outputs of an earlier call into the same directory
+    are removed first, so none of them outlives the call."""
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("aggregate.csv", "regret.svg", "failures.json", "runs/*_run[0-9][0-9][0-9].csv"):
+        for stale in out.glob(name):
+            stale.unlink()
     multiple_s = len(cfg.s_values) > 1
 
     # share_offline: every run of a cell reuses run 0's dataset.
@@ -434,11 +438,10 @@ def run_diagnostics(
         accepted_steps=sum(r.diagnostics.accepted_steps for r in records),
         logt_fit_r2=_logt_fit_r2([r.trace for r in records]),
     )
-    if out_dir is not None or cfg.output_dir:
-        out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "diagnostics.txt", "w", encoding="utf-8") as fh:
-            fh.write(report.text())
+    out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "diagnostics.txt", "w", encoding="utf-8") as fh:
+        fh.write(report.text())
     return report
 
 
@@ -497,16 +500,15 @@ def scaling_study(
         y = np.log([c.mean_final_regret for c in usable])
         if float(np.ptp(x)) > 0:
             slope = float(np.polyfit(x, y, 1)[0])
-    if out_dir is not None or cfg.output_dir:
-        out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "scaling.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write("s,t,mean_final_regret,std_final_regret,n_runs\n")
-            for c in cells:
-                fh.write(
-                    f"{c.s_len},{c.t_horizon},{c.mean_final_regret:.17g},"
-                    f"{c.std_final_regret:.17g},{c.n_runs}\n"
-                )
-            if slope is not None:
-                fh.write(f"# fitted log-log slope of regret vs T/S: {slope:.17g}\n")
+    out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "scaling.csv", "w", newline="", encoding="utf-8") as fh:
+        fh.write("s,t,mean_final_regret,std_final_regret,n_runs\n")
+        for c in cells:
+            fh.write(
+                f"{c.s_len},{c.t_horizon},{c.mean_final_regret:.17g},"
+                f"{c.std_final_regret:.17g},{c.n_runs}\n"
+            )
+        if slope is not None:
+            fh.write(f"# fitted log-log slope of regret vs T/S: {slope:.17g}\n")
     return ScalingResult(cells=tuple(cells), slope=slope)

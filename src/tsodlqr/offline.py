@@ -309,6 +309,7 @@ def load_offline(basepath) -> Tuple[OfflineSummary, np.ndarray, np.ndarray]:
     )
     states = np.zeros((s_len + 1, n))
     controls = np.zeros((s_len, m))
+    seen = [False] * (s_len + 1)
     with open(base.with_suffix(".csv"), newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -316,7 +317,12 @@ def load_offline(basepath) -> Tuple[OfflineSummary, np.ndarray, np.ndarray]:
             raise ValueError("trajectory CSV header does not match the sidecar dimensions")
         for row in reader:
             s = int(row[0]) - 1
+            if not 0 <= s <= s_len or seen[s]:
+                raise ValueError(f"trajectory CSV row {row[0]} is outside 1..{s_len + 1} or repeated")
+            seen[s] = True
             states[s] = [float(v) for v in row[1 : 1 + n]]
             if s < s_len:
                 controls[s] = [float(v) for v in row[1 + n :]]
+    if not all(seen):
+        raise ValueError(f"trajectory CSV lacks {seen.count(False)} of its {s_len + 1} rows")
     return summary, states, controls

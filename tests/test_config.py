@@ -1,13 +1,19 @@
 import json
 import logging
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tsodlqr import harness
 from tsodlqr.cli import build_parser, main
-from tsodlqr.config import MAX_WORKERS, build_experiment_config, dotted_keys
+from tsodlqr.config import MAX_WORKERS, ExperimentConfig, build_experiment_config, dotted_keys
+from tsodlqr.controller import VARIANTS
 from tsodlqr.errors import ConfigError
+
+FIG1 = Path(__file__).resolve().parent.parent / "configs" / "paper_fig1.cfg"
 
 # The test_cli system: (a_sim, b_sim) has Frobenius norm about 2.16, so it
 # lies in set_p for phi = 5 and outside it for phi = 2.
@@ -39,6 +45,18 @@ LOOSELY_TYPED = [
     {"share_offline": 1},
     {"sample_delta": "true"},
     {"sample_delta": 0},
+]
+
+# Values that read as a repeat, an unset key or the directory "None" or "5".
+REPEATED_OR_EMPTY = [
+    {"variants": ["tsod", "tsod"]},
+    {"s_len": [400, 400]},
+    {"sweep_s_values": [300, 300]},
+    {"output_dir": None},
+    {"output_dir": ""},
+    {"output_dir": 5},
+    {"sweep_s_values": 0},
+    {"sweep_t_values": []},
 ]
 
 
@@ -117,6 +135,7 @@ class TestWrongTypes:
             {"offline": {"state_ceiling": 0}},
             {"beta_mdelta_scale": -1000},
             *LOOSELY_TYPED,
+            *REPEATED_OR_EMPTY,
         ],
     )
     def test_config_error(self, override):
@@ -128,6 +147,67 @@ class TestWrongTypes:
         config = write(tmp_path / "c.cfg", {**SYSTEM, **override})
         assert main(["riccati", "--config", config]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+
+    @pytest.mark.parametrize(
+        "override",
+        ['variants=["tsod","tsod"]', "s_len=[400,400]", "output_dir=null", "sweep_s_values=0", "sweep_t_values=[]"],
+    )
+    def test_run_exits_two_and_writes_nothing(self, tmp_path, monkeypatch, capsys, override):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("TSOD_OUT_DIR", raising=False)
+        argv = ["run", "--config", str(FIG1)]
+        for item in ("num_runs=2", "t_horizon=50", "s_len=400", override):
+            argv += ["--set", item]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert list(tmp_path.iterdir()) == []
+
+
+# JSON-shaped values: scalars, lists of them (empty and repeated ones too),
+# small objects, and nested arrays such as matrices.
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, -1, 1, 2, 3, 10**30]),
+    st.integers(-10, 5000),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, 0.5, 1e308]),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(VARIANTS + ("ce_dither", "fixed_gain")),
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        inner.map(lambda x: [x, x]),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+class TestSchemaProperties:
+    @pytest.mark.parametrize("name", [name for name, _ in dotted_keys()])
+    @settings(max_examples=100, deadline=None)
+    @given(value=JSON_VALUES)
+    @example(value=10**30)  # n or m this large must fail the shape checks before np.eye
+    @example(value=float("nan"))
+    @example(value=[])
+    @example(value=False)
+    def test_any_value_loads_or_is_a_config_error(self, name, value):
+        section, _, key = name.rpartition(".")
+        data = {**SYSTEM, section: {key: value}} if section else {**SYSTEM, name: value}
+        try:
+            cfg = build_experiment_config(data)
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
+
+    def test_every_default_passes_its_parser(self):
+        for name, key in dotted_keys():
+            if key.default is not None:
+                key.parse(key.default, name)
 
 
 class TestWorkersCeiling:

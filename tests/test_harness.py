@@ -214,6 +214,27 @@ class TestRunExperiment:
             }
         ]
 
+    def test_earlier_outputs_do_not_survive(self, tmp_path):
+        def files():
+            return sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+
+        # Files that run_experiment does not write are left alone.
+        (tmp_path / "runs").mkdir()
+        (tmp_path / "notes.txt").write_text("kept")
+        (tmp_path / "runs" / "tsod_run000.csv.bak").write_text("kept")
+        kept = ["notes.txt", "runs/tsod_run000.csv.bak"]
+        success = sorted(
+            kept + ["aggregate.csv", "experiment.json", "regret.svg"]
+            + [f"runs/tsod_run{i:03d}.csv" for i in range(3)]
+        )
+        run_experiment(tiny_config(), out_dir=tmp_path)
+        assert files() == success
+        with pytest.raises(UnstableRollout):
+            run_experiment(tiny_config(state_ceiling=0.5), out_dir=tmp_path)
+        assert files() == sorted(kept + ["experiment.json", "failures.json"])
+        run_experiment(tiny_config(), out_dir=tmp_path)
+        assert files() == success
+
     def test_state_ceiling_fails_only_its_run(self):
         cfg = tiny_config(num_runs=1)
         low = tiny_config(num_runs=1, state_ceiling=0.5)

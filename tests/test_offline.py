@@ -181,3 +181,18 @@ class TestSerialization:
         assert loaded.m_delta == summary.m_delta
         assert loaded.delta1 == summary.delta1
         assert loaded.regularizer == summary.regularizer
+
+    @pytest.mark.parametrize("edit", ["truncate", "duplicate"])
+    def test_incomplete_trajectory_raises(self, tmp_path, theta_sim, costs32, offline_cfg, edit):
+        summary, states, controls = simulate_offline(
+            theta_sim, costs32, 100, offline_cfg, 0.1, 0.15, RngStream(8, 0)
+        )
+        base = tmp_path / "offline_s100"
+        save_offline(base, summary, states, controls)
+        csv_path = base.with_suffix(".csv")
+        lines = csv_path.read_text().splitlines(keepends=True)
+        # The header plus 50 rows, or every row with row 7 written twice.
+        kept = lines[:51] if edit == "truncate" else lines[:8] + lines[7:]
+        csv_path.write_text("".join(kept))
+        with pytest.raises(ValueError, match="trajectory CSV"):
+            load_offline(base)
