@@ -42,8 +42,8 @@ from .lqr import (
     RiccatiSolution,
     ThetaParams,
     closed_loop_norm,
-    in_set_p,
-    in_set_q,
+    p_membership,
+    q_membership,
     riccati_map,
     solve_dare,
 )
@@ -58,7 +58,7 @@ from .offline import (
     simulate_offline,
 )
 from .rng import RngStream, hash64
-from .sim import make_true_theta, sample_theta_delta, step_system
+from .sim import sample_theta_delta, step_system
 from .traces import EpisodeDiagnostics, RegretTrace
 
 __version__ = "0.1.0"

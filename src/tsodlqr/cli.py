@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, TsodLqrError, UsageError
 from .config import dotted_keys, load_experiment_config
-from .harness import RunSpec, collect_offline, run_diagnostics, run_experiment, scaling_study
+from .harness import RunSpec, clear_outputs, collect_offline, run_diagnostics, run_experiment, scaling_study
 from .lqr import solve_dare
 from .offline import save_offline
 
@@ -75,15 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_out(args) -> str | None:
-    if args.out:
-        return args.out
-    return os.environ.get("TSOD_OUT_DIR") or None
-
-
 def _cmd_offline(cfg, out_dir) -> int:
     out = Path(out_dir) / "offline"
     out.mkdir(parents=True, exist_ok=True)
+    clear_outputs(out, r"s[0-9]+_run[0-9]{3,}\.(csv|json)")
     for s_len in cfg.s_values:
         for run_id in range(cfg.num_runs):
             # The dataset that run `run_id` of the tsod variant collects.
@@ -157,7 +152,7 @@ def main(argv=None) -> int:
         if getattr(args, "runs", None) is not None:
             overrides.append(f"diag_runs={args.runs}")
         cfg = load_experiment_config(args.config, overrides)
-        out_dir = _resolve_out(args) or cfg.output_dir
+        out_dir = args.out or os.environ.get("TSOD_OUT_DIR") or cfg.output_dir
         if args.subcommand == "offline":
             return _cmd_offline(cfg, out_dir)
         if args.subcommand == "run":

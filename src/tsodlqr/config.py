@@ -18,7 +18,7 @@ import numpy as np
 
 from .controller import VARIANTS
 from .errors import ConfigError, UsageError
-from .lqr import ConstraintSetP, ConstraintSetQ, CostMatrices, ThetaParams, in_set_p, in_set_q
+from .lqr import ConstraintSetP, ConstraintSetQ, CostMatrices, ThetaParams, p_membership, q_membership
 from .offline import OfflineConfig
 
 logger = logging.getLogger(__name__)
@@ -347,14 +347,14 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
     set_p = _build(ConstraintSetP, "set_p.", **v["set_p"])
     offline_cfg = _build(OfflineConfig, "offline.", set_p=set_p, **v["offline"])
 
-    if v["a_star"] is not None and not in_set_q(ThetaParams(v["a_star"], v["b_star"]), costs, set_q):
+    if v["a_star"] is not None and q_membership(ThetaParams(v["a_star"], v["b_star"]), costs, set_q) is None:
         raise ConfigError(
             "the configured true system (a_star, b_star) lies outside set_q; "
             "adjust set_q.m_p / set_q.rho or the matrices"
         )
-    if offline_cfg.controller_mode == "ce_dither" and not in_set_p(
+    if offline_cfg.controller_mode == "ce_dither" and p_membership(
         ThetaParams(v["a_sim"], v["b_sim"]), costs, set_p
-    ):
+    ) is None:
         raise ConfigError(
             "the auxiliary system (a_sim, b_sim) lies outside set_p, which "
             "offline.controller_mode=ce_dither requires; adjust set_p or the matrices"

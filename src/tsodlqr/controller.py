@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .errors import (
     UnstableRollout,
 )
 from .lqr import ConstraintSetQ, CostMatrices, ThetaParams, q_membership, solve_dare
-from .offline import OfflineSummary
+from .offline import OfflineSummary, lambda_floor, self_normalized_radius
 from .rng import RngStream
 from .sim import step_system
 from .traces import CheckpointRecord, EpisodeDiagnostics, RegretTrace
@@ -46,7 +46,6 @@ class BeliefState:
     logdet_v: float
     info_sum: float
     logdet_u: float
-    t: int
     cross_term: np.ndarray
 
     @property
@@ -123,15 +122,13 @@ class MultiSourceSummary:
         return int(sum(s.s_len for s in self.summaries))
 
 
-SourcesLike = Union[MultiSourceSummary, OfflineSummary, Sequence[OfflineSummary]]
+SourcesLike = Union[MultiSourceSummary, OfflineSummary]
 
 
 def as_sources(sources: SourcesLike) -> MultiSourceSummary:
-    if isinstance(sources, MultiSourceSummary):
-        return sources
     if isinstance(sources, OfflineSummary):
         return MultiSourceSummary((sources,))
-    return MultiSourceSummary(tuple(sources))
+    return sources
 
 
 def init_belief(sources: SourcesLike) -> BeliefState:
@@ -162,7 +159,6 @@ def init_belief(sources: SourcesLike) -> BeliefState:
         logdet_v=float(logdet),
         info_sum=0.0,
         logdet_u=float(logdet),
-        t=0,
         cross_term=cross,
     )
 
@@ -180,8 +176,7 @@ def compute_beta(
     half_ratio = 0.5 * (belief.logdet_v - belief.logdet_u)
     if half_ratio < -1e-6 * max(1.0, abs(belief.logdet_u)):
         raise DomainError("log-det ratio fell below one; belief caches are inconsistent")
-    inner = max(half_ratio, 0.0) + math.log(1.0 / delta2)
-    online = belief.n * math.sqrt(2.0 * inner)
+    online = self_normalized_radius(belief.n, half_ratio, delta2)
     return online + sources.alpha_sum + m_delta_scale * sources.mdelta_sum
 
 
@@ -193,12 +188,13 @@ def _fallback_candidates(
     if last_accepted is not None:
         yield last_accepted
     yield theta_hat
+    n, m = theta_hat.n, theta_hat.m
     target = anchor if anchor is not None else theta_hat
     if anchor is not None:
         for lam in (0.25, 0.5, 0.75, 1.0):
-            yield theta_hat.scale(1.0 - lam).add(anchor.scale(lam))
+            yield ThetaParams.from_stacked((1.0 - lam) * theta_hat.stacked + lam * anchor.stacked, n, m)
     for scale in (0.75, 0.5, 0.25, 0.0):
-        yield target.scale(scale)
+        yield ThetaParams.from_stacked(scale * target.stacked, n, m)
 
 
 def sample_constrained(
@@ -229,10 +225,9 @@ def sample_constrained(
         raise SingularPrecision("belief precision is not positive definite")
     inv_half = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
     mean = belief.theta_hat.stacked
-    gen = rng.generator
     # Lazy, so that each draw happens only after the previous one was rejected.
     draws = (
-        ThetaParams.from_stacked(mean + beta * (inv_half @ gen.standard_normal((n + m, n))), n, m)
+        ThetaParams.from_stacked(mean + beta * (inv_half @ rng.standard_normal((n + m, n))), n, m)
         for _ in range(max_attempts)
     )
     candidates = itertools.chain(draws, _fallback_candidates(belief.theta_hat, anchor, last_accepted))
@@ -273,7 +268,6 @@ def update_belief(belief: BeliefState, z_vector, next_state) -> BeliefState:
         logdet_v=belief.logdet_v + math.log1p(quad),
         info_sum=belief.info_sum + quad,
         logdet_u=belief.logdet_u,
-        t=belief.t + 1,
         cross_term=cross_next,
     )
 
@@ -312,6 +306,12 @@ def effective_sources(sources: SourcesLike, variant: str) -> MultiSourceSummary:
             prior = replace(prior, theta_hat_sim=s.theta_hat_sim)
         transformed.append(prior)
     return MultiSourceSummary(tuple(transformed))
+
+
+def delta1_for(delta: float, s_len: int, horizon: int) -> float:
+    """Offline confidence split; uses max(S, T + 1) so the schedule stays valid
+    when the offline trajectory is not longer than the horizon."""
+    return delta / (16.0 * max(s_len, horizon + 1))
 
 
 def delta2_for(delta: float, horizon: int) -> float:
@@ -433,10 +433,7 @@ def run_episode(
     z_top = float(z_max[-1]) if horizon else 0.0
     polylog_lhs = belief.logdet_v - belief.logdet_u
     polylog_rhs = d * math.log1p(40.0 * horizon * z_top**2 / (d * s_total))
-    prior_lambda_ok = all(
-        float(np.linalg.eigvalsh(s.u_matrix)[0]) - s.regularizer >= s.s_len / 40.0
-        for s in src.summaries
-    )
+    prior_lambda_ok = all(lambda_floor(s)[1] for s in src.summaries)
 
     true_cl = np.linalg.norm(
         theta_star_hidden.a_matrix + theta_star_hidden.b_matrix @ gain_arr, 2, axis=(1, 2)

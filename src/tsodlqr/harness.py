@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -15,12 +16,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .config import ExperimentConfig
-from .controller import EpisodeResult, MultiSourceSummary, delta2_for, no_offline_prior, run_episode
+from .controller import EpisodeResult, MultiSourceSummary, delta1_for, delta2_for, no_offline_prior, run_episode
 from .errors import ConfigError, TsodLqrError
-from .lqr import ThetaParams, in_set_q
+from .lqr import ThetaParams, q_membership
 from .offline import Assumption2Report, OfflineSummary, check_assumption2, simulate_offline
 from .rng import RngStream, hash64
-from .sim import make_true_theta, sample_theta_delta
+from .sim import sample_theta_delta
 from .svgplot import render_regret_svg
 from .traces import EpisodeDiagnostics, RegretTrace, write_aggregate_csv, write_run_csv
 
@@ -43,7 +44,6 @@ class RunRecord:
     trace: RegretTrace
     diagnostics: EpisodeDiagnostics
     assumption2: Optional[Assumption2Report]
-    delta_norm: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,28 +63,25 @@ class ExperimentResult:
     out_dir: Optional[Path]
 
 
-def delta1_for(cfg_delta: float, s_len: int, t_horizon: int) -> float:
-    """Offline confidence split; uses max(S, T + 1) so the schedule stays valid
-    when the offline trajectory is not longer than the horizon."""
-    return cfg_delta / (16.0 * max(s_len, t_horizon + 1))
+def clear_outputs(directory: Path, pattern: str) -> None:
+    """Remove the files of `directory` whose names fully match the regular
+    expression `pattern`, so that no output of an earlier call survives."""
+    regex = re.compile(pattern)
+    for path in directory.iterdir():
+        if regex.fullmatch(path.name):
+            path.unlink()
 
 
-def run_label(variant: str, s_len: int, multiple_s: bool) -> str:
-    return f"{variant}_S{s_len}" if multiple_s else variant
-
-
-def _resolve_theta_star(
-    cfg: ExperimentConfig, rng: RngStream
-) -> Tuple[ThetaParams, float]:
-    explicit = cfg.theta_star_explicit
-    if explicit is not None:
-        return explicit, float(np.linalg.norm(explicit.stacked - cfg.theta_sim.stacked))
-    costs = cfg.costs
+def _resolve_theta_star(cfg: ExperimentConfig, rng: RngStream) -> ThetaParams:
+    """The explicit true system, or theta_sim plus a random offset in the
+    dissimilarity ball, redrawn until it lies in set_q."""
+    if cfg.theta_star_explicit is not None:
+        return cfg.theta_star_explicit
     for _ in range(_DELTA_RESAMPLE_ATTEMPTS):
         delta = sample_theta_delta(cfg.m_delta, cfg.n, cfg.m, rng)
-        theta_star, delta_norm = make_true_theta(cfg.theta_sim, delta)
-        if in_set_q(theta_star, costs, cfg.set_q):
-            return theta_star, delta_norm
+        theta_star = ThetaParams.from_stacked(cfg.theta_sim.stacked + delta.stacked, cfg.n, cfg.m)
+        if q_membership(theta_star, cfg.costs, cfg.set_q) is not None:
+            return theta_star
     raise ConfigError(
         "could not draw an admissible true system within the dissimilarity ball; "
         "check m_delta against set_q"
@@ -160,7 +157,7 @@ def execute_single_run(spec: RunSpec) -> RunRecord:
     """Run one (variant, S, run_id) cell: offline data, then the episode."""
     cfg, variant, s_len = spec.cfg, spec.variant, spec.s_len
     seed = spec.seed
-    theta_star, delta_norm = _resolve_theta_star(cfg, RngStream(seed, STREAM_DELTA))
+    theta_star = _resolve_theta_star(cfg, RngStream(seed, STREAM_DELTA))
 
     assumption2 = None
     if variant == "ts_no_offline":
@@ -191,7 +188,6 @@ def execute_single_run(spec: RunSpec) -> RunRecord:
         trace=result.trace,
         diagnostics=result.diagnostics,
         assumption2=assumption2,
-        delta_norm=delta_norm,
     )
 
 
@@ -244,10 +240,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-    for name in ("aggregate.csv", "regret.svg", "failures.json", "runs/*_run[0-9][0-9][0-9].csv"):
-        for stale in out.glob(name):
-            stale.unlink()
-    multiple_s = len(cfg.s_values) > 1
+    clear_outputs(out, r"aggregate\.csv|regret\.svg|failures\.json")
+    clear_outputs(runs_dir, r".*_run[0-9]{3,}\.csv")
 
     # share_offline: every run of a cell reuses run 0's dataset.
     shared: Dict[Tuple[str, int], OfflineSummary] = {}
@@ -267,7 +261,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     records, failures = execute_runs(specs, cfg.workers)
 
     labels = {
-        (variant, s_len): run_label(variant, s_len, multiple_s)
+        (variant, s_len): f"{variant}_S{s_len}" if len(cfg.s_values) > 1 else variant
         for variant in cfg.variants
         for s_len in cfg.s_values
     }
@@ -369,18 +363,14 @@ class DiagnosticsReport:
     # Advisory: goodness of a c0 + c1*log(t) fit to the mean regret curve.
     logt_fit_r2: Optional[float] = _printed_as("LOGT_FIT_R2")
 
-    @property
-    def lines(self) -> Tuple[str, ...]:
+    def text(self) -> str:
         lines = ["# diagnostics report"]
         for item in fields(self):
             value = getattr(self, item.name)
             if value is not None:
                 text = f"{value:.17g}" if isinstance(value, float) else str(int(value))
                 lines.append(f"{item.metadata['key']}={text}")
-        return tuple(lines)
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        return "\n".join(lines) + "\n"
 
 
 def run_diagnostics(

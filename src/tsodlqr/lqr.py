@@ -96,14 +96,6 @@ class ThetaParams:
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self._stacked))
 
-    def add(self, other: "ThetaParams") -> "ThetaParams":
-        if (self.n, self.m) != (other.n, other.m):
-            raise DimensionMismatch("parameter dimensions do not match")
-        return ThetaParams(self.a_matrix + other.a_matrix, self.b_matrix + other.b_matrix)
-
-    def scale(self, factor: float) -> "ThetaParams":
-        return ThetaParams(factor * self.a_matrix, factor * self.b_matrix)
-
 
 @dataclass(frozen=True, eq=False)
 class CostMatrices:
@@ -185,27 +177,18 @@ def riccati_map(p: np.ndarray, theta: ThetaParams, costs: CostMatrices) -> np.nd
 
 
 def solve_dare(
-    theta: ThetaParams,
-    costs: CostMatrices,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    *,
-    norm_ceiling: float = DEFAULT_NORM_CEILING,
-    trace_cap: Optional[float] = None,
+    theta: ThetaParams, costs: CostMatrices, *, trace_cap: Optional[float] = None
 ) -> RiccatiSolution:
     """Solve the discrete algebraic Riccati equation by value iteration from P0 = Q.
 
-    The iteration stops once ||P_next - P||_F <= max(tol, 64 eps ||P_next||_F).
+    The iteration stops once ||P_next - P||_F <= max(DEFAULT_TOL, 64 eps ||P_next||_F).
     Convergence doubles as a stabilizability certificate: divergence (Frobenius
-    norm above `norm_ceiling`) or failure to converge within `max_iters` raises
-    NonStabilizable.  `trace_cap`, when given, aborts as soon as trace(P_k)
-    exceeds it; the iterates are monotone nondecreasing from P0 = Q, so this is
-    a sound early exit for trace-bounded membership tests.
+    norm above DEFAULT_NORM_CEILING) or failure to converge within
+    DEFAULT_MAX_ITERS steps raises NonStabilizable.  `trace_cap`, when given,
+    aborts as soon as trace(P_k) exceeds it; the iterates are monotone
+    nondecreasing from P0 = Q, so this is a sound early exit for trace-bounded
+    membership tests.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     if costs.n != theta.n or costs.m != theta.m:
         raise DimensionMismatch(
             f"cost matrices sized ({costs.n}, {costs.m}) do not match theta ({theta.n}, {theta.m})"
@@ -215,24 +198,24 @@ def solve_dare(
 
     p = q.copy()
     converged = False
-    for _ in range(max_iters):
+    for _ in range(DEFAULT_MAX_ITERS):
         bp = b.T @ p
         bpa = bp @ a
         gain = -np.linalg.solve(r + bp @ b, bpa)
         p_next = q + a.T @ p @ a + bpa.T @ gain
         p_next = 0.5 * (p_next + p_next.T)
         norm = np.linalg.norm(p_next)
-        if not norm <= norm_ceiling:  # also true when p_next has a NaN or an inf
+        if not norm <= DEFAULT_NORM_CEILING:  # also true when p_next has a NaN or an inf
             raise NonStabilizable("riccati iteration diverged")
         if trace_cap is not None and float(np.trace(p_next)) > trace_cap:
             raise NonStabilizable(f"riccati trace exceeded cap {trace_cap:g}")
-        if np.linalg.norm(p_next - p) <= max(tol, _STEP_EPS * norm):
+        if np.linalg.norm(p_next - p) <= max(DEFAULT_TOL, _STEP_EPS * norm):
             p = p_next
             converged = True
             break
         p = p_next
     if not converged:
-        raise NonStabilizable(f"riccati iteration did not converge within {max_iters} steps")
+        raise NonStabilizable(f"riccati iteration did not converge within {DEFAULT_MAX_ITERS} steps")
 
     bp = b.T @ p
     gain = -np.linalg.solve(r + bp @ b, bp @ a)
@@ -294,10 +277,6 @@ def q_membership(
     return _admissible(theta, costs, set_q.m_p, set_q.rho)
 
 
-def in_set_q(theta: ThetaParams, costs: CostMatrices, set_q: ConstraintSetQ) -> bool:
-    return q_membership(theta, costs, set_q) is not None
-
-
 def p_membership(
     theta: ThetaParams, costs: CostMatrices, set_p: ConstraintSetP
 ) -> Optional[RiccatiSolution]:
@@ -305,7 +284,3 @@ def p_membership(
     if theta.frobenius_norm() > set_p.phi:
         return None
     return _admissible(theta, costs, set_p.m_sim, set_p.rho_sim)
-
-
-def in_set_p(theta: ThetaParams, costs: CostMatrices, set_p: ConstraintSetP) -> bool:
-    return p_membership(theta, costs, set_p) is not None

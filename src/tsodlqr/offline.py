@@ -97,6 +97,13 @@ class OfflineSummary:
         return self.theta_hat_sim.m
 
 
+def self_normalized_radius(n: int, half_logdet_ratio: float, delta: float) -> float:
+    """n sqrt(2 (max(half_logdet_ratio, 0) + log(1 / delta))): the
+    self-normalized confidence radius for half the log-det ratio of a
+    precision to its starting value."""
+    return n * math.sqrt(2.0 * (max(half_logdet_ratio, 0.0) + math.log(1.0 / delta)))
+
+
 def alpha_from_bound(
     u_matrix: np.ndarray, n: int, delta1: float, regularizer: float, phi: float
 ) -> float:
@@ -115,8 +122,7 @@ def alpha_from_bound(
     if sign <= 0:
         raise SingularPrecision("u_matrix must be positive definite")
     half_ratio = 0.5 * (logdet_u - d * math.log(regularizer))
-    inner = max(half_ratio, 0.0) + math.log(1.0 / delta1)
-    return n * math.sqrt(2.0 * inner) + math.sqrt(regularizer) * phi
+    return self_normalized_radius(n, half_ratio, delta1) + math.sqrt(regularizer) * phi
 
 
 def _refresh_gain(
@@ -168,13 +174,12 @@ def simulate_offline(
     controls = np.zeros((s_len, m))
     ab = theta_sim.stacked.T
     xi = np.zeros(n)
-    gen = rng.generator
     for s in range(s_len):
         if cfg.controller_mode == "ce_dither" and s > 0 and s % cfg.gain_refresh == 0:
             gain = _refresh_gain(u, cross, n, m, costs, gain)
-        v = gain @ xi + cfg.dither_std * gen.standard_normal(m)
+        v = gain @ xi + cfg.dither_std * rng.standard_normal(m)
         y = np.concatenate([xi, v])
-        xi_next = ab @ y + gen.standard_normal(n)
+        xi_next = ab @ y + rng.standard_normal(n)
         u += np.outer(y, y)
         cross += np.outer(y, xi_next)
         states[s] = xi
@@ -209,12 +214,18 @@ class Assumption2Report:
     delta1: float
     s_threshold: float
     s_ok: bool
-    lambda_min: float
     lambda_min_unreg: float
     lambda_ok: bool
     estimation_error: float
     alpha: float
     coverage_ok: bool
+
+
+def lambda_floor(summary: OfflineSummary) -> Tuple[float, bool]:
+    """lambda_min of the unregularized Gram matrix, and whether it reaches
+    S / 40.  The regularizer shifts every eigenvalue of U by exactly its value."""
+    lam_min_unreg = float(np.linalg.eigvalsh(summary.u_matrix)[0]) - summary.regularizer
+    return lam_min_unreg, lam_min_unreg >= summary.s_len / 40.0
 
 
 def check_assumption2(
@@ -228,10 +239,7 @@ def check_assumption2(
     d = n + m
     s_threshold = 200.0 * d * math.log(12.0 / summary.delta1)
     s_ok = summary.s_len >= s_threshold
-    lam_min = float(np.linalg.eigvalsh(summary.u_matrix)[0])
-    # The regularizer shifts every eigenvalue by exactly its value.
-    lam_min_unreg = lam_min - summary.regularizer
-    lambda_ok = lam_min_unreg >= summary.s_len / 40.0
+    lam_min_unreg, lambda_ok = lambda_floor(summary)
     diff = summary.theta_hat_sim.stacked - theta_sim_true.stacked
     err_sq = float(np.trace(diff.T @ summary.u_matrix @ diff))
     err = math.sqrt(max(err_sq, 0.0))
@@ -240,7 +248,6 @@ def check_assumption2(
         delta1=summary.delta1,
         s_threshold=s_threshold,
         s_ok=s_ok,
-        lambda_min=lam_min,
         lambda_min_unreg=lam_min_unreg,
         lambda_ok=lambda_ok,
         estimation_error=err,

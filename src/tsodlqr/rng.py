@@ -8,7 +8,6 @@ any platform running the same numpy build.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,24 +27,9 @@ def hash64(*parts) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-@dataclass
-class RngStream:
-    """A seeded noise stream; identical (seed, stream_id) reproduce identical draws."""
+class RngStream(np.random.Generator):
+    """A seeded PCG64 generator; identical (seed, stream_id) reproduce identical draws."""
 
-    seed: int
-    stream_id: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ss = np.random.SeedSequence(entropy=self.seed & _MASK64, spawn_key=(self.stream_id & _MASK64,))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
-    def standard_normal(self, shape):
-        return self._gen.standard_normal(shape)
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return float(self._gen.uniform(low, high))
+    def __init__(self, seed: int, stream_id: int = 0):
+        ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(stream_id & _MASK64,))
+        super().__init__(np.random.PCG64(ss))

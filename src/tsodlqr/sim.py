@@ -1,5 +1,5 @@
 """Ground-truth simulation of the discrete-time linear systems with i.i.d.
-standard-normal noise, plus construction of offset true parameters."""
+standard-normal noise, plus the random offsets of the true parameters."""
 
 from __future__ import annotations
 
@@ -45,15 +45,6 @@ def step_system(
     next_state = theta.stacked.T @ z + w
     cost = float(x @ costs.q_matrix @ x + u @ costs.r_matrix @ u)
     return z, next_state, cost
-
-
-def make_true_theta(theta_sim: ThetaParams, theta_delta: ThetaParams) -> Tuple[ThetaParams, float]:
-    """Elementwise sum of the auxiliary parameters and an offset.
-
-    Returns the combined parameters together with the Frobenius norm of the
-    offset, for dissimilarity-bound bookkeeping.
-    """
-    return theta_sim.add(theta_delta), theta_delta.frobenius_norm()
 
 
 def sample_theta_delta(m_delta: float, n: int, m: int, rng: RngStream) -> ThetaParams:

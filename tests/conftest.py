@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tsodlqr import ConstraintSetP, ConstraintSetQ, CostMatrices, OfflineConfig, ThetaParams
+
+# pytest's pythonpath setting reaches this process only; the CLI subprocesses
+# that tests start find the package through PYTHONPATH.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 A_STAR = np.array([[0.6, 0.5, 0.4], [0.0, 0.5, 0.4], [0.0, 0.0, 0.4]])
 B_STAR = np.array([[1.0, 0.5], [0.5, 1.0], [0.5, 0.5]])

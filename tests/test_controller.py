@@ -2,18 +2,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tsodlqr import (
     DomainError,
     MultiSourceSummary,
+    NonStabilizable,
     OfflineSummary,
     RngStream,
     ThetaParams,
     UnstableRollout,
     compute_beta,
     effective_sources,
-    in_set_q,
     init_belief,
+    q_membership,
     run_episode,
     sample_constrained,
     simulate_offline,
@@ -48,7 +50,6 @@ class TestInitBelief:
         belief = init_belief(make_summary(u, theta_sim))
         assert np.array_equal(belief.v_matrix, u)
         assert np.array_equal(belief.theta_hat.stacked, theta_sim.stacked)
-        assert belief.t == 0
         assert belief.logdet_v == belief.logdet_u
 
     def test_two_equal_sources_average(self):
@@ -169,13 +170,13 @@ class TestSampleConstrained:
             if not out.fallback_used:
                 accepted += 1
                 # Independent re-evaluation of both membership predicates.
-                sol = solve_dare(out.theta_tilde, costs32, tol=1e-12, max_iters=100_000)
-                assert sol.avg_cost <= set_q.m_p * (1 + 1e-9)
-                cl = np.linalg.norm(
-                    out.theta_tilde.a_matrix + out.theta_tilde.b_matrix @ sol.gain, 2
-                )
+                a, b = out.theta_tilde.a_matrix, out.theta_tilde.b_matrix
+                p = scipy.linalg.solve_discrete_are(a, b, costs32.q_matrix, costs32.r_matrix)
+                gain = -np.linalg.solve(costs32.r_matrix + b.T @ p @ b, b.T @ p @ a)
+                assert np.trace(p) <= set_q.m_p * (1 + 1e-9)
+                cl = np.linalg.norm(a + b @ gain, 2)
                 assert cl <= set_q.rho * (1 + 1e-9)
-                assert in_set_q(out.theta_tilde, costs32, set_q)
+                assert q_membership(out.theta_tilde, costs32, set_q) is not None
         assert accepted > 0
 
     def test_fallback_marks_flag(self, costs32, set_q):
@@ -189,14 +190,43 @@ class TestSampleConstrained:
         )
         assert out.fallback_used
         assert out.rejections == 5
-        assert in_set_q(out.theta_tilde, costs32, set_q)
+        assert q_membership(out.theta_tilde, costs32, set_q) is not None
+
+    @pytest.mark.parametrize("with_anchor", [True, False])
+    def test_full_fallback_ladder(self, costs32, set_q, theta_sim, theta_star, monkeypatch,
+                                  with_anchor):
+        # Every candidate is rejected, so the whole ladder runs: the last
+        # accepted sample, the mean, the interpolations toward the anchor and
+        # the scalings of the anchor (or of the mean) toward zero.
+        belief = init_belief(make_summary(np.eye(5), theta_sim))
+        anchor = ThetaParams(0.5 * theta_star.a_matrix, -theta_star.b_matrix)
+        last = ThetaParams(0.25 * theta_star.a_matrix, theta_star.b_matrix)
+        seen = []
+
+        def reject(theta, *args):
+            seen.append(theta.stacked.copy())
+            return None
+
+        monkeypatch.setattr("tsodlqr.controller.q_membership", reject)
+        with pytest.raises(NonStabilizable, match="no admissible fallback"):
+            sample_constrained(
+                belief, 1.0, set_q, costs32, RngStream(4, 1), max_attempts=2,
+                anchor=anchor if with_anchor else None, last_accepted=last,
+            )
+        hat = theta_sim.stacked
+        expected = [last.stacked, hat]
+        if with_anchor:
+            expected += [(1.0 - lam) * hat + lam * anchor.stacked for lam in (0.25, 0.5, 0.75, 1.0)]
+        target = anchor.stacked if with_anchor else hat
+        expected += [scale * target for scale in (0.75, 0.5, 0.25, 0.0)]
+        assert len(seen) == 2 + len(expected)
+        assert [c.tobytes() for c in seen[2:]] == [e.tobytes() for e in expected]
 
 
 class TestUpdateBelief:
     def test_zero_regressor(self, theta_sim):
         belief = init_belief(make_summary(np.eye(5), theta_sim))
         updated = update_belief(belief, np.zeros(5), np.ones(3))
-        assert updated.t == 1
         assert np.array_equal(updated.v_matrix, belief.v_matrix)
         assert np.array_equal(updated.theta_hat.stacked, belief.theta_hat.stacked)
         assert updated.logdet_v == belief.logdet_v
@@ -229,7 +259,6 @@ class TestUpdateBelief:
         oracle = np.linalg.solve(v, rhs)
         rel = np.linalg.norm(belief.theta_hat.stacked - oracle) / np.linalg.norm(oracle)
         assert rel <= 1e-8
-        assert belief.t == 50
         # Cached log-determinant stays consistent with a from-scratch evaluation.
         sign, logdet = np.linalg.slogdet(belief.v_matrix)
         assert sign > 0

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 import tsodlqr.harness as harness
-from tsodlqr import ConfigError, UnstableRollout, hash64, load_offline, solve_dare
+from tsodlqr import (
+    ConfigError,
+    RngStream,
+    UnstableRollout,
+    hash64,
+    load_offline,
+    q_membership,
+    solve_dare,
+)
 from tsodlqr.cli import main
 from tsodlqr.config import build_experiment_config
 from tsodlqr.harness import (
@@ -158,8 +166,13 @@ class TestRunExperiment:
             a_star=None, b_star=None, sample_delta=True, m_delta=0.1, num_runs=2
         )
         result = run_experiment(cfg, out_dir=tmp_path)
+        assert len(result.runs) == 2
         for record in result.runs:
-            assert 0.0 <= record.delta_norm <= 0.1
+            seed = RunSpec(cfg, "tsod", 250, record.run_id).seed
+            theta = harness._resolve_theta_star(cfg, RngStream(seed, harness.STREAM_DELTA))
+            assert np.linalg.norm(theta.stacked - cfg.theta_sim.stacked) <= 0.1 * (1.0 + 1e-12)
+            assert q_membership(theta, cfg.costs, cfg.set_q) is not None
+            assert record.trace.j_star == solve_dare(theta, cfg.costs).avg_cost
 
     def test_workers_match_serial(self, tmp_path):
         cfg_serial = tiny_config(num_runs=2)
@@ -235,6 +248,16 @@ class TestRunExperiment:
         run_experiment(tiny_config(), out_dir=tmp_path)
         assert files() == success
 
+    def test_run_csvs_numbered_past_999_are_removed(self, tmp_path):
+        (tmp_path / "runs").mkdir()
+        stale = tmp_path / "runs" / "tsod_run1000.csv"
+        stale.write_text("stale")
+        run_experiment(tiny_config(num_runs=2, t_horizon=2, s_len=20), out_dir=tmp_path)
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
+            "tsod_run000.csv",
+            "tsod_run001.csv",
+        ]
+
     def test_state_ceiling_fails_only_its_run(self):
         cfg = tiny_config(num_runs=1)
         low = tiny_config(num_runs=1, state_ceiling=0.5)
@@ -267,6 +290,22 @@ class TestSeedPlan:
             prior = used[hash64(42, "tsod", run_id, 250)]
             assert np.array_equal(cached.u_matrix, prior.u_matrix)
             assert np.array_equal(cached.theta_hat_sim.stacked, prior.theta_hat_sim.stacked)
+
+    def test_offline_subcommand_removes_earlier_datasets(self, tmp_path):
+        config = tmp_path / "tiny.cfg"
+        config.write_text(json.dumps({**tiny_config().raw, "s_len": 20, "t_horizon": 2}))
+        out = tmp_path / "out"
+        offline_dir = out / "offline"
+        offline_dir.mkdir(parents=True)
+        (offline_dir / "notes.txt").write_text("kept")
+        common = ["offline", "--config", str(config), "--out", str(out)]
+        assert main(common + ["--set", "num_runs=2"]) == 0
+        assert main(common + ["--set", "num_runs=1", "--set", "s_len=30"]) == 0
+        assert sorted(p.name for p in offline_dir.iterdir()) == [
+            "notes.txt",
+            "s30_run000.csv",
+            "s30_run000.json",
+        ]
 
     def test_shared_offline_is_run_zero_dataset(self, tmp_path):
         variants = ["tsod", "offline_estimate_only"]

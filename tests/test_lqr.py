@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +14,6 @@ from tsodlqr import (
     NonStabilizable,
     ThetaParams,
     closed_loop_norm,
-    in_set_p,
-    in_set_q,
     riccati_map,
     solve_dare,
 )
@@ -110,29 +109,31 @@ class TestClosedLoopNorm:
 class TestMembership:
     def test_trivial_true(self):
         theta = ThetaParams(np.zeros((3, 3)), np.eye(3))
-        assert in_set_q(theta, CostMatrices.identity(3, 3), ConstraintSetQ(10.0, 0.99))
+        assert q_membership(theta, CostMatrices.identity(3, 3), ConstraintSetQ(10.0, 0.99)) is not None
 
     def test_unstable_uncontrollable_false(self):
         theta = ThetaParams([[2.0]], [[0.0]])
         costs = CostMatrices([[1.0]], [[1.0]])
         for m_p in (1.0, 50.0, 1e6):
-            assert not in_set_q(theta, costs, ConstraintSetQ(m_p, 0.99))
+            assert q_membership(theta, costs, ConstraintSetQ(m_p, 0.99)) is None
 
     def test_section_v_true_with_oracle(self, theta_star, costs32, set_q):
-        assert in_set_q(theta_star, costs32, set_q)
-        sol = solve_dare(theta_star, costs32, tol=1e-13, max_iters=100_000)
-        assert sol.avg_cost <= set_q.m_p
-        assert closed_loop_norm(theta_star, sol.gain) <= set_q.rho
+        assert q_membership(theta_star, costs32, set_q) is not None
+        a, b = theta_star.a_matrix, theta_star.b_matrix
+        p = scipy.linalg.solve_discrete_are(a, b, costs32.q_matrix, costs32.r_matrix)
+        gain = -np.linalg.solve(costs32.r_matrix + b.T @ p @ b, b.T @ p @ a)
+        assert np.trace(p) <= set_q.m_p
+        assert closed_loop_norm(theta_star, gain) <= set_q.rho
 
     def test_trace_bound_excludes(self, theta_star, costs32):
-        assert not in_set_q(theta_star, costs32, ConstraintSetQ(1.0, 0.99))
+        assert q_membership(theta_star, costs32, ConstraintSetQ(1.0, 0.99)) is None
 
     def test_set_p_examples(self, theta_sim, costs32, set_p):
         theta = ThetaParams(np.zeros((3, 3)), np.eye(3))
         c33 = CostMatrices.identity(3, 3)
-        assert in_set_p(theta, c33, ConstraintSetP(10.0, 10.0, 0.99))
-        assert not in_set_p(theta, c33, ConstraintSetP(10.0, 1.0, 0.99))  # ||theta||_F = sqrt(3)
-        assert in_set_p(theta_sim, costs32, set_p)
+        assert p_membership(theta, c33, ConstraintSetP(10.0, 10.0, 0.99)) is not None
+        assert p_membership(theta, c33, ConstraintSetP(10.0, 1.0, 0.99)) is None  # ||theta||_F = sqrt(3)
+        assert p_membership(theta_sim, costs32, set_p) is not None
 
     def test_membership_implies_geometric_decay(self, theta_star, costs32, set_q):
         sol = solve_dare(theta_star, costs32)
@@ -220,7 +221,8 @@ class TestClosedLoopFloor:
         rng = np.random.default_rng(7)
         screened = admitted = 0
         for _ in range(300):
-            theta = theta_star.add(ThetaParams(*(0.4 * rng.standard_normal(s) for s in ((3, 3), (3, 2)))))
+            delta = ThetaParams(*(0.4 * rng.standard_normal(s) for s in ((3, 3), (3, 2))))
+            theta = ThetaParams.from_stacked(theta_star.stacked + delta.stacked, 3, 2)
             ref = unscreened_membership(theta, costs32, set_q.m_p, set_q.rho)
             assert same_solution(q_membership(theta, costs32, set_q), ref)
             screened += closed_loop_floor(theta) > set_q.rho * (1.0 + 1e-9)

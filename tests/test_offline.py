@@ -7,12 +7,15 @@ from tsodlqr import (
     DomainError,
     OfflineConfig,
     RngStream,
+    ThetaParams,
     alpha_from_bound,
     check_assumption2,
     load_offline,
     save_offline,
     simulate_offline,
+    solve_dare,
 )
+from tsodlqr.offline import _refresh_gain
 
 
 def batch_least_squares(states, controls, regularizer):
@@ -110,6 +113,20 @@ class TestSimulateOffline:
         )
         assert summary.s_len == 200
         assert controls.shape == (200, 2)
+
+
+class TestRefreshGain:
+    def test_stabilizable_estimate_gives_its_gain(self, theta_star, costs32):
+        previous = np.ones((2, 3))
+        # With U = I the running estimate is the cross term itself.
+        gain = _refresh_gain(np.eye(5), theta_star.stacked, 3, 2, costs32, previous)
+        assert np.array_equal(gain, solve_dare(theta_star, costs32).gain)
+
+    def test_non_stabilizable_estimate_keeps_previous_gain(self, costs32):
+        previous = np.ones((2, 3))
+        unstable = ThetaParams(2.0 * np.eye(3), np.zeros((3, 2)))
+        gain = _refresh_gain(np.eye(5), unstable.stacked, 3, 2, costs32, previous)
+        assert gain is previous
 
 
 class TestCheckAssumption2:

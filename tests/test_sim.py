@@ -6,7 +6,6 @@ from tsodlqr import (
     DimensionMismatch,
     RngStream,
     ThetaParams,
-    make_true_theta,
     sample_theta_delta,
     step_system,
 )
@@ -82,35 +81,18 @@ class TestStepSystem:
         assert np.all(np.abs(cov - np.eye(3)) < 0.05)
 
 
-class TestMakeTrueTheta:
-    def test_zero_delta(self, theta_sim):
-        theta, norm = make_true_theta(theta_sim, ThetaParams.zeros(3, 2))
-        assert np.array_equal(theta.a_matrix, theta_sim.a_matrix)
-        assert np.array_equal(theta.b_matrix, theta_sim.b_matrix)
-        assert norm == 0.0
-
-    def test_section_v_pair(self, theta_star, theta_sim):
+class TestSectionVPair:
+    def test_offset_is_within_m_delta(self, theta_star, theta_sim):
         delta_a = theta_star.a_matrix - theta_sim.a_matrix
         delta_b = theta_star.b_matrix - theta_sim.b_matrix
         nonzero = np.count_nonzero(delta_a) + np.count_nonzero(delta_b)
         assert nonzero == 2
         assert delta_a[0, 0] == pytest.approx(-0.1)
         assert delta_b[0, 0] == pytest.approx(-0.1)
-        theta, norm = make_true_theta(theta_sim, ThetaParams(delta_a, delta_b))
-        assert norm == pytest.approx(np.sqrt(0.02), abs=1e-15)
-        assert norm <= 0.15
-        assert np.allclose(theta.stacked, theta_star.stacked, atol=1e-15)
-
-    def test_additive_round_trip(self, theta_sim):
-        rng = RngStream(99)
-        delta = sample_theta_delta(0.15, 3, 2, rng)
-        theta, _ = make_true_theta(theta_sim, delta)
-        recon = theta.stacked - theta_sim.stacked
-        assert np.all(np.abs(recon - delta.stacked) <= 1e-15)
-
-    def test_dimension_mismatch(self, theta_sim):
-        with pytest.raises(DimensionMismatch):
-            make_true_theta(theta_sim, ThetaParams.zeros(2, 2))
+        delta = ThetaParams(delta_a, delta_b)
+        assert delta.frobenius_norm() == pytest.approx(np.sqrt(0.02), abs=1e-15)
+        assert delta.frobenius_norm() <= 0.15
+        assert np.allclose(theta_sim.stacked + delta.stacked, theta_star.stacked, atol=1e-15)
 
 
 class TestSampleThetaDelta:
