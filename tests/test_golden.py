@@ -4,6 +4,11 @@ The digests were recorded with numpy 2.4.6 (Python 3.11.7).  The package
 runs on numpy alone and bytes are only promised on the same numpy build, so
 the pins are checked only when that version is installed.  A change that
 alters any digest changes the output contract and must say so.
+
+The digests were re-pinned once, on purpose, when `lqr.solve_dare` moved from
+value iteration to structure-preserving doubling: both stop within the same
+tolerance of the same P, but on different iterates, so every gain moved in its
+last bits and every output byte moved with it.
 """
 
 import hashlib
@@ -44,11 +49,11 @@ TINY = {
 ALL_VARIANTS = ["tsod", "ts_no_offline", "offline_estimate_only", "oracle"]
 
 GOLDEN = {
-    "run_experiment": "09374634c2d447bb5164cc5104f41664a21665c06756086e3d85d0ec0d21071f",
-    "run_experiment_shared": "f6143b134ea3d338e9ef8a76e6b94e8e06812e5750cc82407a959f7c6246c88e",
-    "diagnostics": "0505032be9d3c87d3ffdf97362e0662ce21d360b09542572a7398bededeb49b2",
-    "scaling": "5b3be6e12d7b87c3cae65fb952712960a8fb00d0c4411b4d6a158012d3cf6aae",
-    "offline_cli": "4e684fe78ab54e5ac57cc3db45c8cdcbaf7fabab6cf7f325ecd34d5df835b2ae",
+    "run_experiment": "bfa26e763b200895a206a98afa9815c78def343bb0f073bd7e283a4be980fcc0",
+    "run_experiment_shared": "23d57dcff152ae355d7aee763bd4f909905d32ffb82af2f7ffb1f20c33a0d21c",
+    "diagnostics": "6f1881d86dc5193bc856d4dff1f5d1a6e82eceb7c984bc8177377a2644ae9cda",
+    "scaling": "5bca20eaaf808b70e99d0baab84587bdf40219479cf8d07872d9dc75aa2c8f6f",
+    "offline_cli": "6f6b107340b8e05a40382eeb6df603eade451630780d3c3fe8051a0aae73c7b0",
 }
 
 

@@ -63,6 +63,12 @@ class TestSolveDare:
         with pytest.raises(NonStabilizable):
             solve_dare(ThetaParams([[2.0]], [[0.0]]), CostMatrices([[1.0]], [[1.0]]))
 
+    def test_unstabilizable_marginal_system_fails_fast(self):
+        # A = 1 with no input: the value iterates grow by one per step and
+        # would never reach the ceiling; the doubling iterates double instead.
+        with pytest.raises(NonStabilizable, match="diverged"):
+            solve_dare(ThetaParams([[1.0]], [[0.0]]), CostMatrices([[1.0]], [[1.0]]))
+
     def test_gain_consistency(self, theta_star, costs32):
         sol = solve_dare(theta_star, costs32)
         a, b = theta_star.a_matrix, theta_star.b_matrix

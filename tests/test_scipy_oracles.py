@@ -47,28 +47,48 @@ def test_solve_dare_matches_scipy(n, m, spectral_radius, seed):
     p_ref = scipy.linalg.solve_discrete_are(a, b, q, r)
     k_ref = -np.linalg.solve(r + b.T @ p_ref @ b, b.T @ p_ref @ a)
 
-    try:
-        sol = solve_dare(ThetaParams(a, b), CostMatrices(q, r))
-    except NonStabilizable:
-        # On a few nearly uncontrollable systems with a huge P, the rounding
-        # error of one value-iteration step stays above 64 eps ||P||, so the
-        # iteration never meets its stopping rule; it must then raise rather
-        # than return a wrong P.
-        assert np.linalg.norm(p_ref) > 1e4
-        return
+    sol = solve_dare(ThetaParams(a, b), CostMatrices(q, r))
     assert np.linalg.norm(sol.p_matrix - p_ref) <= 1e-8 * np.linalg.norm(p_ref)
     assert np.linalg.norm(sol.gain - k_ref) <= 1e-8 * np.linalg.norm(k_ref)
 
 
-@pytest.mark.parametrize("n, seed", [(2, 281), (3, 138), (3, 52)])
-def test_solve_dare_converges_at_large_p(n, seed):
-    # ||P||_F from 9.2e4 to 3.2e5: value iteration meets the relative stopping
-    # step here, while an absolute step of 1e-10 alone is never reached.
-    a, b, q, r = random_system(n, 1, 1.6, seed)
+@pytest.mark.parametrize(
+    "n, spectral_radius, seed",
+    [(2, 1.6, 281), (3, 1.6, 138), (3, 1.6, 52), (5, 1.5, 317371)],
+    ids=["2-281", "3-138", "3-52", "5-317371"],
+)
+def test_solve_dare_converges_at_large_p(n, spectral_radius, seed):
+    # ||P||_F from 9.2e4 to 3.4e6, where an absolute step of 1e-10 alone is
+    # never reached.  On the last, nearly uncontrollable system the rounding
+    # error of one value-iteration step stays above 64 eps ||P||_F, so value
+    # iteration never met its stopping rule; doubling stops in a few steps.
+    a, b, q, r = random_system(n, 1, spectral_radius, seed)
     p_ref = scipy.linalg.solve_discrete_are(a, b, q, r)
     assert np.linalg.norm(p_ref) > 5e4
     sol = solve_dare(ThetaParams(a, b), CostMatrices(q, r))
     assert np.linalg.norm(sol.p_matrix - p_ref) <= 1e-8 * np.linalg.norm(p_ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    m=st.integers(1, 5),
+    spectral_radius=st.floats(0.1, 1.6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_cap_is_sound(n, m, spectral_radius, seed):
+    # The doubling iterates are value iterates at horizons 2^k, so they rise
+    # monotonically towards P: a cap just above trace(P) never stops the
+    # solve, and with a cap just below it no P under the cap is returned.
+    a, b, q, r = random_system(n, m, spectral_radius, seed)
+    cap = float(np.trace(scipy.linalg.solve_discrete_are(a, b, q, r)))
+    theta, costs = ThetaParams(a, b), CostMatrices(q, r)
+    assert solve_dare(theta, costs, trace_cap=cap * (1 + 1e-6)).avg_cost <= cap * (1 + 1e-6)
+    try:
+        sol = solve_dare(theta, costs, trace_cap=cap * (1 - 1e-6))
+    except NonStabilizable:
+        return
+    assert sol.avg_cost > cap * (1 - 1e-6)
 
 
 def binomial_grid():
