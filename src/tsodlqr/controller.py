@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
@@ -76,6 +76,9 @@ class MultiSourceSummary:
     """An ordered collection of offline summaries sharing (n, m)."""
 
     summaries: Tuple[OfflineSummary, ...]
+    alpha_sum: float = field(init=False)
+    # Sum over sources of sqrt(lambda_max(U)) times the dissimilarity bound.
+    mdelta_sum: float = field(init=False)
 
     def __post_init__(self):
         summaries = tuple(self.summaries)
@@ -86,15 +89,14 @@ class MultiSourceSummary:
             if (s.n, s.m) != (n, m):
                 raise DimensionMismatch("offline summaries have mismatched dimensions")
         object.__setattr__(self, "summaries", summaries)
-        alpha_sum = float(sum(s.alpha for s in summaries))
+        object.__setattr__(self, "alpha_sum", float(sum(s.alpha for s in summaries)))
         mdelta_sum = float(
             sum(
                 math.sqrt(max(float(np.linalg.eigvalsh(s.u_matrix)[-1]), 0.0)) * s.m_delta
                 for s in summaries
             )
         )
-        object.__setattr__(self, "_alpha_sum", alpha_sum)
-        object.__setattr__(self, "_mdelta_sum", mdelta_sum)
+        object.__setattr__(self, "mdelta_sum", mdelta_sum)
 
     @property
     def n(self) -> int:
@@ -107,15 +109,6 @@ class MultiSourceSummary:
     @property
     def n_sources(self) -> int:
         return len(self.summaries)
-
-    @property
-    def alpha_sum(self) -> float:
-        return self._alpha_sum
-
-    @property
-    def mdelta_sum(self) -> float:
-        """Sum over sources of sqrt(lambda_max(U)) times the dissimilarity bound."""
-        return self._mdelta_sum
 
     @property
     def s_total(self) -> int:

@@ -44,17 +44,16 @@ def _check_spd(mat: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not positive definite")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ThetaParams:
-    """System parameters (A, B), also viewable as the stacked (n+m) x n matrix
-    whose transpose is [A B]."""
+    """System parameters held once, as the read-only stacked (n+m) x n matrix
+    theta whose transpose is [A B]; A and B are read-only views of it."""
 
-    a_matrix: np.ndarray
-    b_matrix: np.ndarray
+    stacked: np.ndarray
 
-    def __post_init__(self):
-        a = _as_matrix(self.a_matrix, "a_matrix")
-        b = _as_matrix(self.b_matrix, "b_matrix")
+    def __init__(self, a_matrix, b_matrix):
+        a = _as_matrix(a_matrix, "a_matrix")
+        b = _as_matrix(b_matrix, "b_matrix")
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"a_matrix must be square, got shape {a.shape}")
         if a.shape[0] < 1:
@@ -65,39 +64,46 @@ class ThetaParams:
             )
         if b.shape[1] < 1:
             raise DimensionMismatch("input dimension must be at least 1")
-        a.setflags(write=False)
-        b.setflags(write=False)
         stacked = np.vstack([a.T, b.T])
         stacked.setflags(write=False)
-        object.__setattr__(self, "a_matrix", a)
-        object.__setattr__(self, "b_matrix", b)
-        object.__setattr__(self, "_stacked", stacked)
-
-    @property
-    def n(self) -> int:
-        return self.a_matrix.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.b_matrix.shape[1]
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return self._stacked
+        object.__setattr__(self, "stacked", stacked)
 
     @classmethod
     def from_stacked(cls, stacked, n: int, m: int) -> "ThetaParams":
-        arr = np.asarray(stacked)
-        if arr.shape != (n + m, n):
-            raise DimensionMismatch(f"stacked parameter must be {(n + m, n)}, got {arr.shape}")
-        return cls(a_matrix=arr[:n].T, b_matrix=arr[n:].T)
+        arr = _as_matrix(stacked, "stacked")
+        if arr.shape != (n + m, n) or n < 1 or m < 1:
+            raise DimensionMismatch(f"stacked parameter must be {(n + m, n)} with n, m >= 1, got {arr.shape}")
+        arr.setflags(write=False)
+        theta = cls.__new__(cls)
+        object.__setattr__(theta, "stacked", arr)
+        return theta
+
+    def __reduce__(self):
+        # Unpickling skips __init__ and drops numpy's write flag, so rebuild.
+        return type(self).from_stacked, (self.stacked, self.n, self.m)
+
+    @property
+    def n(self) -> int:
+        return self.stacked.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.stacked.shape[0] - self.stacked.shape[1]
+
+    @property
+    def a_matrix(self) -> np.ndarray:
+        return self.stacked[: self.n].T
+
+    @property
+    def b_matrix(self) -> np.ndarray:
+        return self.stacked[self.n :].T
 
     @classmethod
     def zeros(cls, n: int, m: int) -> "ThetaParams":
         return cls(np.zeros((n, n)), np.zeros((n, m)))
 
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self._stacked))
+        return float(np.linalg.norm(self.stacked))
 
 
 @dataclass(frozen=True, eq=False)

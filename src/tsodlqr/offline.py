@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -87,6 +87,10 @@ class OfflineSummary:
             raise DomainError("delta1 must lie in (0, 1)")
         u.setflags(write=False)
         object.__setattr__(self, "u_matrix", u)
+
+    def __reduce__(self):
+        # Unpickling skips __post_init__ and drops numpy's write flag, so rebuild.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n(self) -> int:
@@ -304,10 +308,7 @@ def load_offline(basepath) -> Tuple[OfflineSummary, np.ndarray, np.ndarray]:
     n, m, s_len = sidecar["n"], sidecar["m"], sidecar["s_len"]
     summary = OfflineSummary(
         u_matrix=np.array(sidecar["u_matrix"], dtype=np.float64),
-        theta_hat_sim=ThetaParams(
-            np.array(sidecar["theta_hat_a"], dtype=np.float64),
-            np.array(sidecar["theta_hat_b"], dtype=np.float64),
-        ),
+        theta_hat_sim=ThetaParams(sidecar["theta_hat_a"], sidecar["theta_hat_b"]),
         alpha=float(sidecar["alpha"]),
         s_len=s_len,
         m_delta=float(sidecar["m_delta"]),

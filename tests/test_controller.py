@@ -179,6 +179,11 @@ class TestSampleConstrained:
                 assert q_membership(out.theta_tilde, costs32, set_q) is not None
         assert accepted > 0
 
+    def test_non_finite_candidate_raises(self, costs32, set_q, theta_star):
+        belief = init_belief(MultiSourceSummary((make_summary(np.eye(5), theta_star),)))
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_constrained(belief, math.inf, set_q, costs32, RngStream(4, 1))
+
     def test_fallback_marks_flag(self, costs32, set_q):
         # A mean far outside the admissible set forces the fallback ladder.
         wild = ThetaParams(5.0 * np.eye(3), np.zeros((3, 2)))

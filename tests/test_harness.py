@@ -183,6 +183,18 @@ class TestRunExperiment:
             twin = tmp_path / "parallel" / "runs" / name.name
             assert name.read_bytes() == twin.read_bytes()
 
+    def test_shared_offline_workers_match_serial(self, tmp_path):
+        # The shared summary crosses into the worker processes by pickle.
+        for workers in (1, 2):
+            cfg = tiny_config(num_runs=2, share_offline=True, workers=workers)
+            run_experiment(cfg, out_dir=tmp_path / str(workers))
+        names = sorted(path.name for path in (tmp_path / "1" / "runs").iterdir())
+        assert names
+        for name in names:
+            assert (tmp_path / "1" / "runs" / name).read_bytes() == (
+                tmp_path / "2" / "runs" / name
+            ).read_bytes()
+
     @pytest.mark.parametrize(
         "workers, runs, cpus, expected",
         [(64, 2, 8, [2]), (64, 4, 3, [3]), (2, 4, 8, [2]), (8, 4, None, []), (1, 4, 8, [])],

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -255,7 +256,8 @@ class TestThetaParams:
         back = ThetaParams.from_stacked(theta.stacked, n, m)
         assert np.array_equal(back.a_matrix, theta.a_matrix)
         assert np.array_equal(back.b_matrix, theta.b_matrix)
-        assert back.a_matrix.flags.c_contiguous and back.b_matrix.flags.c_contiguous
+        for view in (back.a_matrix, back.b_matrix):
+            assert np.shares_memory(view, back.stacked) and not view.flags.writeable
         assert np.array_equal(theta.stacked.T[:, :n], theta.a_matrix)
         assert np.array_equal(theta.stacked.T[:, n:], theta.b_matrix)
         bad = theta.stacked.copy()
@@ -264,6 +266,15 @@ class TestThetaParams:
             ThetaParams.from_stacked(bad, n, m)
         with pytest.raises(DimensionMismatch):
             ThetaParams.from_stacked(theta.stacked[:-1], n, m)
+
+    def test_pickle_keeps_arrays_read_only(self):
+        theta = ThetaParams(np.arange(9.0).reshape(3, 3), np.arange(6.0).reshape(3, 2))
+        back = pickle.loads(pickle.dumps(theta))
+        assert np.array_equal(back.stacked, theta.stacked)
+        assert np.array_equal(back.a_matrix, theta.a_matrix)
+        assert np.array_equal(back.b_matrix, theta.b_matrix)
+        for arr in (back.stacked, back.a_matrix, back.b_matrix):
+            assert not arr.flags.writeable
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionMismatch):

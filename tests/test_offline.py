@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -198,6 +199,17 @@ class TestSerialization:
         assert loaded.m_delta == summary.m_delta
         assert loaded.delta1 == summary.delta1
         assert loaded.regularizer == summary.regularizer
+
+    def test_pickle_keeps_arrays_read_only(self, theta_sim, costs32, offline_cfg):
+        summary = simulate_offline(theta_sim, costs32, 50, offline_cfg, 0.1, 0.15, RngStream(8, 0))[0]
+        back = pickle.loads(pickle.dumps(summary))
+        assert np.array_equal(back.u_matrix, summary.u_matrix)
+        assert np.array_equal(back.theta_hat_sim.stacked, summary.theta_hat_sim.stacked)
+        assert (back.alpha, back.s_len, back.m_delta, back.delta1, back.regularizer) == (
+            summary.alpha, summary.s_len, summary.m_delta, summary.delta1, summary.regularizer
+        )
+        assert not back.u_matrix.flags.writeable
+        assert not back.theta_hat_sim.stacked.flags.writeable
 
     @pytest.mark.parametrize("edit", ["truncate", "duplicate"])
     def test_incomplete_trajectory_raises(self, tmp_path, theta_sim, costs32, offline_cfg, edit):

@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
 import tsodlqr
-from tsodlqr import CostMatrices, NonStabilizable, ThetaParams, solve_dare
+from tsodlqr import CostMatrices, NonStabilizable, ThetaParams, riccati_map, solve_dare
 from tsodlqr.harness import binomial_lower_test
 
 
@@ -42,13 +42,26 @@ def random_system(n, m, spectral_radius, seed):
     spectral_radius=st.floats(0.1, 1.6),
     seed=st.integers(0, 2**32 - 1),
 )
+# ||P||_F = 2.7e7: the two P differ by 1.8e-7 relative, and scipy's has the
+# larger Riccati residual (0.30 against 0.0039).
+@example(n=4, m=1, spectral_radius=1.0319, seed=2142483648)
 def test_solve_dare_matches_scipy(n, m, spectral_radius, seed):
     a, b, q, r = random_system(n, m, spectral_radius, seed)
     p_ref = scipy.linalg.solve_discrete_are(a, b, q, r)
-    k_ref = -np.linalg.solve(r + b.T @ p_ref @ b, b.T @ p_ref @ a)
 
-    sol = solve_dare(ThetaParams(a, b), CostMatrices(q, r))
-    assert np.linalg.norm(sol.p_matrix - p_ref) <= 1e-8 * np.linalg.norm(p_ref)
+    theta, costs = ThetaParams(a, b), CostMatrices(q, r)
+    sol = solve_dare(theta, costs)
+    if np.linalg.norm(sol.p_matrix - p_ref) > 1e-8 * np.linalg.norm(p_ref):
+        # At bad conditioning scipy can be the less accurate of the two: a
+        # larger disagreement passes only when solve_dare's P is no further
+        # from a fixed point of the Riccati map than scipy's, and the gain is
+        # then judged against the gain of solve_dare's own P.
+        def residual(p):
+            return np.linalg.norm(riccati_map(p, theta, costs) - p)
+
+        assert residual(sol.p_matrix) <= residual(p_ref)
+        p_ref = sol.p_matrix
+    k_ref = -np.linalg.solve(r + b.T @ p_ref @ b, b.T @ p_ref @ a)
     assert np.linalg.norm(sol.gain - k_ref) <= 1e-8 * np.linalg.norm(k_ref)
 
 
