@@ -171,12 +171,6 @@ SCHEMA = {
 }
 
 
-DEFAULTS = {
-    name: entry.default if isinstance(entry, Key) else {sub: key.default for sub, key in entry.items()}
-    for name, entry in SCHEMA.items()
-}
-
-
 def dotted_keys():
     """Yield (dotted name, Key) for every config key, sections flattened."""
     for name, entry in SCHEMA.items():

@@ -98,26 +98,25 @@ class RunSpec:
     s_len: int
     run_id: int
     shared_summary: Optional[OfflineSummary] = None
-    delta1_override: Optional[float] = None
-    delta2_override: Optional[float] = None
-    seed_tag: str = ""
+    diagnostics: bool = False
 
     @property
     def seed(self) -> int:
         """The seed plan: every stream of the run (offline, episode, delta)
-        is keyed by this one seed."""
-        return hash64(self.cfg.base_seed, self.seed_tag + self.variant, self.run_id, self.s_len)
+        is keyed by this one seed; diagnostics runs tag their variant `diag:`."""
+        tag = "diag:" if self.diagnostics else ""
+        return hash64(self.cfg.base_seed, tag + self.variant, self.run_id, self.s_len)
 
     @property
     def delta1(self) -> float:
-        if self.delta1_override is not None:
-            return self.delta1_override
+        if self.diagnostics and self.cfg.diag_delta1 is not None:
+            return self.cfg.diag_delta1
         return delta1_for(self.cfg.delta, self.s_len, self.cfg.t_horizon)
 
     @property
     def delta2(self) -> float:
-        if self.delta2_override is not None:
-            return self.delta2_override
+        if self.diagnostics and self.cfg.diag_delta2 is not None:
+            return self.cfg.diag_delta2
         return delta2_for(self.cfg.delta, self.cfg.t_horizon)
 
 
@@ -383,15 +382,7 @@ def run_diagnostics(
     if runs < 1:
         raise ConfigError(f"diagnostics needs at least one run, got {runs}")
     s_len = cfg.s_values[0]
-    first = RunSpec(
-        cfg,
-        "tsod",
-        s_len,
-        0,
-        delta1_override=cfg.diag_delta1,
-        delta2_override=cfg.diag_delta2,
-        seed_tag="diag:",
-    )
+    first = RunSpec(cfg, "tsod", s_len, 0, diagnostics=True)
     delta1, delta2 = first.delta1, first.delta2
     specs = [replace(first, run_id=run_id) for run_id in range(runs)]
     records, failures = execute_runs(specs, cfg.workers)

@@ -185,9 +185,7 @@ def riccati_map(p: np.ndarray, theta: ThetaParams, costs: CostMatrices) -> np.nd
     return costs.q_matrix + a.T @ p @ a + (bp @ a).T @ gain
 
 
-def solve_dare(
-    theta: ThetaParams, costs: CostMatrices, *, trace_cap: Optional[float] = None
-) -> RiccatiSolution:
+def solve_dare(theta: ThetaParams, costs: CostMatrices) -> RiccatiSolution:
     """Solve the discrete algebraic Riccati equation by the structure-preserving
     doubling algorithm (SDA; Chu, Fan & Lin, 2005).
 
@@ -200,10 +198,9 @@ def solve_dare(
 
     Convergence doubles as a stabilizability certificate: divergence (Frobenius
     norm above DEFAULT_NORM_CEILING) or failure to converge within
-    DEFAULT_MAX_ITERS doubling steps raises NonStabilizable.  `trace_cap`, when
-    given, aborts as soon as trace(H_k) exceeds it.  Because H_k is a value
-    iterate, trace(H_k) <= trace(P) and ||H_k||_F <= ||P||_F for every k, so
-    the cap and the ceiling reject only systems whose P itself exceeds them.
+    DEFAULT_MAX_ITERS doubling steps raises NonStabilizable.  Because H_k is
+    a value iterate, ||H_k||_F <= ||P||_F for every k, so the ceiling rejects
+    only systems whose P itself exceeds it.
     """
     if costs.n != theta.n or costs.m != theta.m:
         raise DimensionMismatch(
@@ -225,8 +222,6 @@ def solve_dare(
         norm = np.linalg.norm(h_next)
         if not norm <= DEFAULT_NORM_CEILING:  # also true when h_next has a NaN or an inf
             raise NonStabilizable("riccati iteration diverged")
-        if trace_cap is not None and float(np.trace(h_next)) > trace_cap:
-            raise NonStabilizable(f"riccati trace exceeded cap {trace_cap:g}")
         if np.linalg.norm(h_next - h) <= max(DEFAULT_TOL, _STEP_EPS * norm):
             break
         g = g + a_k @ v2 @ a_k.T
@@ -282,7 +277,7 @@ def _admissible(
     if closed_loop_floor(theta) > rho * (1.0 + 1e-9):
         return None
     try:
-        sol = solve_dare(theta, costs, trace_cap=trace_bound * (1.0 + 1e-9))
+        sol = solve_dare(theta, costs)
     except NonStabilizable:
         return None
     if sol.avg_cost > trace_bound or closed_loop_norm(theta, sol.gain) > rho:

@@ -13,6 +13,8 @@ MARGIN_LEFT = 70
 MARGIN_RIGHT = 20
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 50
+TITLE = "cumulative regret"
+TICKS = 6
 
 PALETTE = (
     "#1f77b4",
@@ -30,18 +32,14 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _ticks(lo: float, hi: float, count: int = 6) -> Sequence[float]:
+def _ticks(lo: float, hi: float) -> Sequence[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, count)
+    raw = np.linspace(lo, hi, TICKS)
     return [float(v) for v in raw]
 
 
-def render_regret_svg(
-    series: Dict[str, Tuple[np.ndarray, np.ndarray]],
-    path,
-    title: str = "cumulative regret",
-) -> None:
+def render_regret_svg(series: Dict[str, Tuple[np.ndarray, np.ndarray]], path) -> None:
     """Write an SVG with one mean polyline and translucent std band per label.
 
     series maps label -> (mean array, std array); the x axis is the step index
@@ -74,7 +72,7 @@ def render_regret_svg(
     parts.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     parts.append(
         f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>'
+        f'font-family="sans-serif" font-size="16">{TITLE}</text>'
     )
     # Axes.
     x0, y0 = MARGIN_LEFT, MARGIN_TOP + plot_h

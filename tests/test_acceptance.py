@@ -302,30 +302,32 @@ def test_criterion_8_multi_source_reduction(theta_star, theta_sim, costs32, set_
     assert arrays_equal
 
 
-def test_criterion_9_cli_reproducibility(tmp_path):
+def test_criterion_9_cli_reproducibility(fig1_result, tmp_path):
+    # The in-process fig1 run and one CLI run of the same config and seed are
+    # two independent executions; the CLI's must match it byte for byte.
     config_path = CONFIG_DIR / "paper_fig1.cfg"
-    dirs = [tmp_path / "first", tmp_path / "second"]
-    for out in dirs:
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "tsodlqr.cli",
-                "run",
-                "--config",
-                str(config_path),
-                "--out",
-                str(out),
-                "--seed",
-                "1001",
-            ],
-            capture_output=True,
-            text=True,
-            cwd=REPO,
-        )
-        assert proc.returncode == 0, proc.stderr
+    dirs = [fig1_result[0].out_dir, tmp_path / "cli"]
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "tsodlqr.cli",
+            "run",
+            "--config",
+            str(config_path),
+            "--out",
+            str(dirs[1]),
+            "--seed",
+            "1001",
+        ],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+    )
+    assert proc.returncode == 0, proc.stderr
     first_csvs = sorted((dirs[0] / "runs").iterdir())
-    identical = (dirs[0] / "aggregate.csv").read_bytes() == (
+    identical = [p.name for p in first_csvs] == sorted(p.name for p in (dirs[1] / "runs").iterdir())
+    identical = identical and (dirs[0] / "aggregate.csv").read_bytes() == (
         dirs[1] / "aggregate.csv"
     ).read_bytes()
     for path in first_csvs:

@@ -22,6 +22,7 @@ from tsodlqr.harness import (
     RunSpec,
     binomial_lower_test,
     delta1_for,
+    delta2_for,
     execute_runs,
     run_diagnostics,
     run_experiment,
@@ -329,6 +330,22 @@ class TestSeedPlan:
             assert (tmp_path / "own" / "runs" / name).read_bytes() == (
                 tmp_path / "shared" / "runs" / name
             ).read_bytes()
+
+    def test_diagnostics_run_identity(self):
+        cfg = tiny_config(diag_delta1=0.25, diag_delta2=0.3)
+        diag = RunSpec(cfg, "tsod", 250, 3, diagnostics=True)
+        assert diag.seed == hash64(42, "diag:tsod", 3, 250)
+        assert (diag.delta1, diag.delta2) == (0.25, 0.3)
+        # A plain run of the same config ignores the diagnostics overrides.
+        plain = RunSpec(cfg, "tsod", 250, 3)
+        assert plain.seed == hash64(42, "tsod", 3, 250)
+        assert plain.delta1 == delta1_for(0.1, 250, 60)
+        assert plain.delta2 == delta2_for(0.1, 60)
+
+    def test_diagnostics_deltas_fall_back_to_the_schedule(self):
+        diag = RunSpec(tiny_config(), "tsod", 250, 0, diagnostics=True)
+        assert diag.delta1 == delta1_for(0.1, 250, 60)
+        assert diag.delta2 == delta2_for(0.1, 60)
 
 
 class TestDiagnostics:

@@ -156,7 +156,7 @@ def unscreened_membership(theta, costs, trace_bound, rho):
     """The membership test without the closed-loop floor: the Riccati solve,
     then the trace and closed-loop norm tests."""
     try:
-        sol = solve_dare(theta, costs, trace_cap=trace_bound * (1.0 + 1e-9))
+        sol = solve_dare(theta, costs)
     except NonStabilizable:
         return None
     if sol.avg_cost > trace_bound or closed_loop_norm(theta, sol.gain) > rho:
