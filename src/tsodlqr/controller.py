@@ -3,7 +3,6 @@ width, constrained sampling with rejection, and the per-episode loop."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Tuple, Union
@@ -17,7 +16,16 @@ from .errors import (
     SingularPrecision,
     UnstableRollout,
 )
-from .lqr import ConstraintSetQ, CostMatrices, ThetaParams, q_membership, solve_dare
+from .lqr import (
+    SCREEN_MARGIN,
+    ConstraintSetQ,
+    CostMatrices,
+    ThetaParams,
+    closed_loop_floors,
+    q_membership,
+    solve_dare,
+    unscreened_admissible,
+)
 from .offline import OfflineSummary, lambda_floor, self_normalized_radius
 from .rng import RngStream
 from .sim import step_system
@@ -26,6 +34,10 @@ from .traces import CheckpointRecord, EpisodeDiagnostics, RegretTrace
 VARIANTS = ("tsod", "ts_no_offline", "offline_estimate_only", "oracle")
 
 DEFAULT_MAX_ATTEMPTS = 100
+# Candidates drawn and screened per call.  A speed constant only: the sampler
+# rewinds the stream to where one-at-a-time draws would have left it, so no
+# value of it moves a byte.
+SAMPLE_BLOCK = 8
 DEFAULT_STATE_CEILING = 1e6
 # Estimation-error checkpoints, as fractions of the horizon.
 CHECKPOINT_FRACTIONS = (0.25, 0.5, 1.0)
@@ -207,6 +219,13 @@ def sample_constrained(
     falls back, in order, to the last accepted sample, the current mean,
     interpolations from the mean toward `anchor`, and scalings of the anchor
     toward zero; fallback_used marks that path.
+
+    Draws come in blocks of SAMPLE_BLOCK from one call, which fills the
+    array with the normals that one call per candidate would draw.  The block
+    is screened at once, and the candidates that pass are solved in draw
+    order.  Once candidate i is admitted, the stream is restored and i + 1
+    candidates are redrawn, so it ends where one draw per tested candidate
+    leaves it.
     """
     if beta < 0:
         raise DomainError("beta must be nonnegative")
@@ -218,21 +237,26 @@ def sample_constrained(
         raise SingularPrecision("belief precision is not positive definite")
     inv_half = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
     mean = belief.theta_hat.stacked
-    # Lazy, so that each draw happens only after the previous one was rejected.
-    draws = (
-        ThetaParams.from_stacked(mean + beta * (inv_half @ rng.standard_normal((n + m, n))), n, m)
-        for _ in range(max_attempts)
-    )
-    candidates = itertools.chain(draws, _fallback_candidates(belief.theta_hat, anchor, last_accepted))
-    for index, candidate in enumerate(candidates):
+    start = rng.bit_generator.state
+    drawn = 0
+    while drawn < max_attempts:
+        size = min(SAMPLE_BLOCK, max_attempts - drawn)
+        block = mean + beta * (inv_half @ rng.standard_normal((size, n + m, n)))
+        if not np.isfinite(block).all():
+            raise ValueError("sampled parameter has non-finite entries")
+        for i in np.flatnonzero(closed_loop_floors(block) <= set_q.rho * SCREEN_MARGIN):
+            candidate = ThetaParams.from_stacked(block[i], n, m)
+            sol = unscreened_admissible(candidate, costs, set_q.m_p, set_q.rho)
+            if sol is not None:
+                if i + 1 < size:
+                    rng.bit_generator.state = start
+                    rng.standard_normal((drawn + i + 1, n + m, n))
+                return SampleOutcome(candidate, sol.gain, drawn + int(i), False)
+        drawn += size
+    for candidate in _fallback_candidates(belief.theta_hat, anchor, last_accepted):
         sol = q_membership(candidate, costs, set_q)
         if sol is not None:
-            return SampleOutcome(
-                theta_tilde=candidate,
-                gain=sol.gain,
-                rejections=min(index, max_attempts),
-                fallback_used=index >= max_attempts,
-            )
+            return SampleOutcome(candidate, sol.gain, max_attempts, True)
     raise NonStabilizable("no admissible fallback parameter found")
 
 
@@ -325,14 +349,13 @@ def run_episode(
     costs: CostMatrices,
     set_q: ConstraintSetQ,
     horizon: int,
-    delta: float,
+    delta2: float,
     variant: str,
     rng: RngStream,
     *,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     beta_mdelta_scale: float = 1.0,
     state_ceiling: float = DEFAULT_STATE_CEILING,
-    delta2_override: Optional[float] = None,
     seed: int = 0,
 ) -> EpisodeResult:
     """Run one online episode of the given variant against the hidden system.
@@ -343,11 +366,13 @@ def run_episode(
     policy-level sanity check.  A state whose norm exceeds `state_ceiling`,
     or is not finite, raises UnstableRollout.  The loop only records each
     step; the property checks are computed from that record afterwards.
+    delta2 is the online confidence split, delta2_for(delta, horizon) on the
+    schedule.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    if not 0.0 < delta < 1.0:
-        raise DomainError("delta must lie in (0, 1)")
+    if not 0.0 < delta2 < 1.0:
+        raise DomainError("delta2 must lie in (0, 1)")
 
     src_raw = as_sources(sources)
     src = effective_sources(src_raw, variant)
@@ -358,7 +383,6 @@ def run_episode(
     star_sol = solve_dare(theta_star_hidden, costs)
     belief = init_belief(src)
     anchor = belief.theta_hat
-    delta2 = delta2_override if delta2_override is not None else delta2_for(delta, horizon)
     checkpoint_ts = sorted({max(1, int(round(horizon * f))) for f in CHECKPOINT_FRACTIONS if horizon >= 1})
 
     cost_arr = np.zeros(horizon)

@@ -171,13 +171,12 @@ def execute_single_run(spec: RunSpec) -> RunRecord:
         cfg.costs,
         cfg.set_q,
         cfg.t_horizon,
-        cfg.delta,
+        spec.delta2,
         variant,
         RngStream(seed, STREAM_EPISODE),
         max_attempts=cfg.max_attempts,
         beta_mdelta_scale=cfg.beta_mdelta_scale,
         state_ceiling=cfg.state_ceiling,
-        delta2_override=spec.delta2,
         seed=seed,
     )
     return RunRecord(

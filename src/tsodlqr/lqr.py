@@ -7,6 +7,7 @@ share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,6 +24,10 @@ DEFAULT_NORM_CEILING = 1e8
 # Relative floor of the stopping step: rounding moves a large P by a multiple
 # of eps * ||P|| each iteration, which an absolute tol alone may never undercut.
 _STEP_EPS = 64 * np.finfo(np.float64).eps
+# Relative margin of the closed-loop screen: far above the rounding error of
+# either 2-norm, so the screen never rejects a theta that the solve and the
+# norm test would admit.
+SCREEN_MARGIN = 1.0 + 1e-9
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -32,6 +37,12 @@ def _as_matrix(value, name: str) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{name} has non-finite entries")
     return mat
+
+
+def _frobenius(mat: np.ndarray) -> float:
+    # What np.linalg.norm(mat) computes, bit for bit, without its dispatch.
+    flat = mat.ravel(order="K")
+    return math.sqrt(flat @ flat)
 
 
 def _check_spd(mat: np.ndarray, name: str) -> None:
@@ -219,10 +230,10 @@ def solve_dare(theta: ThetaParams, costs: CostMatrices) -> RiccatiSolution:
         v1, v2 = v[:, :n], v[:, n:]
         h_next = h + v1.T @ h @ a_k
         h_next = 0.5 * (h_next + h_next.T)
-        norm = np.linalg.norm(h_next)
+        norm = _frobenius(h_next)
         if not norm <= DEFAULT_NORM_CEILING:  # also true when h_next has a NaN or an inf
             raise NonStabilizable("riccati iteration diverged")
-        if np.linalg.norm(h_next - h) <= max(DEFAULT_TOL, _STEP_EPS * norm):
+        if _frobenius(h_next - h) <= max(DEFAULT_TOL, _STEP_EPS * norm):
             break
         g = g + a_k @ v2 @ a_k.T
         g = 0.5 * (g + g.T)
@@ -242,7 +253,24 @@ def closed_loop_norm(theta: ThetaParams, gain: np.ndarray) -> float:
     gain = np.asarray(gain, dtype=np.float64)
     if gain.shape != (theta.m, theta.n):
         raise DimensionMismatch(f"gain must be {(theta.m, theta.n)}, got {gain.shape}")
-    return float(np.linalg.norm(theta.a_matrix + theta.b_matrix @ gain, 2))
+    return float(np.linalg.svd(theta.a_matrix + theta.b_matrix @ gain, compute_uv=False)[0])
+
+
+def closed_loop_floors(stacked: np.ndarray) -> np.ndarray:
+    """closed_loop_floor of every slice of a (K, n+m, n) stack of stacked
+    parameters, with one stacked QR for the whole stack."""
+    n = stacked.shape[-1]
+    m = stacked.shape[-2] - n
+    if m >= n:
+        return np.zeros(stacked.shape[0])
+    a = np.swapaxes(stacked[:, :n], 1, 2)
+    b = np.swapaxes(stacked[:, n:], 1, 2)
+    complement = np.linalg.qr(b, mode="complete")[0][:, :, m:]
+    rows = np.swapaxes(complement, 1, 2) @ a
+    if n - m == 1:
+        # One row's spectral norm is its Euclidean length, which needs no SVD.
+        return np.sqrt(np.vecdot(rows[:, 0], rows[:, 0]))
+    return np.linalg.svd(rows, compute_uv=False)[:, 0]
 
 
 def closed_loop_floor(theta: ThetaParams) -> float:
@@ -254,28 +282,15 @@ def closed_loop_floor(theta: ThetaParams) -> float:
     of full column rank the bound is the minimum over K. It is 0 when
     m >= n, and then costs nothing.
     """
-    n, m = theta.n, theta.m
-    if m >= n:
-        return 0.0
-    complement = np.linalg.qr(theta.b_matrix, mode="complete")[0][:, m:]
-    rows = complement.T @ theta.a_matrix
-    # One row's spectral norm is its Euclidean length, which needs no SVD.
-    return float(np.linalg.norm(rows[0] if n - m == 1 else rows, 2))
+    return float(closed_loop_floors(theta.stacked[None])[0])
 
 
-def _admissible(
+def unscreened_admissible(
     theta: ThetaParams, costs: CostMatrices, trace_bound: float, rho: float
 ) -> Optional[RiccatiSolution]:
     """Riccati solution when trace(P) <= trace_bound and ||A + B K||_2 <= rho,
     else None.  The closed loop is evaluated with theta's own (A, B); solver
-    failure means non-membership.
-
-    A theta whose closed-loop floor already exceeds rho is rejected before
-    the Riccati solve; the 1e-9 relative margin lies far above the rounding
-    error of either 2-norm, so the screen never rejects a theta that the
-    solve and the norm test would admit."""
-    if closed_loop_floor(theta) > rho * (1.0 + 1e-9):
-        return None
+    failure means non-membership."""
     try:
         sol = solve_dare(theta, costs)
     except NonStabilizable:
@@ -283,6 +298,16 @@ def _admissible(
     if sol.avg_cost > trace_bound or closed_loop_norm(theta, sol.gain) > rho:
         return None
     return sol
+
+
+def _admissible(
+    theta: ThetaParams, costs: CostMatrices, trace_bound: float, rho: float
+) -> Optional[RiccatiSolution]:
+    """unscreened_admissible, after a screen that rejects a theta whose
+    closed-loop floor already exceeds rho * SCREEN_MARGIN without a solve."""
+    if closed_loop_floor(theta) > rho * SCREEN_MARGIN:
+        return None
+    return unscreened_admissible(theta, costs, trace_bound, rho)
 
 
 def q_membership(

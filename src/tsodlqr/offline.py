@@ -177,19 +177,24 @@ def simulate_offline(
     states = np.zeros((s_len + 1, n))
     controls = np.zeros((s_len, m))
     ab = theta_sim.stacked.T
+    # Row s holds step s's dither and process noise, in the order that one
+    # draw of m and then one of n per step would give them.
+    noise = rng.standard_normal((s_len, m + n))
+    dither = cfg.dither_std * noise[:, :m]
+    process = noise[:, m:]
     xi = np.zeros(n)
     for s in range(s_len):
         if cfg.controller_mode == "ce_dither" and s > 0 and s % cfg.gain_refresh == 0:
             gain = _refresh_gain(u, cross, n, m, costs, gain)
-        v = gain @ xi + cfg.dither_std * rng.standard_normal(m)
+        v = gain @ xi + dither[s]
         y = np.concatenate([xi, v])
-        xi_next = ab @ y + rng.standard_normal(n)
+        xi_next = ab @ y + process[s]
         u += np.outer(y, y)
         cross += np.outer(y, xi_next)
         states[s] = xi
         controls[s] = v
         xi = xi_next
-        if np.linalg.norm(xi) > cfg.state_ceiling:
+        if math.sqrt(xi @ xi) > cfg.state_ceiling:
             raise UnstableRollout(
                 f"offline state norm exceeded {cfg.state_ceiling:g} at step {s + 1}"
             )

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 import scipy.linalg
 
 from tsodlqr import (
+    ConstraintSetQ,
+    CostMatrices,
     DomainError,
     MultiSourceSummary,
     NonStabilizable,
@@ -23,7 +26,13 @@ from tsodlqr import (
     step_system,
     update_belief,
 )
-from tsodlqr.controller import CHECKPOINT_FRACTIONS, SampleOutcome, as_sources, delta2_for
+from tsodlqr.controller import (
+    CHECKPOINT_FRACTIONS,
+    SampleOutcome,
+    _fallback_candidates,
+    as_sources,
+    delta2_for,
+)
 from tsodlqr.harness import delta1_for
 
 
@@ -206,12 +215,18 @@ class TestSampleConstrained:
         belief = init_belief(make_summary(np.eye(5), theta_sim))
         anchor = ThetaParams(0.5 * theta_star.a_matrix, -theta_star.b_matrix)
         last = ThetaParams(0.25 * theta_star.a_matrix, theta_star.b_matrix)
-        seen = []
+        seen, screened = [], []
 
         def reject(theta, *args):
             seen.append(theta.stacked.copy())
             return None
 
+        def screen_out(stacked):
+            screened.append(len(stacked))
+            return np.full(len(stacked), np.inf)
+
+        # The draws go through the block screen, the ladder through q_membership.
+        monkeypatch.setattr("tsodlqr.controller.closed_loop_floors", screen_out)
         monkeypatch.setattr("tsodlqr.controller.q_membership", reject)
         with pytest.raises(NonStabilizable, match="no admissible fallback"):
             sample_constrained(
@@ -224,8 +239,121 @@ class TestSampleConstrained:
             expected += [(1.0 - lam) * hat + lam * anchor.stacked for lam in (0.25, 0.5, 0.75, 1.0)]
         target = anchor.stacked if with_anchor else hat
         expected += [scale * target for scale in (0.75, 0.5, 0.25, 0.0)]
-        assert len(seen) == 2 + len(expected)
-        assert [c.tobytes() for c in seen[2:]] == [e.tobytes() for e in expected]
+        assert sum(screened) == 2
+        assert [c.tobytes() for c in seen] == [e.tobytes() for e in expected]
+
+
+def reference_sampler(belief, beta, set_q, costs, rng, max_attempts, anchor, last_accepted):
+    """The sampler before block draws: one draw, one ThetaParams and one
+    q_membership call per candidate, then the fallback ladder."""
+    n, m = belief.n, belief.m
+    eigvals, eigvecs = np.linalg.eigh(belief.v_matrix)
+    inv_half = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+    mean = belief.theta_hat.stacked
+    # Lazy, so that each draw happens only after the previous one was rejected.
+    draws = (
+        ThetaParams.from_stacked(mean + beta * (inv_half @ rng.standard_normal((n + m, n))), n, m)
+        for _ in range(max_attempts)
+    )
+    candidates = itertools.chain(draws, _fallback_candidates(belief.theta_hat, anchor, last_accepted))
+    for index, candidate in enumerate(candidates):
+        sol = q_membership(candidate, costs, set_q)
+        if sol is not None:
+            return SampleOutcome(candidate, sol.gain, min(index, max_attempts), index >= max_attempts)
+    raise NonStabilizable("no admissible fallback parameter found")
+
+
+class TestBlockSampler:
+    """The block sampler equals the one-at-a-time reference bit for bit, and
+    leaves the stream where the reference leaves it, for every block size."""
+
+    STEPS = 40
+
+    @pytest.fixture(scope="class")
+    def summary(self, theta_sim, costs32, offline_cfg):
+        return simulate_offline(
+            theta_sim, costs32, 250, offline_cfg, delta1_for(0.1, 250, 60), 0.15, RngStream(42, 0)
+        )[0]
+
+    def replay(self, theta_star, src, costs, set_q, max_attempts, block):
+        """Sample, step and update for STEPS steps with both samplers on twin
+        streams; returns the fallback steps and the admissions past the first
+        block."""
+        belief = init_belief(src)
+        anchor, last_accepted = belief.theta_hat, None
+        got_rng, ref_rng = RngStream(7, 1), RngStream(7, 1)
+        state = np.zeros(theta_star.n)
+        fallbacks = past_first_block = 0
+        for _ in range(self.STEPS):
+            beta = compute_beta(belief, src, delta2_for(0.1, 60))
+            ref = reference_sampler(belief, beta, set_q, costs, ref_rng, max_attempts, anchor, last_accepted)
+            got = sample_constrained(
+                belief, beta, set_q, costs, got_rng, max_attempts, anchor=anchor, last_accepted=last_accepted
+            )
+            assert got.theta_tilde.stacked.tobytes() == ref.theta_tilde.stacked.tobytes()
+            assert got.gain.tobytes() == ref.gain.tobytes()
+            assert (got.rejections, got.fallback_used) == (ref.rejections, ref.fallback_used)
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+            fallbacks += ref.fallback_used
+            if not ref.fallback_used:
+                past_first_block += ref.rejections >= block
+                last_accepted = ref.theta_tilde
+            z, next_state, _ = step_system(theta_star, state, ref.gain @ state, costs, ref_rng)
+            assert step_system(theta_star, state, ref.gain @ state, costs, got_rng)[0].tobytes() == z.tobytes()
+            belief = update_belief(belief, z, next_state)
+            state = next_state
+        return fallbacks, past_first_block
+
+    @pytest.mark.parametrize("variant", ["tsod", "ts_no_offline"])
+    @pytest.mark.parametrize("max_attempts", [5, 20, 100])
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    def test_matches_one_at_a_time_sampler(self, summary, theta_star, costs32, set_q, monkeypatch,
+                                           variant, max_attempts, block):
+        monkeypatch.setattr("tsodlqr.controller.SAMPLE_BLOCK", block)
+        src = effective_sources(summary, variant)
+        fallbacks, past_first_block = self.replay(theta_star, src, costs32, set_q, max_attempts, block)
+        # Admissions, admissions past the first block and exhausted steps all occur.
+        assert 0 < fallbacks < self.STEPS
+        assert past_first_block > 0 or max_attempts <= block
+
+    @pytest.mark.parametrize(
+        "n, m, precision, m_p, rho", [(1, 1, 10.0, 1.2, 0.3), (3, 1, 100.0, 20.0, 0.95), (2, 3, 10.0, 2.4, 0.3)]
+    )
+    def test_other_shapes(self, monkeypatch, n, m, precision, m_p, rho):
+        # The scalar system skips the screen (m >= n), as does m > n; n - m = 2
+        # takes the stacked SVD branch.
+        monkeypatch.setattr("tsodlqr.controller.SAMPLE_BLOCK", 3)
+        rng = np.random.default_rng(n * 10 + m)
+        a = rng.standard_normal((n, n))
+        theta_star = ThetaParams(0.8 * a / np.linalg.norm(a, 2), rng.standard_normal((n, m)))
+        src = MultiSourceSummary((make_summary(precision * np.eye(n + m), theta_star),))
+        costs = CostMatrices.identity(n, m)
+        fallbacks, past_first_block = self.replay(theta_star, src, costs, ConstraintSetQ(m_p, rho), 20, 3)
+        assert fallbacks < self.STEPS and past_first_block > 0
+
+
+class TestDrawContract:
+    """numpy's generator fills an array in order, so one call of shape (k, ...)
+    gives the bits, and leaves the state, of k calls of the slice shape.  The
+    sampler's rewind and the offline collector's up-front noise rest on this."""
+
+    @pytest.mark.parametrize("k, d, n", [(8, 5, 3), (3, 2, 1), (13, 4, 4)])
+    def test_sampler_block(self, k, d, n):
+        one, many = RngStream(11, 1), RngStream(11, 1)
+        block = one.standard_normal((k, d, n))
+        singles = np.stack([many.standard_normal((d, n)) for _ in range(k)])
+        assert block.tobytes() == singles.tobytes()
+        assert one.bit_generator.state == many.bit_generator.state
+
+    @pytest.mark.parametrize("s_len, m, n", [(300, 2, 3), (50, 1, 1), (40, 3, 2)])
+    def test_offline_noise(self, s_len, m, n):
+        one, many = RngStream(12, 0), RngStream(12, 0)
+        block = one.standard_normal((s_len, m + n))
+        pairs = np.stack(
+            [np.concatenate([many.standard_normal(m), many.standard_normal(n)]) for _ in range(s_len)]
+        )
+        assert block.tobytes() == pairs.tobytes()
+        assert one.bit_generator.state == many.bit_generator.state
 
 
 class TestUpdateBelief:
@@ -323,7 +451,7 @@ class TestRunEpisode:
             costs32,
             set_q,
             0,
-            0.1,
+            delta2_for(0.1, 0),
             "tsod",
             RngStream(1, 1),
         )
@@ -337,7 +465,7 @@ class TestRunEpisode:
             costs32,
             set_q,
             4000,
-            0.1,
+            delta2_for(0.1, 4000),
             "oracle",
             RngStream(2, 1),
         )
@@ -353,7 +481,7 @@ class TestRunEpisode:
             costs32,
             set_q,
             300,
-            0.1,
+            delta2_for(0.1, 300),
             "tsod",
             RngStream(3, 1),
         )
@@ -374,7 +502,7 @@ class TestRunEpisode:
             theta_sim, costs32, 500, offline_cfg, 0.01, 0.15, RngStream(9, 0)
         )[0]
         res_single = run_episode(
-            theta_star, summary, costs32, set_q, 200, 0.1, "tsod", RngStream(10, 1)
+            theta_star, summary, costs32, set_q, 200, delta2_for(0.1, 200), "tsod", RngStream(10, 1)
         )
         res_multi = run_episode(
             theta_star,
@@ -382,7 +510,7 @@ class TestRunEpisode:
             costs32,
             set_q,
             200,
-            0.1,
+            delta2_for(0.1, 200),
             "tsod",
             RngStream(10, 1),
         )
@@ -410,14 +538,15 @@ class TestRunEpisode:
             theta_sim, costs32, 400, offline_cfg, 0.01, 0.15, RngStream(12, 0)
         )[0]
         result = run_episode(
-            theta_star, summary, costs32, set_q, 100, 0.1, "tsod", RngStream(13, 1)
+            theta_star, summary, costs32, set_q, 100, delta2_for(0.1, 100), "tsod", RngStream(13, 1)
         )
         ts = [c.t for c in result.diagnostics.checkpoints]
         assert ts == [25, 50, 100]
         assert result.diagnostics.prior_lambda_ok
 
     def test_state_ceiling_names_the_step(self, theta_star, theta_sim, costs32, set_q):
-        args = (theta_star, make_summary(np.eye(5) * 50, theta_sim), costs32, set_q, 100, 0.1, "tsod")
+        summary = make_summary(np.eye(5) * 50, theta_sim)
+        args = (theta_star, summary, costs32, set_q, 100, delta2_for(0.1, 100), "tsod")
         # state_norm[t] is the norm of the state reached after step t.
         norms = run_episode(*args, RngStream(3, 1)).trace.state_norm
         ceiling = float(np.median(norms))
@@ -427,7 +556,7 @@ class TestRunEpisode:
             run_episode(*args, RngStream(3, 1), state_ceiling=ceiling)
 
 
-def reference_episode(theta_star, sources, costs, set_q, horizon, delta, variant, rng, max_attempts):
+def reference_episode(theta_star, sources, costs, set_q, horizon, delta2, variant, rng, max_attempts):
     """The episode loop written out step by step, every property check updated
     inside the loop, through the public per-step functions only."""
     src_raw = as_sources(sources)
@@ -436,7 +565,6 @@ def reference_episode(theta_star, sources, costs, set_q, horizon, delta, variant
     s_total = src_raw.s_total
     belief = init_belief(src)
     anchor = belief.theta_hat
-    delta2 = delta2_for(delta, horizon)
     checkpoint_ts = sorted({max(1, int(round(horizon * f))) for f in CHECKPOINT_FRACTIONS})
     oracle = SampleOutcome(theta_star, star_sol.gain, 0, False) if variant == "oracle" else None
     trace = {name: [] for name in ("cost", "beta", "rejections", "state_norm")}
@@ -510,7 +638,7 @@ class TestReferenceReplay:
                 RngStream(seed, 0),
             )[0]
             for variant in ("tsod", "ts_no_offline", "offline_estimate_only", "oracle"):
-                args = (theta_star, summary, costs32, set_q, horizon, delta, variant)
+                args = (theta_star, summary, costs32, set_q, horizon, delta2_for(delta, horizon), variant)
                 trace, j_star, belief, expected = reference_episode(*args, RngStream(seed, 1), 20)
                 result = run_episode(*args, RngStream(seed, 1), max_attempts=20)
                 assert result.trace.j_star == j_star
