@@ -3,6 +3,7 @@ mean/std aggregation, diagnostics suites, scaling studies, and file output."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -16,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .config import ExperimentConfig
-from .controller import EpisodeResult, MultiSourceSummary, delta1_for, delta2_for, no_offline_prior, run_episode
+from .controller import MultiSourceSummary, delta1_for, delta2_for, no_offline_prior, run_episodes
 from .errors import ConfigError, TsodLqrError
 from .lqr import ThetaParams, q_membership
 from .offline import Assumption2Report, OfflineSummary, check_assumption2, simulate_offline
@@ -152,48 +153,77 @@ def collect_offline(spec: RunSpec) -> Tuple[OfflineSummary, np.ndarray, np.ndarr
     )
 
 
-def execute_single_run(spec: RunSpec) -> RunRecord:
-    """Run one (variant, S, run_id) cell: offline data, then the episode."""
-    cfg, variant, s_len = spec.cfg, spec.variant, spec.s_len
-    seed = spec.seed
-    theta_star = _resolve_theta_star(cfg, RngStream(seed, STREAM_DELTA))
+def _prepare(spec: RunSpec) -> Tuple[ThetaParams, OfflineSummary, Optional[Assumption2Report]]:
+    """The true system, the prior's summary and the offline-interface report
+    of a run; only the summary of the offline dataset is kept."""
+    cfg = spec.cfg
+    theta_star = _resolve_theta_star(cfg, RngStream(spec.seed, STREAM_DELTA))
+    if spec.variant == "ts_no_offline":
+        summary = no_offline_prior(cfg.n, cfg.m, cfg.offline.regularizer, spec.s_len, spec.delta1)
+        return theta_star, summary, None
+    summary = spec.shared_summary or collect_offline(spec)[0]
+    return theta_star, summary, check_assumption2(summary, cfg.theta_sim, cfg.n, cfg.m)
 
-    assumption2 = None
-    if variant == "ts_no_offline":
-        summary = no_offline_prior(cfg.n, cfg.m, cfg.offline.regularizer, s_len, spec.delta1)
-    else:
-        summary = spec.shared_summary or collect_offline(spec)[0]
-        assumption2 = check_assumption2(summary, cfg.theta_sim, cfg.n, cfg.m)
 
-    result: EpisodeResult = run_episode(
-        theta_star,
-        MultiSourceSummary((summary,)),
+def execute_batch(specs: Sequence[RunSpec]) -> List[Union[RunRecord, RunFailure]]:
+    """Run specs of one cell (one config, variant and S), in spec order:
+    offline data for each, then all episodes in lockstep.  A run that raises
+    TsodLqrError becomes a RunFailure, and the others finish unchanged."""
+    outcomes: List[Union[RunRecord, RunFailure, None]] = [None] * len(specs)
+    ready = []
+    for index, spec in enumerate(specs):
+        try:
+            ready.append((index, spec) + _prepare(spec))
+        except TsodLqrError as exc:
+            outcomes[index] = RunFailure(spec, exc)
+    if not ready:
+        return outcomes
+    indices, kept, theta_stars, summaries, reports = zip(*ready)
+    cfg = kept[0].cfg
+    results = run_episodes(
+        theta_stars,
+        [MultiSourceSummary((summary,)) for summary in summaries],
         cfg.costs,
         cfg.set_q,
         cfg.t_horizon,
-        spec.delta2,
-        variant,
-        RngStream(seed, STREAM_EPISODE),
+        kept[0].delta2,
+        kept[0].variant,
+        [RngStream(spec.seed, STREAM_EPISODE) for spec in kept],
         max_attempts=cfg.max_attempts,
         beta_mdelta_scale=cfg.beta_mdelta_scale,
         state_ceiling=cfg.state_ceiling,
-        seed=seed,
+        seeds=[spec.seed for spec in kept],
     )
-    return RunRecord(
-        variant=variant,
-        s_len=s_len,
-        run_id=spec.run_id,
-        trace=result.trace,
-        diagnostics=result.diagnostics,
-        assumption2=assumption2,
-    )
+    for index, spec, report, result in zip(indices, kept, reports, results):
+        if isinstance(result, TsodLqrError):
+            outcomes[index] = RunFailure(spec, result)
+        else:
+            outcomes[index] = RunRecord(spec.variant, spec.s_len, spec.run_id, result.trace, result.diagnostics, report)
+    return outcomes
 
 
-def _attempt(spec: RunSpec) -> Union[RunRecord, RunFailure]:
-    try:
-        return execute_single_run(spec)
-    except TsodLqrError as exc:
-        return RunFailure(spec, exc)
+def execute_single_run(spec: RunSpec) -> RunRecord:
+    """Run one (variant, S, run_id) cell: the one-run batch of execute_batch,
+    raising the error of a failed run."""
+    (outcome,) = execute_batch([spec])
+    if isinstance(outcome, RunFailure):
+        raise outcome.error
+    return outcome
+
+
+def _cells(specs: Sequence[RunSpec]) -> List[List[RunSpec]]:
+    """specs grouped into maximal runs of consecutive specs that share one
+    config, variant, S and diagnostics flag."""
+    cells = itertools.groupby(specs, lambda spec: (id(spec.cfg), spec.variant, spec.s_len, spec.diagnostics))
+    return [list(cell) for _, cell in cells]
+
+
+def _chunks(cell: List[RunSpec], parts: int) -> List[List[RunSpec]]:
+    """cell split into at most `parts` contiguous chunks whose sizes differ by
+    at most one, the larger first."""
+    size, extra = divmod(len(cell), parts)
+    bounds = [k * size + min(k, extra) for k in range(parts + 1)]
+    return [cell[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def execute_runs(
@@ -201,15 +231,19 @@ def execute_runs(
 ) -> Tuple[List[RunRecord], List[RunFailure]]:
     """Run every spec, serially or on min(workers, #specs, #CPUs) processes.
 
-    Both lists keep spec order, so the worker count never changes an output.
-    A run that raises TsodLqrError becomes a RunFailure and the others finish.
+    The specs of each cell run as one lockstep batch; with several processes
+    each cell is split into that many contiguous chunks.  Both lists keep spec
+    order, and no batch size changes an output, so the worker count never
+    does.  A run that raises TsodLqrError becomes a RunFailure and the others
+    finish.
     """
     processes = min(workers, len(specs), os.cpu_count() or 1)
     if processes > 1:
+        chunks = [chunk for cell in _cells(specs) for chunk in _chunks(cell, processes)]
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            outcomes = list(pool.map(_attempt, specs))
+            outcomes = [o for batch in pool.map(execute_batch, chunks) for o in batch]
     else:
-        outcomes = [_attempt(spec) for spec in specs]
+        outcomes = [o for cell in _cells(specs) for o in execute_batch(cell)]
     records = [o for o in outcomes if isinstance(o, RunRecord)]
     failures = [o for o in outcomes if isinstance(o, RunFailure)]
     return records, failures

@@ -7,7 +7,6 @@ share across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,10 +38,11 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return mat
 
 
-def _frobenius(mat: np.ndarray) -> float:
-    # What np.linalg.norm(mat) computes, bit for bit, without its dispatch.
-    flat = mat.ravel(order="K")
-    return math.sqrt(flat @ flat)
+def _frobenius(mats: np.ndarray) -> np.ndarray:
+    # np.linalg.norm of each slice of a (K, p, q) stack, bit for bit: the
+    # vecdot of the flattened slices.  norm(axis=(1, 2)) differs in the last bit.
+    flat = mats.reshape(len(mats), mats.shape[1] * mats.shape[2])
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 def _check_spd(mat: np.ndarray, name: str) -> None:
@@ -196,56 +196,109 @@ def riccati_map(p: np.ndarray, theta: ThetaParams, costs: CostMatrices) -> np.nd
     return costs.q_matrix + a.T @ p @ a + (bp @ a).T @ gain
 
 
-def solve_dare(theta: ThetaParams, costs: CostMatrices) -> RiccatiSolution:
-    """Solve the discrete algebraic Riccati equation by the structure-preserving
+@dataclass(frozen=True, eq=False)
+class RiccatiStack:
+    """solve_dare of each slice of a stack: P, the gain and trace(P), and a
+    failure code that is 0 where the slice converged.  The P, gain and cost
+    of a failed slice are NaN."""
+
+    p_matrix: np.ndarray
+    gain: np.ndarray
+    avg_cost: np.ndarray
+    failure: np.ndarray
+
+
+# The nonzero failure codes of RiccatiStack.
+DIVERGED = 1
+STALLED = 2
+
+
+def failure_text(code: int) -> str:
+    """solve_dare's exception text for a nonzero failure code."""
+    if code == DIVERGED:
+        return "riccati iteration diverged"
+    return f"riccati iteration did not converge within {DEFAULT_MAX_ITERS} steps"
+
+
+def solve_dare_stack(stacked: np.ndarray, costs: CostMatrices) -> RiccatiStack:
+    """Solve the discrete algebraic Riccati equation for every slice of a
+    (K, n+m, n) stack of stacked parameters by the structure-preserving
     doubling algorithm (SDA; Chu, Fan & Lin, 2005).
 
     From A_0 = A, G_0 = B R^-1 B^T and H_0 = Q, each step solves
     (I + G_k H_k) [V1 V2] = [A_k G_k] once and sets A_{k+1} = A_k V1,
     G_{k+1} = G_k + A_k V2 A_k^T and H_{k+1} = H_k + V1^T H_k A_k.  H_k is the
     value iterate from P0 = Q at horizon 2^k, so the iterates are monotone
-    nondecreasing like value iteration's and converge quadratically.  The
-    iteration stops once ||H_next - H||_F <= max(DEFAULT_TOL, 64 eps ||H_next||_F).
+    nondecreasing like value iteration's and converge quadratically.  A slice
+    stops once ||H_next - H||_F <= max(DEFAULT_TOL, 64 eps ||H_next||_F) and
+    then leaves the stack, so each slice takes the steps, and gets the bits,
+    that it would get alone.
 
     Convergence doubles as a stabilizability certificate: divergence (Frobenius
-    norm above DEFAULT_NORM_CEILING) or failure to converge within
-    DEFAULT_MAX_ITERS doubling steps raises NonStabilizable.  Because H_k is
-    a value iterate, ||H_k||_F <= ||P||_F for every k, so the ceiling rejects
-    only systems whose P itself exceeds it.
+    norm above DEFAULT_NORM_CEILING, code DIVERGED) or failure to converge
+    within DEFAULT_MAX_ITERS doubling steps (code STALLED) marks the slice as
+    not stabilizable.  Because H_k is a value iterate, ||H_k||_F <= ||P||_F for
+    every k, so the ceiling rejects only systems whose P itself exceeds it.
     """
-    if costs.n != theta.n or costs.m != theta.m:
+    count, n = stacked.shape[0], stacked.shape[-1]
+    if (costs.n, costs.m) != (n, stacked.shape[-2] - n):
         raise DimensionMismatch(
-            f"cost matrices sized ({costs.n}, {costs.m}) do not match theta ({theta.n}, {theta.m})"
+            f"cost matrices sized ({costs.n}, {costs.m}) do not match theta "
+            f"({n}, {stacked.shape[-2] - n})"
         )
-    a, b = theta.a_matrix, theta.b_matrix
+    a, b = stacked[:, :n].mT, stacked[:, n:].mT
     q, r = costs.q_matrix, costs.r_matrix
-    n = theta.n
     eye = np.eye(n)
+    p = np.full((count, n, n), np.nan)
+    failure = np.zeros(count, dtype=np.int64)
 
+    live = np.arange(count)
     a_k, h = a, q
-    g = b @ np.linalg.solve(r, b.T)
-    g = 0.5 * (g + g.T)
+    g = b @ np.linalg.solve(r, b.mT)
+    g = 0.5 * (g + g.mT)
     for _ in range(DEFAULT_MAX_ITERS):
-        v = np.linalg.solve(eye + g @ h, np.concatenate((a_k, g), axis=1))
-        v1, v2 = v[:, :n], v[:, n:]
-        h_next = h + v1.T @ h @ a_k
-        h_next = 0.5 * (h_next + h_next.T)
+        v = np.linalg.solve(eye + g @ h, np.concatenate((a_k, g), axis=2))
+        h_next = h + v[:, :, :n].mT @ h @ a_k
+        h_next = 0.5 * (h_next + h_next.mT)
         norm = _frobenius(h_next)
-        if not norm <= DEFAULT_NORM_CEILING:  # also true when h_next has a NaN or an inf
-            raise NonStabilizable("riccati iteration diverged")
-        if _frobenius(h_next - h) <= max(DEFAULT_TOL, _STEP_EPS * norm):
-            break
-        g = g + a_k @ v2 @ a_k.T
-        g = 0.5 * (g + g.T)
-        a_k = a_k @ v1
+        diverged = ~(norm <= DEFAULT_NORM_CEILING)  # also true when h_next has a NaN or an inf
+        done = _frobenius(h_next - h) <= np.maximum(DEFAULT_TOL, _STEP_EPS * norm)
+        finished = diverged | done
+        if finished.any():
+            done &= ~diverged
+            failure[live[diverged]] = DIVERGED
+            p[live[done]] = h_next[done]
+            if finished.all():
+                break
+            keep = ~finished
+            live, v, a_k, g, h_next = live[keep], v[keep], a_k[keep], g[keep], h_next[keep]
+        g = g + a_k @ v[:, :, n:] @ a_k.mT
+        g = 0.5 * (g + g.mT)
+        a_k = a_k @ v[:, :, :n]
         h = h_next
     else:
-        raise NonStabilizable(f"riccati iteration did not converge within {DEFAULT_MAX_ITERS} steps")
+        failure[live] = STALLED
 
-    p = h_next
-    bp = b.T @ p
+    # The NaN P of a failed slice gives it a NaN gain.
+    bp = b.mT @ p
     gain = -np.linalg.solve(r + bp @ b, bp @ a)
-    return RiccatiSolution(p_matrix=p, gain=gain, avg_cost=float(np.trace(p)))
+    return RiccatiStack(p, gain, np.trace(p, axis1=1, axis2=2), failure)
+
+
+def solve_dare(theta: ThetaParams, costs: CostMatrices) -> RiccatiSolution:
+    """solve_dare_stack of the one-slice stack of theta; raises
+    NonStabilizable when the doubling diverges or does not converge."""
+    sols = solve_dare_stack(theta.stacked[None], costs)
+    if sols.failure[0]:
+        raise NonStabilizable(failure_text(sols.failure[0]))
+    return RiccatiSolution(p_matrix=sols.p_matrix[0], gain=sols.gain[0], avg_cost=float(sols.avg_cost[0]))
+
+
+def closed_loop_norms(stacked: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """Spectral norm of A + B K for every slice of a (K, n+m, n) stack of
+    stacked parameters and a (K, m, n) stack of gains."""
+    n = stacked.shape[-1]
+    return np.linalg.svd(stacked[:, :n].mT + stacked[:, n:].mT @ gains, compute_uv=False)[:, 0]
 
 
 def closed_loop_norm(theta: ThetaParams, gain: np.ndarray) -> float:
@@ -253,7 +306,7 @@ def closed_loop_norm(theta: ThetaParams, gain: np.ndarray) -> float:
     gain = np.asarray(gain, dtype=np.float64)
     if gain.shape != (theta.m, theta.n):
         raise DimensionMismatch(f"gain must be {(theta.m, theta.n)}, got {gain.shape}")
-    return float(np.linalg.svd(theta.a_matrix + theta.b_matrix @ gain, compute_uv=False)[0])
+    return float(closed_loop_norms(theta.stacked[None], gain[None])[0])
 
 
 def closed_loop_floors(stacked: np.ndarray) -> np.ndarray:
@@ -285,12 +338,15 @@ def closed_loop_floor(theta: ThetaParams) -> float:
     return float(closed_loop_floors(theta.stacked[None])[0])
 
 
-def unscreened_admissible(
+def _admissible(
     theta: ThetaParams, costs: CostMatrices, trace_bound: float, rho: float
 ) -> Optional[RiccatiSolution]:
     """Riccati solution when trace(P) <= trace_bound and ||A + B K||_2 <= rho,
     else None.  The closed loop is evaluated with theta's own (A, B); solver
-    failure means non-membership."""
+    failure means non-membership.  A screen first rejects, without a solve,
+    a theta whose closed-loop floor already exceeds rho * SCREEN_MARGIN."""
+    if closed_loop_floor(theta) > rho * SCREEN_MARGIN:
+        return None
     try:
         sol = solve_dare(theta, costs)
     except NonStabilizable:
@@ -298,16 +354,6 @@ def unscreened_admissible(
     if sol.avg_cost > trace_bound or closed_loop_norm(theta, sol.gain) > rho:
         return None
     return sol
-
-
-def _admissible(
-    theta: ThetaParams, costs: CostMatrices, trace_bound: float, rho: float
-) -> Optional[RiccatiSolution]:
-    """unscreened_admissible, after a screen that rejects a theta whose
-    closed-loop floor already exceeds rho * SCREEN_MARGIN without a solve."""
-    if closed_loop_floor(theta) > rho * SCREEN_MARGIN:
-        return None
-    return unscreened_admissible(theta, costs, trace_bound, rho)
 
 
 def q_membership(

@@ -101,11 +101,11 @@ class OfflineSummary:
         return self.theta_hat_sim.m
 
 
-def self_normalized_radius(n: int, half_logdet_ratio: float, delta: float) -> float:
+def self_normalized_radius(n: int, half_logdet_ratio, delta: float):
     """n sqrt(2 (max(half_logdet_ratio, 0) + log(1 / delta))): the
     self-normalized confidence radius for half the log-det ratio of a
-    precision to its starting value."""
-    return n * math.sqrt(2.0 * (max(half_logdet_ratio, 0.0) + math.log(1.0 / delta)))
+    precision to its starting value, entry by entry for an array of ratios."""
+    return n * np.sqrt(2.0 * (np.maximum(half_logdet_ratio, 0.0) + math.log(1.0 / delta)))
 
 
 def alpha_from_bound(
@@ -126,7 +126,7 @@ def alpha_from_bound(
     if sign <= 0:
         raise SingularPrecision("u_matrix must be positive definite")
     half_ratio = 0.5 * (logdet_u - d * math.log(regularizer))
-    return self_normalized_radius(n, half_ratio, delta1) + math.sqrt(regularizer) * phi
+    return float(self_normalized_radius(n, half_ratio, delta1) + math.sqrt(regularizer) * phi)
 
 
 def _refresh_gain(
@@ -194,7 +194,7 @@ def simulate_offline(
         states[s] = xi
         controls[s] = v
         xi = xi_next
-        if math.sqrt(xi @ xi) > cfg.state_ceiling:
+        if not math.sqrt(xi @ xi) <= cfg.state_ceiling:  # also true when xi has a NaN or an inf
             raise UnstableRollout(
                 f"offline state norm exceeded {cfg.state_ceiling:g} at step {s + 1}"
             )

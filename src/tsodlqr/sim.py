@@ -12,6 +12,20 @@ from .lqr import CostMatrices, ThetaParams
 from .rng import RngStream
 
 
+def step_systems(
+    thetas: np.ndarray, states: np.ndarray, controls: np.ndarray, costs: CostMatrices, noise: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """step_system for every run of a batch: stacked parameters (R, n+m, n),
+    states (R, n), controls (R, m) and noise (R, n) give the regressors
+    (R, n+m), the next states (R, n) and the stage costs (R,)."""
+    z = np.concatenate([states, controls], axis=1)
+    next_states = (thetas.mT @ z[:, :, None])[:, :, 0] + noise
+    # A row vector times Q, then vecdot: the bits of x @ Q @ x for each run.
+    cost = np.vecdot((states[:, None, :] @ costs.q_matrix)[:, 0], states)
+    cost = cost + np.vecdot((controls[:, None, :] @ costs.r_matrix)[:, 0], controls)
+    return z, next_states, cost
+
+
 def step_system(
     theta: ThetaParams,
     state,
@@ -41,10 +55,8 @@ def step_system(
         w = np.asarray(noise, dtype=np.float64).reshape(-1)
         if w.shape != (theta.n,):
             raise DimensionMismatch(f"noise must have length {theta.n}, got {w.shape}")
-    z = np.concatenate([x, u])
-    next_state = theta.stacked.T @ z + w
-    cost = float(x @ costs.q_matrix @ x + u @ costs.r_matrix @ u)
-    return z, next_state, cost
+    z, next_state, cost = step_systems(theta.stacked[None], x[None], u[None], costs, w[None])
+    return z[0], next_state[0], float(cost[0])
 
 
 def sample_theta_delta(m_delta: float, n: int, m: int, rng: RngStream) -> ThetaParams:

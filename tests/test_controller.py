@@ -26,12 +26,15 @@ from tsodlqr import (
     step_system,
     update_belief,
 )
+import tsodlqr.controller as controller
 from tsodlqr.controller import (
     CHECKPOINT_FRACTIONS,
+    EpisodeResult,
     SampleOutcome,
     _fallback_candidates,
     as_sources,
     delta2_for,
+    run_episodes,
 )
 from tsodlqr.harness import delta1_for
 
@@ -658,3 +661,114 @@ class TestReferenceReplay:
                     totals[name] += expected[name]
         # The inequality count and the fallback ladder are both exercised.
         assert totals["zt_violations"] > 0 and totals["fallback_steps"] > 0, totals
+
+
+class TestLockstep:
+    """run_episodes steps its runs together, and each run's result is what
+    the one-run batch, run_episode, gives it: the same bits in every trace
+    array, check and belief, and the generator left in the same state."""
+
+    SEEDS = (42, 7, 99, 5)
+
+    @pytest.fixture(scope="class")
+    def summaries(self, theta_sim, costs32, offline_cfg):
+        return [
+            simulate_offline(
+                theta_sim, costs32, 250, offline_cfg, delta1_for(0.1, 250, 60), 0.15, RngStream(seed, 0)
+            )[0]
+            for seed in self.SEEDS
+        ]
+
+    @staticmethod
+    def bits(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        return value.hex() if isinstance(value, float) else value
+
+    @pytest.mark.parametrize("variant", ["tsod", "ts_no_offline", "offline_estimate_only", "oracle"])
+    def test_one_batch_equals_batches_of_one(self, summaries, theta_star, costs32, set_q, variant):
+        # Runs 1 and 3 play perturbed systems held in C order, runs 0 and 2
+        # the Fortran-ordered golden system, so the batch mixes both layouts.
+        shift = np.array([[0.0, 0.0, 0.0]] * 3 + [[0.02, -0.01, 0.0]] * 2)
+        thetas = [
+            theta_star if i % 2 == 0 else ThetaParams.from_stacked(theta_star.stacked + i * shift, 3, 2)
+            for i in range(len(self.SEEDS))
+        ]
+        args = (costs32, set_q, 60, delta2_for(0.1, 60), variant)
+        batch_rngs = [RngStream(seed, 1) for seed in self.SEEDS]
+        batch = run_episodes(thetas, summaries, *args, batch_rngs, max_attempts=20, seeds=list(self.SEEDS))
+        for i, seed in enumerate(self.SEEDS):
+            rng = RngStream(seed, 1)
+            alone = run_episode(thetas[i], summaries[i], *args, rng, max_attempts=20, seed=seed)
+            got = batch[i]
+            assert isinstance(got, EpisodeResult)
+            for name in ("t", "cost", "instant_regret", "cum_regret", "beta", "rejections", "state_norm"):
+                assert self.bits(getattr(got.trace, name)) == self.bits(getattr(alone.trace, name)), (i, name)
+            assert (got.trace.j_star, got.trace.seed) == (alone.trace.j_star, alone.trace.seed)
+            for name in vars(alone.diagnostics):
+                if name == "checkpoints":
+                    assert [tuple(map(self.bits, vars(c).values())) for c in got.diagnostics.checkpoints] == [
+                        tuple(map(self.bits, vars(c).values())) for c in alone.diagnostics.checkpoints
+                    ]
+                else:
+                    assert self.bits(getattr(got.diagnostics, name)) == self.bits(getattr(alone.diagnostics, name))
+            for name in ("v_matrix", "cross_term", "logdet_v", "info_sum", "logdet_u"):
+                assert self.bits(getattr(got.belief, name)) == self.bits(getattr(alone.belief, name)), (i, name)
+            assert self.bits(got.belief.theta_hat.stacked) == self.bits(alone.belief.theta_hat.stacked)
+            assert batch_rngs[i].bit_generator.state == rng.bit_generator.state
+
+    def test_a_failed_run_leaves_the_others_unchanged(self, summaries, theta_star, costs32, set_q):
+        args = (costs32, set_q, 60, delta2_for(0.1, 60), "tsod")
+        clean = run_episodes(
+            [theta_star] * 4, summaries, *args, [RngStream(seed, 1) for seed in self.SEEDS], max_attempts=20
+        )
+        # A ceiling between the two largest peak state norms fails one run.
+        peaks = [float(r.trace.state_norm.max()) for r in clean]
+        worst = int(np.argmax(peaks))
+        ceiling = 0.5 * (peaks[worst] + max(p for i, p in enumerate(peaks) if i != worst))
+        failed = run_episodes(
+            [theta_star] * 4, summaries, *args, [RngStream(seed, 1) for seed in self.SEEDS],
+            max_attempts=20, state_ceiling=ceiling,
+        )
+        with pytest.raises(UnstableRollout) as alone:
+            run_episode(
+                theta_star, summaries[worst], *args, RngStream(self.SEEDS[worst], 1),
+                max_attempts=20, state_ceiling=ceiling,
+            )
+        for i, result in enumerate(failed):
+            if i == worst:
+                assert isinstance(result, UnstableRollout) and str(result) == str(alone.value)
+            else:
+                assert result.trace.cost.tobytes() == clean[i].trace.cost.tobytes()
+
+    def test_batch_sampler_admits_only_scipy_admissible_candidates(
+        self, summaries, theta_star, costs32, set_q, monkeypatch
+    ):
+        # Six runs on the wide no-offline prior; every candidate the batch
+        # sampler admits without the fallback ladder is judged by scipy's DARE
+        # solution and gain.
+        admitted = []
+        real_sampler = controller._sample_batch
+
+        def record(*args):
+            samples = real_sampler(*args)
+            for j in range(len(samples.theta)):
+                if j not in samples.errors and not samples.fallback[j]:
+                    admitted.append((samples.theta[j].copy(), samples.gain[j].copy()))
+            return samples
+
+        monkeypatch.setattr(controller, "_sample_batch", record)
+        results = run_episodes(
+            [theta_star] * 6, summaries[:1] * 6, costs32, set_q, 60, delta2_for(0.1, 60), "ts_no_offline",
+            [RngStream(seed, 1) for seed in range(6)],
+        )
+        assert all(isinstance(r, EpisodeResult) for r in results)
+        assert len(admitted) > 150
+        q, r = costs32.q_matrix, costs32.r_matrix
+        for theta, gain in admitted:
+            a, b = theta[:3].T, theta[3:].T
+            p = scipy.linalg.solve_discrete_are(a, b, q, r)
+            k = -np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
+            assert np.trace(p) <= set_q.m_p * (1.0 + 1e-8)
+            assert np.linalg.norm(a + b @ k, 2) <= set_q.rho + 1e-8
+            assert np.linalg.norm(gain - k) <= 1e-6 * max(1.0, float(np.linalg.norm(k)))

@@ -211,14 +211,17 @@ class TestRunExperiment:
     def test_failed_run_keeps_finished_runs(self, tmp_path, monkeypatch):
         cfg = tiny_config(num_runs=3)
         run_experiment(cfg, out_dir=tmp_path / "clean")
-        real_episode = harness.run_episode
+        real_episodes = harness.run_episodes
 
         def fail_run_one(*args, **kwargs):
-            if kwargs["seed"] == hash64(42, "tsod", 1, 250):
-                raise UnstableRollout("online state norm exceeded 1e+06 at step 7")
-            return real_episode(*args, **kwargs)
+            results = real_episodes(*args, **kwargs)
+            return [
+                UnstableRollout("online state norm exceeded 1e+06 at step 7")
+                if seed == hash64(42, "tsod", 1, 250) else result
+                for seed, result in zip(kwargs["seeds"], results)
+            ]
 
-        monkeypatch.setattr(harness, "run_episode", fail_run_one)
+        monkeypatch.setattr(harness, "run_episodes", fail_run_one)
         out = tmp_path / "failed"
         with pytest.raises(UnstableRollout, match="at step 7"):
             run_experiment(cfg, out_dir=out)
@@ -283,16 +286,63 @@ class TestRunExperiment:
         assert re.fullmatch(r"online state norm exceeded 0\.5 at step \d+", str(failures[0].error))
 
 
+class TestLockstepCells:
+    def test_worker_chunks_write_the_serial_bytes(self, tmp_path, monkeypatch, pool_sizes):
+        # workers=2 splits the 5-run cell into chunks of 3 and 2.
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        chunks = []
+        real_batch = harness.execute_batch
+
+        def record(specs):
+            chunks.append([spec.run_id for spec in specs])
+            return real_batch(specs)
+
+        monkeypatch.setattr(harness, "execute_batch", record)
+        run_experiment(tiny_config(num_runs=5, workers=2), out_dir=tmp_path / "chunked")
+        assert pool_sizes == [2] and chunks == [[0, 1, 2], [3, 4]]
+        chunks.clear()
+        run_experiment(tiny_config(num_runs=5), out_dir=tmp_path / "serial")
+        assert chunks == [[0, 1, 2, 3, 4]]
+        # experiment.json differs: it records the config, workers included.
+        outputs = [p for p in (tmp_path / "serial").rglob("*") if p.is_file() and p.name != "experiment.json"]
+        assert len(outputs) == 7
+        for path in outputs:
+            twin = tmp_path / "chunked" / path.relative_to(tmp_path / "serial")
+            assert path.read_bytes() == twin.read_bytes(), path.name
+
+    def test_unstable_run_in_a_batch_fails_as_it_does_alone(self, tmp_path):
+        clean = run_experiment(tiny_config(num_runs=3), out_dir=tmp_path / "clean")
+        # A ceiling between the two largest peak state norms fails one run.
+        peaks = sorted((float(rec.trace.state_norm.max()), rec.run_id) for rec in clean.runs)
+        ceiling = 0.5 * (peaks[-1][0] + peaks[-2][0])
+        worst = peaks[-1][1]
+        cfg = tiny_config(num_runs=3, state_ceiling=ceiling)
+        out = tmp_path / "failed"
+        with pytest.raises(UnstableRollout):
+            run_experiment(cfg, out_dir=out)
+        spec = RunSpec(cfg, "tsod", 250, worst)
+        with pytest.raises(UnstableRollout) as alone:
+            harness.execute_single_run(spec)
+        assert json.loads((out / "failures.json").read_text()) == [
+            harness.RunFailure(spec, alone.value).as_json()
+        ]
+        written = sorted(p.name for p in (out / "runs").iterdir())
+        assert written == [f"tsod_run{i:03d}.csv" for i in range(3) if i != worst]
+        for name in written:
+            assert (out / "runs" / name).read_bytes() == (tmp_path / "clean" / "runs" / name).read_bytes()
+
+
 class TestSeedPlan:
     def test_offline_subcommand_writes_the_tsod_runs_datasets(self, tmp_path, monkeypatch):
         used = {}
-        real_episode = harness.run_episode
+        real_episodes = harness.run_episodes
 
-        def record_prior(theta, sources, *args, **kwargs):
-            used[kwargs["seed"]] = sources.summaries[0]
-            return real_episode(theta, sources, *args, **kwargs)
+        def record_prior(thetas, sources, *args, **kwargs):
+            for seed, src in zip(kwargs["seeds"], sources):
+                used[seed] = src.summaries[0]
+            return real_episodes(thetas, sources, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "run_episode", record_prior)
+        monkeypatch.setattr(harness, "run_episodes", record_prior)
         data = {**tiny_config().raw, "num_runs": 2, "t_horizon": 10}
         run_experiment(build_experiment_config(data), out_dir=tmp_path / "run")
         config = tmp_path / "tiny.cfg"

@@ -18,7 +18,17 @@ from tsodlqr import (
     riccati_map,
     solve_dare,
 )
-from tsodlqr.lqr import closed_loop_floor, p_membership, q_membership
+import tsodlqr.lqr as lqr
+from tsodlqr.lqr import (
+    DIVERGED,
+    STALLED,
+    closed_loop_floor,
+    closed_loop_norms,
+    failure_text,
+    p_membership,
+    q_membership,
+    solve_dare_stack,
+)
 
 
 def scalar_p_root(a, b, q, r):
@@ -85,6 +95,63 @@ class TestSolveDare:
             assert sol.p_matrix[0, 0] == pytest.approx(p, rel=1e-8)
             gains.append(abs(sol.gain[0, 0]))
         assert all(g1 > g2 for g1, g2 in zip(gains, gains[1:]))
+
+
+def doubling_steps(stacked, costs, monkeypatch):
+    """The number of doubling steps the slice takes: the smallest step limit
+    under which it does not stall."""
+    for limit in range(1, 40):
+        monkeypatch.setattr(lqr, "DEFAULT_MAX_ITERS", limit)
+        if solve_dare_stack(stacked[None], costs).failure[0] != STALLED:
+            return limit
+    raise AssertionError("no step limit below 40 suffices")
+
+
+class TestSolveDareStack:
+    LIMIT = 12
+
+    @staticmethod
+    def stack():
+        """Seven (n, m) = (2, 1) systems: five that converge after 2 to 12
+        doubling steps, one that needs 17 and so stalls at LIMIT, and one
+        unstable and uncontrollable system that diverges."""
+        slices = []
+        for rho, b in ((0.0, 1.0), (0.3, 1.0), (0.9, 1.0), (0.99, 1e-3), (0.9999, 1e-3), (2.0, 0.0), (0.6, 1e-3)):
+            a = np.array([[rho, 0.2], [0.0, 0.5 * rho]]) if rho < 2.0 else 2.0 * np.eye(2)
+            slices.append(np.vstack([a.T, [[0.0, b]]]))
+        return np.array(slices)
+
+    def test_each_slice_is_its_own_solve(self, monkeypatch):
+        costs = CostMatrices.identity(2, 1)
+        stacked = self.stack()
+        steps = [doubling_steps(s, costs, monkeypatch) for s in np.delete(stacked, 5, axis=0)]
+        assert len(set(steps)) == 6 and max(steps) > self.LIMIT
+        monkeypatch.setattr(lqr, "DEFAULT_MAX_ITERS", self.LIMIT)
+        sols = solve_dare_stack(stacked, costs)
+        assert sols.failure.tolist() == [0, 0, 0, 0, STALLED, DIVERGED, 0]
+        for i, slice_ in enumerate(stacked):
+            theta = ThetaParams.from_stacked(slice_, 2, 1)
+            if sols.failure[i]:
+                assert np.isnan(sols.p_matrix[i]).all() and np.isnan(sols.gain[i]).all()
+                with pytest.raises(NonStabilizable) as raised:
+                    solve_dare(theta, costs)
+                assert str(raised.value) == failure_text(sols.failure[i])
+                continue
+            alone = solve_dare(theta, costs)
+            assert sols.p_matrix[i].tobytes() == alone.p_matrix.tobytes()
+            assert sols.gain[i].tobytes() == alone.gain.tobytes()
+            assert float(sols.avg_cost[i]) == alone.avg_cost
+        assert failure_text(STALLED) == f"riccati iteration did not converge within {self.LIMIT} steps"
+        assert failure_text(DIVERGED) == "riccati iteration diverged"
+
+    def test_closed_loop_norms_are_the_one_slice_norms(self, theta_star, costs32):
+        rng = np.random.default_rng(3)
+        stacked = theta_star.stacked + 0.1 * rng.standard_normal((9, 5, 3))
+        gains = rng.standard_normal((9, 2, 3))
+        norms = closed_loop_norms(stacked, gains)
+        for i in range(9):
+            theta = ThetaParams.from_stacked(stacked[i], 3, 2)
+            assert norms[i] == closed_loop_norm(theta, gains[i])
 
 
 class TestClosedLoopNorm:

@@ -9,6 +9,7 @@ from tsodlqr import (
     OfflineConfig,
     RngStream,
     ThetaParams,
+    UnstableRollout,
     alpha_from_bound,
     check_assumption2,
     load_offline,
@@ -114,6 +115,17 @@ class TestSimulateOffline:
         )
         assert summary.s_len == 200
         assert controls.shape == (200, 2)
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_state_fails_at_its_step(self, theta_sim, costs32, set_p, bad):
+        # A non-finite gain times the zero initial state makes the first
+        # state non-finite, which fails the ceiling at once.
+        gain = np.zeros((2, 3))
+        gain[0, 0] = bad
+        cfg = OfflineConfig(set_p=set_p, controller_mode="fixed_gain", fixed_gain=gain)
+        with pytest.raises(UnstableRollout, match=r"offline state norm exceeded 1e\+06 at step 1$"):
+            simulate_offline(theta_sim, costs32, 200, cfg, 0.1, 0.15, RngStream(4, 0))
 
 
 class TestRefreshGain:

@@ -18,6 +18,7 @@ from scipy.stats import binom
 import tsodlqr
 from tsodlqr import CostMatrices, ThetaParams, riccati_map, solve_dare
 from tsodlqr.harness import binomial_lower_test
+from tsodlqr.lqr import DEFAULT_NORM_CEILING, solve_dare_stack
 
 
 def random_spd(rng, k):
@@ -35,6 +36,25 @@ def random_system(n, m, spectral_radius, seed):
     return a, b, random_spd(rng, n), random_spd(rng, m)
 
 
+def assert_matches_scipy(p_matrix, gain, a, b, q, r):
+    """P and the gain agree with scipy's to 1e-8 relative.  At bad
+    conditioning scipy can be the less accurate of the two: a larger
+    disagreement passes only when P is no further from a fixed point of the
+    Riccati map than scipy's, and the gain is then judged against the gain of
+    P itself."""
+    theta, costs = ThetaParams(a, b), CostMatrices(q, r)
+    p_ref = scipy.linalg.solve_discrete_are(a, b, q, r)
+    if np.linalg.norm(p_matrix - p_ref) > 1e-8 * np.linalg.norm(p_ref):
+
+        def residual(p):
+            return np.linalg.norm(riccati_map(p, theta, costs) - p)
+
+        assert residual(p_matrix) <= residual(p_ref)
+        p_ref = p_matrix
+    k_ref = -np.linalg.solve(r + b.T @ p_ref @ b, b.T @ p_ref @ a)
+    assert np.linalg.norm(gain - k_ref) <= 1e-8 * np.linalg.norm(k_ref)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(1, 5),
@@ -47,22 +67,32 @@ def random_system(n, m, spectral_radius, seed):
 @example(n=4, m=1, spectral_radius=1.0319, seed=2142483648)
 def test_solve_dare_matches_scipy(n, m, spectral_radius, seed):
     a, b, q, r = random_system(n, m, spectral_radius, seed)
-    p_ref = scipy.linalg.solve_discrete_are(a, b, q, r)
+    sol = solve_dare(ThetaParams(a, b), CostMatrices(q, r))
+    assert_matches_scipy(sol.p_matrix, sol.gain, a, b, q, r)
 
-    theta, costs = ThetaParams(a, b), CostMatrices(q, r)
-    sol = solve_dare(theta, costs)
-    if np.linalg.norm(sol.p_matrix - p_ref) > 1e-8 * np.linalg.norm(p_ref):
-        # At bad conditioning scipy can be the less accurate of the two: a
-        # larger disagreement passes only when solve_dare's P is no further
-        # from a fixed point of the Riccati map than scipy's, and the gain is
-        # then judged against the gain of solve_dare's own P.
-        def residual(p):
-            return np.linalg.norm(riccati_map(p, theta, costs) - p)
 
-        assert residual(sol.p_matrix) <= residual(p_ref)
-        p_ref = sol.p_matrix
-    k_ref = -np.linalg.solve(r + b.T @ p_ref @ b, b.T @ p_ref @ a)
-    assert np.linalg.norm(sol.gain - k_ref) <= 1e-8 * np.linalg.norm(k_ref)
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    m=st.integers(1, 5),
+    radii=st.lists(st.floats(0.1, 1.6), min_size=1, max_size=9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_dare_stack_matches_scipy(n, m, radii, seed):
+    # One stack of systems that share the cost matrices; each slice stops at
+    # its own step and is judged against scipy on its own.
+    systems = [random_system(n, m, radius, seed + i) for i, radius in enumerate(radii)]
+    q, r = systems[0][2], systems[0][3]
+    stacked = np.array([np.vstack([a.T, b.T]) for a, b, _, _ in systems])
+    sols = solve_dare_stack(stacked, CostMatrices(q, r))
+    for i, (a, b, _, _) in enumerate(systems):
+        if sols.failure[i]:
+            # The iterates rise monotonically to P, so only a P beyond the
+            # divergence ceiling can fail.
+            assert np.linalg.norm(scipy.linalg.solve_discrete_are(a, b, q, r)) > 0.5 * DEFAULT_NORM_CEILING
+            continue
+        assert_matches_scipy(sols.p_matrix[i], sols.gain[i], a, b, q, r)
+        assert sols.avg_cost[i] == np.trace(sols.p_matrix[i])
 
 
 @pytest.mark.parametrize(
