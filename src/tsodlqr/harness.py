@@ -311,17 +311,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             fh.write("\n")
         raise failures[0].error
 
-    aggregates: Dict[str, AggregateResult] = {}
-    agg_rows = []
-    for (variant, s_len), label in labels.items():
-        cell = [r.trace for r in records if r.variant == variant and r.s_len == s_len]
-        agg = _aggregate(cell)
-        aggregates[label] = agg
-        for i in range(len(agg.t)):
-            agg_rows.append(
-                (agg.t[i], agg.mean_cum_regret[i], agg.std_cum_regret[i], label, agg.n_runs)
-            )
-    write_aggregate_csv(out / "aggregate.csv", agg_rows)
+    aggregates = {
+        label: _aggregate([r.trace for r in records if r.variant == variant and r.s_len == s_len])
+        for (variant, s_len), label in labels.items()
+    }
+    write_aggregate_csv(out / "aggregate.csv", aggregates)
     render_regret_svg(
         {label: (agg.mean_cum_regret, agg.std_cum_regret) for label, agg in aggregates.items()},
         out / "regret.svg",

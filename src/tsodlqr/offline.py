@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, fields
@@ -15,6 +14,7 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, NonStabilizable, SingularPrecision, UnstableRollout
 from .lqr import ConstraintSetP, CostMatrices, ThetaParams, solve_dare
 from .rng import RngStream
+from .traces import load_csv_rows
 
 CONTROLLER_MODES = ("ce_dither", "fixed_gain")
 
@@ -265,6 +265,13 @@ def check_assumption2(
     )
 
 
+def _trajectory_header(n: int, m: int) -> str:
+    return ",".join(["s"] + [f"xi{i + 1}" for i in range(n)] + [f"v{j + 1}" for j in range(m)])
+
+
+_SIDECAR_KEYS = "n m s_len m_delta delta1 regularizer alpha u_matrix theta_hat_a theta_hat_b".split()
+
+
 def save_offline(
     basepath, summary: OfflineSummary, states: np.ndarray, controls: np.ndarray
 ) -> None:
@@ -278,16 +285,9 @@ def save_offline(
     s_len = summary.s_len
     if states.shape != (s_len + 1, n) or controls.shape != (s_len, m):
         raise DimensionMismatch("trajectory arrays do not match the summary")
+    table = np.column_stack([np.arange(1, s_len + 2), states, np.vstack([controls, np.zeros((1, m))])])
     with open(base.with_suffix(".csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["s"] + [f"xi{i + 1}" for i in range(n)] + [f"v{j + 1}" for j in range(m)])
-        for s in range(s_len):
-            row = [str(s + 1)]
-            row += [f"{val:.17g}" for val in states[s]]
-            row += [f"{val:.17g}" for val in controls[s]]
-            writer.writerow(row)
-        terminal = [str(s_len + 1)] + [f"{val:.17g}" for val in states[s_len]] + ["0"] * m
-        writer.writerow(terminal)
+        np.savetxt(fh, table, fmt="%d" + ",%.17g" * (n + m), header=_trajectory_header(n, m), comments="")
     sidecar = {
         "n": n,
         "m": m,
@@ -306,10 +306,15 @@ def save_offline(
 
 
 def load_offline(basepath) -> Tuple[OfflineSummary, np.ndarray, np.ndarray]:
-    """Load a trajectory and summary written by save_offline."""
+    """Load a trajectory and summary written by save_offline.  Blank lines
+    are skipped; a sidecar key, a header field, a row or a number that is
+    missing, repeated or malformed raises ValueError."""
     base = Path(basepath)
     with open(base.with_suffix(".json"), encoding="utf-8") as fh:
         sidecar = json.load(fh)
+    for key in _SIDECAR_KEYS:
+        if key not in sidecar:
+            raise ValueError(f"offline sidecar {base.with_suffix('.json')} lacks the key {key!r}")
     n, m, s_len = sidecar["n"], sidecar["m"], sidecar["s_len"]
     summary = OfflineSummary(
         u_matrix=np.array(sidecar["u_matrix"], dtype=np.float64),
@@ -320,22 +325,16 @@ def load_offline(basepath) -> Tuple[OfflineSummary, np.ndarray, np.ndarray]:
         delta1=float(sidecar["delta1"]),
         regularizer=float(sidecar["regularizer"]),
     )
-    states = np.zeros((s_len + 1, n))
-    controls = np.zeros((s_len, m))
-    seen = [False] * (s_len + 1)
-    with open(base.with_suffix(".csv"), newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) != 1 + n + m:
-            raise ValueError("trajectory CSV header does not match the sidecar dimensions")
-        for row in reader:
-            s = int(row[0]) - 1
-            if not 0 <= s <= s_len or seen[s]:
-                raise ValueError(f"trajectory CSV row {row[0]} is outside 1..{s_len + 1} or repeated")
-            seen[s] = True
-            states[s] = [float(v) for v in row[1 : 1 + n]]
-            if s < s_len:
-                controls[s] = [float(v) for v in row[1 + n :]]
-    if not all(seen):
-        raise ValueError(f"trajectory CSV lacks {seen.count(False)} of its {s_len + 1} rows")
-    return summary, states, controls
+    path = base.with_suffix(".csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        if fh.readline().rstrip("\r\n") != _trajectory_header(n, m):
+            raise ValueError(f"trajectory CSV {path} header does not match the sidecar dimensions")
+        try:
+            rows = load_csv_rows(fh, [("s", np.int64), ("x", np.float64, (n + m,))])
+        except ValueError as exc:
+            raise ValueError(f"trajectory CSV {path}: {exc}") from None
+    order = np.argsort(rows["s"])
+    if not np.array_equal(rows["s"][order], np.arange(1, s_len + 2)):
+        raise ValueError(f"trajectory CSV {path} does not hold the rows 1..{s_len + 1} once each")
+    values = rows["x"][order]
+    return summary, np.ascontiguousarray(values[:, :n]), np.ascontiguousarray(values[:s_len, n:])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -61,44 +61,45 @@ class EpisodeDiagnostics:
 
 
 RUN_CSV_HEADER = ["t", "cost", "instant_regret", "cum_regret", "beta", "rejections", "state_norm"]
+RUN_CSV_FMT = "%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g"
 AGGREGATE_CSV_HEADER = ["t", "mean_cum_regret", "std_cum_regret", "variant", "n_runs"]
+
+
+def load_csv_rows(fh, dtype) -> np.ndarray:
+    """Parse the rows that follow the header of an open CSV handle into a 1-D
+    array of `dtype` records, one np.loadtxt call that skips blank lines.  A
+    file with no rows gives an empty array, without numpy's warning.  An
+    integer field written as a float (`1.5`, `1e0`) raises ValueError: numpy
+    releases that still parse it through a float only warn, so that warning
+    is made an error here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.filterwarnings("error", "Parsing an integer via a float", DeprecationWarning)
+        return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
 def write_run_csv(path, trace: RegretTrace) -> None:
     """Write one per-step CSV row per episode step at full double precision."""
+    table = np.column_stack([getattr(trace, name) for name in RUN_CSV_HEADER])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RUN_CSV_HEADER)
-        for i in range(len(trace)):
-            writer.writerow(
-                [
-                    str(int(trace.t[i])),
-                    f"{trace.cost[i]:.17g}",
-                    f"{trace.instant_regret[i]:.17g}",
-                    f"{trace.cum_regret[i]:.17g}",
-                    f"{trace.beta[i]:.17g}",
-                    str(int(trace.rejections[i])),
-                    f"{trace.state_norm[i]:.17g}",
-                ]
-            )
+        np.savetxt(fh, table, fmt=RUN_CSV_FMT, header=",".join(RUN_CSV_HEADER), comments="")
 
 
 def read_run_csv(path) -> dict:
-    """Read a per-run CSV back into column arrays (independent of the writer's
-    in-memory representation)."""
-    cols = {name: [] for name in RUN_CSV_HEADER}
+    """Read a per-run CSV back into float column arrays keyed by the header's
+    names (independent of the writer's in-memory representation)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            for name in RUN_CSV_HEADER:
-                cols[name].append(float(row[name]))
-    return {name: np.asarray(vals) for name, vals in cols.items()}
+        names = fh.readline().rstrip("\r\n").split(",")
+        rows = load_csv_rows(fh, [(name, np.float64) for name in names])
+    return {name: rows[name] for name in RUN_CSV_HEADER}
 
 
-def write_aggregate_csv(path, rows) -> None:
-    """rows: iterable of (t, mean, std, variant_label, n_runs)."""
+def write_aggregate_csv(path, aggregates) -> None:
+    """aggregates: mapping of variant label to an AggregateResult, written as
+    one block of rows (t, mean, std, label, n_runs) per label in its order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGGREGATE_CSV_HEADER)
-        for t, mean, std, label, n_runs in rows:
-            writer.writerow([str(int(t)), f"{mean:.17g}", f"{std:.17g}", label, str(int(n_runs))])
+        fh.write(",".join(AGGREGATE_CSV_HEADER) + "\n")
+        for label, agg in aggregates.items():
+            # A label is a variant name, with _S<S> when several S run, so it holds no "%".
+            table = np.column_stack([agg.t, agg.mean_cum_regret, agg.std_cum_regret])
+            np.savetxt(fh, table, fmt=f"%d,%.17g,%.17g,{label},{agg.n_runs}")

@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 
@@ -194,6 +195,12 @@ class TestCheckAssumption2:
         assert report.coverage_ok
 
 
+def _edit_row_8(lines, edit_fields):
+    """The lines of a trajectory CSV with the fields of its row 8 edited."""
+    fields = lines[8].rstrip("\n").split(",")
+    return lines[:8] + [",".join(edit_fields(fields)) + "\n"] + lines[9:]
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path, theta_sim, costs32, offline_cfg):
         summary, states, controls = simulate_offline(
@@ -211,6 +218,13 @@ class TestSerialization:
         assert loaded.m_delta == summary.m_delta
         assert loaded.delta1 == summary.delta1
         assert loaded.regularizer == summary.regularizer
+        # Blank lines are skipped, and the rows may come in any order.
+        csv_path = base.with_suffix(".csv")
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:1] + ["\n"] + lines[:0:-1] + ["\n"]))
+        _, states3, controls3 = load_offline(base)
+        assert np.array_equal(states, states3)
+        assert np.array_equal(controls, controls3)
 
     def test_pickle_keeps_arrays_read_only(self, theta_sim, costs32, offline_cfg):
         summary = simulate_offline(theta_sim, costs32, 50, offline_cfg, 0.1, 0.15, RngStream(8, 0))[0]
@@ -223,17 +237,40 @@ class TestSerialization:
         assert not back.u_matrix.flags.writeable
         assert not back.theta_hat_sim.stacked.flags.writeable
 
-    @pytest.mark.parametrize("edit", ["truncate", "duplicate"])
-    def test_incomplete_trajectory_raises(self, tmp_path, theta_sim, costs32, offline_cfg, edit):
+    # Each edit maps the trajectory CSV's lines (the header, then rows 1..101)
+    # to a malformed file.
+    TRAJECTORY_EDITS = {
+        "truncate": lambda lines: lines[:51],  # the header plus 50 rows
+        "duplicate": lambda lines: lines[:8] + lines[7:],  # row 7 written twice
+        "missing": lambda lines: lines[:8] + lines[9:],  # row 8 left out
+        "repeated": lambda lines: _edit_row_8(lines, lambda f: ["7"] + f[1:]),  # row 7 twice, no row 8
+        "out_of_range": lambda lines: _edit_row_8(lines, lambda f: ["102"] + f[1:]),
+        "fractional_index": lambda lines: _edit_row_8(lines, lambda f: ["8.5"] + f[1:]),
+        "exponent_index": lambda lines: _edit_row_8(lines, lambda f: ["8e0"] + f[1:]),
+        "short_row": lambda lines: _edit_row_8(lines, lambda f: f[:-1]),
+        "non_numeric": lambda lines: _edit_row_8(lines, lambda f: f[:2] + ["abc"] + f[3:]),
+        "header_width": lambda lines: ["s,xi1,xi2,v1,v2\n"] + lines[1:],
+        "header_only": lambda lines: lines[:1],
+    }
+
+    @pytest.mark.parametrize("edit", [*TRAJECTORY_EDITS, "sidecar_key"])
+    def test_incomplete_trajectory_raises(self, tmp_path, theta_sim, costs32, offline_cfg, edit, recwarn):
         summary, states, controls = simulate_offline(
             theta_sim, costs32, 100, offline_cfg, 0.1, 0.15, RngStream(8, 0)
         )
         base = tmp_path / "offline_s100"
         save_offline(base, summary, states, controls)
-        csv_path = base.with_suffix(".csv")
-        lines = csv_path.read_text().splitlines(keepends=True)
-        # The header plus 50 rows, or every row with row 7 written twice.
-        kept = lines[:51] if edit == "truncate" else lines[:8] + lines[7:]
-        csv_path.write_text("".join(kept))
-        with pytest.raises(ValueError, match="trajectory CSV"):
+        if edit == "sidecar_key":
+            path, match = base.with_suffix(".json"), "offline_s100.json lacks the key 'delta1'"
+            sidecar = json.loads(path.read_text())
+            del sidecar["delta1"]
+            path.write_text(json.dumps(sidecar))
+        else:
+            path, match = base.with_suffix(".csv"), "trajectory CSV"
+            path.write_text("".join(self.TRAJECTORY_EDITS[edit](path.read_text().splitlines(keepends=True))))
+        # The filters stay as in a run, where a warning is no error; so the
+        # loader itself must reject, and no numpy warning may escape it.
+        recwarn.clear()
+        with pytest.raises(ValueError, match=match):
             load_offline(base)
+        assert [str(w.message) for w in recwarn] == []

@@ -15,7 +15,9 @@ The result goes to `BENCH_<label>.json` at the root of this checkout: per
 workload and end-to-end metric the median and inclusive quartiles of both
 sides, the ratio of the medians (`change_over_parent`) and the number of
 pairs the change won (`change_wins`), then every pair's full perfbench
-record, the traced per-layer figures and the environment. Only the standard
+record, the traced per-layer figures, the environment, and the lines the
+change adds to and removes from `src/` against the parent (`git diff
+--numstat REF -- src`, over tracked and staged files). Only the standard
 library is used.
 """
 
@@ -85,6 +87,19 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def src_line_counts(ref: str) -> dict:
+    """Lines added to and removed from `src/` between `ref` and the working tree."""
+    numstat = subprocess.run(
+        ["git", "diff", "--numstat", ref, "--", "src"], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout
+    added = removed = 0
+    for line in numstat.splitlines():
+        plus, minus, _ = line.split("\t", 2)
+        if plus != "-":  # "-" marks a binary file
+            added, removed = added + int(plus), removed + int(minus)
+    return {"added": added, "removed": removed, "net": added - removed}
+
+
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as info:
@@ -123,6 +138,7 @@ def main(argv=None) -> int:
             "i is odd and the change first when i is even; quartiles are inclusive"
         ),
         "hardware": {"cpu": cpu_model(), "cpu_count": os.cpu_count()},
+        "src_lines": src_line_counts(args.parent),
         "workloads": [],
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
