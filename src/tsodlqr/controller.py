@@ -17,13 +17,13 @@ from .errors import (
     TsodLqrError,
     UnstableRollout,
 )
-from .lqr import (
-    SCREEN_MARGIN,
+# solve_dare stays bound here: perfbench's tracer wraps it in every module that holds it.
+from .lqr import (  # noqa: F401
     ConstraintSetQ,
     CostMatrices,
     ThetaParams,
-    closed_loop_floors,
-    closed_loop_norms,
+    admitted_stack,
+    failure_text,
     q_membership,
     solve_dare,
     solve_dare_stack,
@@ -282,16 +282,7 @@ def _sample_batch(
         blocks = mean_p[:, None] + beta_p[:, None, None, None] * (inv_half[:, None] @ normals)
         if not np.isfinite(blocks).all():
             raise ValueError("sampled parameter has non-finite entries")
-        flat = blocks.reshape(-1, d, n)
-        admitted = closed_loop_floors(flat) <= set_q.rho * SCREEN_MARGIN
-        gains = np.zeros((len(flat), m, n))
-        if admitted.any():
-            sols = solve_dare_stack(flat[admitted], costs)
-            ok = (sols.failure == 0) & ~(sols.avg_cost > set_q.m_p)
-            if ok.any():
-                ok[ok] = ~(closed_loop_norms(flat[admitted][ok], sols.gain[ok]) > set_q.rho)
-            gains[admitted] = sols.gain
-            admitted[admitted] = ok
+        admitted, gains = admitted_stack(blocks.reshape(-1, d, n), costs, set_q)
         admitted = admitted.reshape(pending.size, size)
         first = admitted.argmax(axis=1)
         found = admitted[np.arange(pending.size), first]
@@ -485,7 +476,7 @@ def run_episodes(
     set_q: ConstraintSetQ,
     horizon: int,
     delta2: float,
-    variant: str,
+    variants: Union[str, Sequence[str]],
     rngs: Sequence[RngStream],
     *,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
@@ -493,9 +484,10 @@ def run_episodes(
     state_ceiling: float = DEFAULT_STATE_CEILING,
     seeds: Optional[Sequence[int]] = None,
 ) -> List[Union[EpisodeResult, TsodLqrError]]:
-    """Run one online episode of the given variant per hidden system, all in
-    lockstep: run i plays theta_stars[i] from the prior of sources[i] and
-    draws from rngs[i] alone, so its result does not depend on the others.
+    """Run one online episode per hidden system, all in lockstep: run i plays
+    theta_stars[i] as variants[i] (one variant string stands for every run)
+    from the prior of sources[i] and draws from rngs[i] alone, so its result
+    does not depend on the others.
 
     Per step: sample an admissible parameter, apply its gain, observe the
     transition and stage cost, and apply the rank-one belief update, each as
@@ -514,6 +506,7 @@ def run_episodes(
         raise DomainError("delta2 must lie in (0, 1)")
     count = len(theta_stars)
     seeds = list(seeds) if seeds is not None else [0] * count
+    variants = [variants] * count if isinstance(variants, str) else list(variants)
     # x' = theta^T z is a matrix-vector product, whose bits depend on the
     # memory layout of theta, so the hidden systems are stacked in their own
     # layout, and a batch that mixes two layouts runs as two batches.
@@ -524,7 +517,7 @@ def run_episodes(
             part = [i for i in range(count) if fortran[i] == layout]
             outcomes = run_episodes(
                 [theta_stars[i] for i in part], [sources[i] for i in part], costs, set_q, horizon,
-                delta2, variant, [rngs[i] for i in part], max_attempts=max_attempts,
+                delta2, [variants[i] for i in part], [rngs[i] for i in part], max_attempts=max_attempts,
                 beta_mdelta_scale=beta_mdelta_scale, state_ceiling=state_ceiling,
                 seeds=[seeds[i] for i in part],
             )
@@ -535,27 +528,38 @@ def run_episodes(
     checkpoint_ts = sorted({max(1, int(round(horizon * f))) for f in CHECKPOINT_FRACTIONS if horizon >= 1})
 
     # Per run: (sources as given, effective sources, the hidden system's
-    # Riccati solution, the initial belief).
-    setups = {}
+    # average cost, the initial belief); the hidden systems are solved as
+    # one stack.
+    sized = {}
     for i in range(count):
         src_raw = as_sources(sources[i])
-        src = effective_sources(src_raw, variant)
+        src = effective_sources(src_raw, variants[i])
+        if (theta_stars[i].n, theta_stars[i].m) != (src.n, src.m):
+            results[i] = DimensionMismatch("hidden parameters do not match the offline summaries")
+        else:
+            sized[i] = (src_raw, src)
+    star_stack = _stack([theta_stars[i].stacked for i in sized], n + m, n)
+    star_sols = solve_dare_stack(star_stack, costs)
+    setups, solved = {}, []
+    for j, i in enumerate(sized):
         try:
-            if (theta_stars[i].n, theta_stars[i].m) != (src.n, src.m):
-                raise DimensionMismatch("hidden parameters do not match the offline summaries")
-            setups[i] = (src_raw, src, solve_dare(theta_stars[i], costs), init_belief(src))
+            if star_sols.failure[j]:
+                raise NonStabilizable(failure_text(star_sols.failure[j]))
+            setups[i] = (*sized[i], float(star_sols.avg_cost[j]), init_belief(sized[i][1]))
         except TsodLqrError as exc:
             results[i] = exc
+        solved.append(i in setups)
     started = list(setups)
     beliefs = [setups[i][3] for i in started]
     runs = _Runs(
         index=np.array(started, dtype=np.int64),
         rng=_objects([rngs[i] for i in started]),
+        oracle=np.array([variants[i] == "oracle" for i in started], dtype=bool),
         anchor=_objects([belief.theta_hat for belief in beliefs]),
         last_accepted=np.zeros((len(started), n + m, n)),
         has_last=np.zeros(len(started), dtype=bool),
-        theta_star=_stack([theta_stars[i].stacked for i in started], n + m, n),
-        star_gain=np.array([setups[i][2].gain for i in started]).reshape(-1, m, n),
+        theta_star=star_stack[solved],
+        star_gain=star_sols.gain[solved],
         alpha_sum=np.array([setups[i][1].alpha_sum for i in started]),
         mdelta_sum=np.array([setups[i][1].mdelta_sum for i in started]),
         logdet_u=np.array([belief.logdet_u for belief in beliefs]),
@@ -600,26 +604,32 @@ def run_episodes(
             slot = checkpoint_ts.index(step_t)
             checkpoint_theta[runs.index, slot] = runs.theta_hat
             checkpoint_v[runs.index, slot] = runs.v_matrix
-        if variant == "oracle":
-            gains = runs.star_gain
-            rejections, fallback = 0, False
-        else:
+        # Oracle runs play the hidden system's gain; the others sample.
+        gains = runs.star_gain.copy()
+        rejections = np.zeros(runs.index.size, dtype=np.int64)
+        fallback = np.zeros(runs.index.size, dtype=bool)
+        learners = np.flatnonzero(~runs.oracle)
+        if learners.size:
 
-            def ladder(j: int) -> Iterable[ThetaParams]:
+            def ladder(k: int) -> Iterable[ThetaParams]:
                 # Before the first update the mean is the prior's own object,
                 # which the ladder solves as it is.
+                j = learners[k]
                 hat = runs.anchor[j] if idx == 0 else ThetaParams.from_stacked(runs.theta_hat[j], n, m)
                 last = ThetaParams.from_stacked(runs.last_accepted[j], n, m) if runs.has_last[j] else None
                 return _fallback_candidates(hat, runs.anchor[j], last)
 
             samples = _sample_batch(
-                runs.v_matrix, runs.theta_hat, beta_t, set_q, costs, runs.rng, max_attempts, ladder
+                runs.v_matrix[learners], runs.theta_hat[learners], beta_t[learners], set_q, costs,
+                runs.rng[learners], max_attempts, ladder,
             )
-            gains, rejections, fallback = samples.gain, samples.rejections, samples.fallback
-            runs.last_accepted[~fallback] = samples.theta[~fallback]
-            runs.has_last |= ~fallback
+            gains[learners] = samples.gain
+            rejections[learners], fallback[learners] = samples.rejections, samples.fallback
+            accepted = learners[~samples.fallback]
+            runs.last_accepted[accepted] = samples.theta[~samples.fallback]
+            runs.has_last[accepted] = True
             if samples.errors:
-                kept = drop(samples.errors)
+                kept = drop({learners[k]: error for k, error in samples.errors.items()})
                 beta_t, gains, rejections, fallback = beta_t[kept], gains[kept], rejections[kept], fallback[kept]
             if not runs.index.size:
                 break
@@ -651,7 +661,7 @@ def run_episodes(
             drop({j: UnstableRollout(message) for j in np.flatnonzero(unstable)})
 
     for j, i in enumerate(runs.index):
-        src_raw, src, star_sol, _ = setups[i]
+        src_raw, src, j_star, _ = setups[i]
         belief = BeliefState(
             v_matrix=runs.v_matrix[j],
             theta_hat=ThetaParams.from_stacked(runs.theta_hat[j], n, m),
@@ -661,7 +671,7 @@ def run_episodes(
             cross_term=runs.cross_term[j],
         )
         results[i] = _episode_result(
-            theta_stars[i], src_raw, src, star_sol.avg_cost, set_q, horizon, checkpoint_ts,
+            theta_stars[i], src_raw, src, j_star, set_q, horizon, checkpoint_ts,
             checkpoint_theta[i], checkpoint_v[i], belief, seeds[i], {name: arr[i] for name, arr in record.items()},
         )
     return results

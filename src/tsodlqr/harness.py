@@ -19,8 +19,8 @@ import numpy as np
 from .config import ExperimentConfig
 from .controller import MultiSourceSummary, delta1_for, delta2_for, no_offline_prior, run_episodes
 from .errors import ConfigError, TsodLqrError
-from .lqr import ThetaParams, q_membership
-from .offline import Assumption2Report, OfflineSummary, check_assumption2, simulate_offline
+from .lqr import ThetaParams, admitted_stack
+from .offline import Assumption2Report, OfflineDataset, OfflineSummary, check_assumption2, collect_offline_batch
 from .rng import RngStream, hash64
 from .sim import sample_theta_delta
 from .svgplot import render_regret_svg
@@ -73,20 +73,33 @@ def clear_outputs(directory: Path, pattern: str) -> None:
             path.unlink()
 
 
-def _resolve_theta_star(cfg: ExperimentConfig, rng: RngStream) -> ThetaParams:
-    """The explicit true system, or theta_sim plus a random offset in the
-    dissimilarity ball, redrawn until it lies in set_q."""
+def _resolve_theta_stars(
+    cfg: ExperimentConfig, rngs: Sequence[RngStream]
+) -> List[Union[ThetaParams, ConfigError]]:
+    """The true system of each run: the explicit one, or theta_sim plus a
+    random offset in the dissimilarity ball drawn from the run's generator,
+    redrawn until it lies in set_q.  Each redraw round screens and solves the
+    offsets of all pending runs at once; a run still pending after the last
+    round gets a ConfigError."""
     if cfg.theta_star_explicit is not None:
-        return cfg.theta_star_explicit
+        return [cfg.theta_star_explicit] * len(rngs)
+    found: List[Union[ThetaParams, ConfigError, None]] = [None] * len(rngs)
+    pending = list(range(len(rngs)))
     for _ in range(_DELTA_RESAMPLE_ATTEMPTS):
-        delta = sample_theta_delta(cfg.m_delta, cfg.n, cfg.m, rng)
-        theta_star = ThetaParams.from_stacked(cfg.theta_sim.stacked + delta.stacked, cfg.n, cfg.m)
-        if q_membership(theta_star, cfg.costs, cfg.set_q) is not None:
-            return theta_star
-    raise ConfigError(
-        "could not draw an admissible true system within the dissimilarity ball; "
-        "check m_delta against set_q"
-    )
+        if not pending:
+            break
+        offsets = [sample_theta_delta(cfg.m_delta, cfg.n, cfg.m, rngs[i]).stacked for i in pending]
+        candidates = np.array([cfg.theta_sim.stacked + offset for offset in offsets])
+        admitted = admitted_stack(candidates, cfg.costs, cfg.set_q)[0]
+        for i, candidate in zip(np.array(pending)[admitted], candidates[admitted]):
+            found[i] = ThetaParams.from_stacked(candidate, cfg.n, cfg.m)
+        pending = [i for i, ok in zip(pending, admitted) if not ok]
+    for i in pending:
+        found[i] = ConfigError(
+            "could not draw an admissible true system within the dissimilarity ball; "
+            "check m_delta against set_q"
+        )
+    return found
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,55 +152,75 @@ class RunFailure:
         }
 
 
-def collect_offline(spec: RunSpec) -> Tuple[OfflineSummary, np.ndarray, np.ndarray]:
-    """The offline dataset of the run: (summary, states, controls)."""
-    cfg = spec.cfg
-    return simulate_offline(
-        cfg.theta_sim,
-        cfg.costs,
-        spec.s_len,
-        cfg.offline,
-        spec.delta1,
-        cfg.m_delta,
-        RngStream(spec.seed, STREAM_OFFLINE),
-    )
+def collect_offline(specs: Sequence[RunSpec]) -> List[Union[OfflineDataset, TsodLqrError]]:
+    """The offline dataset of each run of one config and diagnostics flag,
+    (summary, states, controls), or the error its collection raised.  The
+    runs of each S are collected in lockstep, as one batch."""
+    outcomes: List[Union[OfflineDataset, TsodLqrError, None]] = [None] * len(specs)
+    for s_len in sorted({spec.s_len for spec in specs}):
+        group = [k for k, spec in enumerate(specs) if spec.s_len == s_len]
+        first = specs[group[0]]
+        cfg = first.cfg
+        batch = collect_offline_batch(
+            cfg.theta_sim,
+            cfg.costs,
+            s_len,
+            cfg.offline,
+            first.delta1,
+            cfg.m_delta,
+            [RngStream(specs[k].seed, STREAM_OFFLINE) for k in group],
+        )
+        for k, outcome in zip(group, batch):
+            outcomes[k] = outcome
+    return outcomes
 
 
-def _prepare(spec: RunSpec) -> Tuple[ThetaParams, OfflineSummary, Optional[Assumption2Report]]:
-    """The true system, the prior's summary and the offline-interface report
-    of a run; only the summary of the offline dataset is kept."""
-    cfg = spec.cfg
-    theta_star = _resolve_theta_star(cfg, RngStream(spec.seed, STREAM_DELTA))
-    if spec.variant == "ts_no_offline":
-        summary = no_offline_prior(cfg.n, cfg.m, cfg.offline.regularizer, spec.s_len, spec.delta1)
-        return theta_star, summary, None
-    summary = spec.shared_summary or collect_offline(spec)[0]
-    return theta_star, summary, check_assumption2(summary, cfg.theta_sim, cfg.n, cfg.m)
+def _offline_summaries(specs: Sequence[RunSpec]) -> List[Union[OfflineSummary, TsodLqrError]]:
+    """collect_offline with only the summaries kept, so that no trajectory
+    outlives the call."""
+    return [dataset if isinstance(dataset, TsodLqrError) else dataset[0] for dataset in collect_offline(specs)]
 
 
 def execute_batch(specs: Sequence[RunSpec]) -> List[Union[RunRecord, RunFailure]]:
-    """Run specs of one cell (one config, variant and S), in spec order:
-    offline data for each, then all episodes in lockstep.  A run that raises
-    TsodLqrError becomes a RunFailure, and the others finish unchanged."""
+    """Run specs of one config and diagnostics flag, in spec order, in
+    lockstep: the true systems, the offline data of each S, then all
+    episodes.  A run that raises TsodLqrError becomes a RunFailure, and the
+    others finish unchanged.  Only the summaries of the offline data are
+    kept."""
     outcomes: List[Union[RunRecord, RunFailure, None]] = [None] * len(specs)
-    ready = []
+    cfg = specs[0].cfg
+    theta_stars = _resolve_theta_stars(cfg, [RngStream(spec.seed, STREAM_DELTA) for spec in specs])
+    priors: Dict[int, Union[OfflineSummary, TsodLqrError]] = {}
+    collect = []
     for index, spec in enumerate(specs):
-        try:
-            ready.append((index, spec) + _prepare(spec))
-        except TsodLqrError as exc:
-            outcomes[index] = RunFailure(spec, exc)
+        if isinstance(theta_stars[index], TsodLqrError):
+            outcomes[index] = RunFailure(spec, theta_stars[index])
+        elif spec.variant == "ts_no_offline":
+            priors[index] = no_offline_prior(cfg.n, cfg.m, cfg.offline.regularizer, spec.s_len, spec.delta1)
+        elif spec.shared_summary is not None:
+            priors[index] = spec.shared_summary
+        else:
+            collect.append(index)
+    priors.update(zip(collect, _offline_summaries([specs[index] for index in collect])))
+    ready = []
+    for index in sorted(priors):
+        spec, summary = specs[index], priors[index]
+        if isinstance(summary, TsodLqrError):
+            outcomes[index] = RunFailure(spec, summary)
+            continue
+        report = None if spec.variant == "ts_no_offline" else check_assumption2(summary, cfg.theta_sim, cfg.n, cfg.m)
+        ready.append((index, spec, theta_stars[index], summary, report))
     if not ready:
         return outcomes
-    indices, kept, theta_stars, summaries, reports = zip(*ready)
-    cfg = kept[0].cfg
+    indices, kept, stars, summaries, reports = zip(*ready)
     results = run_episodes(
-        theta_stars,
+        stars,
         [MultiSourceSummary((summary,)) for summary in summaries],
         cfg.costs,
         cfg.set_q,
         cfg.t_horizon,
         kept[0].delta2,
-        kept[0].variant,
+        [spec.variant for spec in kept],
         [RngStream(spec.seed, STREAM_EPISODE) for spec in kept],
         max_attempts=cfg.max_attempts,
         beta_mdelta_scale=cfg.beta_mdelta_scale,
@@ -213,8 +246,9 @@ def execute_single_run(spec: RunSpec) -> RunRecord:
 
 def _cells(specs: Sequence[RunSpec]) -> List[List[RunSpec]]:
     """specs grouped into maximal runs of consecutive specs that share one
-    config, variant, S and diagnostics flag."""
-    cells = itertools.groupby(specs, lambda spec: (id(spec.cfg), spec.variant, spec.s_len, spec.diagnostics))
+    config and diagnostics flag; the variants and S values of a config's
+    experiment share one cell."""
+    cells = itertools.groupby(specs, lambda spec: (id(spec.cfg), spec.diagnostics))
     return [list(cell) for _, cell in cells]
 
 
@@ -275,14 +309,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     clear_outputs(out, r"aggregate\.csv|regret\.svg|failures\.json")
     clear_outputs(runs_dir, r".*_run[0-9]{3,}\.csv")
 
-    # share_offline: every run of a cell reuses run 0's dataset.
+    # share_offline: every run of a (variant, S) cell reuses run 0's dataset.
     shared: Dict[Tuple[str, int], OfflineSummary] = {}
     if cfg.share_offline:
-        for variant in cfg.variants:
-            if variant == "ts_no_offline":
-                continue
-            for s_len in cfg.s_values:
-                shared[(variant, s_len)] = collect_offline(RunSpec(cfg, variant, s_len, 0))[0]
+        firsts = [
+            RunSpec(cfg, variant, s_len, 0)
+            for variant in cfg.variants
+            if variant != "ts_no_offline"
+            for s_len in cfg.s_values
+        ]
+        for spec, summary in zip(firsts, _offline_summaries(firsts)):
+            if isinstance(summary, TsodLqrError):
+                raise summary
+            shared[(spec.variant, spec.s_len)] = summary
 
     specs = [
         RunSpec(cfg, variant, s_len, run_id, shared.get((variant, s_len)))

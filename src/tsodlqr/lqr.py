@@ -8,7 +8,7 @@ share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -336,6 +336,27 @@ def closed_loop_floor(theta: ThetaParams) -> float:
     m >= n, and then costs nothing.
     """
     return float(closed_loop_floors(theta.stacked[None])[0])
+
+
+def admitted_stack(
+    stacked: np.ndarray, costs: CostMatrices, set_q: ConstraintSetQ
+) -> Tuple[np.ndarray, np.ndarray]:
+    """q_membership of every slice of a (K, n+m, n) stack of stacked
+    parameters: whether each slice is admissible, and the (K, m, n) gains,
+    which are meaningful only where it is.  One stacked QR screens the stack,
+    and one stacked Riccati solve takes the slices that pass, so each slice
+    gets the verdict and the bits that it gets alone."""
+    count, n = stacked.shape[0], stacked.shape[-1]
+    admitted = closed_loop_floors(stacked) <= set_q.rho * SCREEN_MARGIN
+    gains = np.zeros((count, stacked.shape[-2] - n, n))
+    if admitted.any():
+        sols = solve_dare_stack(stacked[admitted], costs)
+        ok = (sols.failure == 0) & ~(sols.avg_cost > set_q.m_p)
+        if ok.any():
+            ok[ok] = ~(closed_loop_norms(stacked[admitted][ok], sols.gain[ok]) > set_q.rho)
+        gains[admitted] = sols.gain
+        admitted[admitted] = ok
+    return admitted, gains
 
 
 def _admissible(

@@ -7,12 +7,13 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NonStabilizable, SingularPrecision, UnstableRollout
-from .lqr import ConstraintSetP, CostMatrices, ThetaParams, solve_dare
+from .errors import DimensionMismatch, DomainError, SingularPrecision, UnstableRollout
+# solve_dare stays bound here: perfbench's tracer wraps it in every module that holds it.
+from .lqr import ConstraintSetP, CostMatrices, ThetaParams, solve_dare, solve_dare_stack  # noqa: F401
 from .rng import RngStream
 from .traces import load_csv_rows
 
@@ -129,19 +130,136 @@ def alpha_from_bound(
     return float(self_normalized_radius(n, half_ratio, delta1) + math.sqrt(regularizer) * phi)
 
 
-def _refresh_gain(
-    u: np.ndarray,
-    cross: np.ndarray,
-    n: int,
-    m: int,
-    costs: CostMatrices,
-    previous: np.ndarray,
+def _refresh_gains(
+    u: np.ndarray, cross: np.ndarray, costs: CostMatrices, previous: np.ndarray
 ) -> np.ndarray:
-    theta_hat = ThetaParams.from_stacked(np.linalg.solve(u, cross), n, m)
-    try:
-        return solve_dare(theta_hat, costs).gain
-    except NonStabilizable:
-        return previous
+    """The certainty-equivalence gains of the running estimates of a batch,
+    precisions (R, d, d) and cross terms (R, d, n), from one stacked Riccati
+    solve; a run whose estimate is not stabilizable keeps its previous gain."""
+    theta_hat = np.linalg.solve(u, cross)
+    if not np.isfinite(theta_hat).all():
+        raise ValueError("stacked has non-finite entries")
+    sols = solve_dare_stack(theta_hat, costs)
+    return np.where((sols.failure == 0)[:, None, None], sols.gain, previous)
+
+
+OfflineDataset = Tuple[OfflineSummary, np.ndarray, np.ndarray]
+
+
+def _add_outer(total: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """total (R, p, q) plus the outer products of the rows k of left (R, K, p)
+    and right (R, K, q), added one after another in order of k."""
+    terms = np.empty((total.shape[0], left.shape[1] + 1) + total.shape[1:])
+    terms[:, 0] = total
+    np.multiply(left[:, :, :, None], right[:, :, None, :], out=terms[:, 1:])
+    return np.add.accumulate(terms, axis=1)[:, -1].copy()
+
+
+def collect_offline_batch(
+    theta_sim: ThetaParams,
+    costs: CostMatrices,
+    s_len: int,
+    cfg: OfflineConfig,
+    delta1: float,
+    m_delta: float,
+    rngs: Sequence[RngStream],
+) -> List[Union[OfflineDataset, UnstableRollout]]:
+    """Roll out the auxiliary system for s_len steps once per generator, all
+    runs in lockstep, and accumulate each run's statistics: run i draws from
+    rngs[i] alone, so its result does not depend on the others.
+
+    Each step is one stacked operation over the runs' states (R, n), the Gram
+    stacks (R, d, d) and (R, d, n) take the terms of a window of steps at
+    once, and each gain refresh is one stacked Riccati solve.  The arithmetic
+    is that of a one-run loop over the steps, so each run gets its bits.  A
+    run whose state norm exceeds the ceiling, or is not finite, leaves the
+    batch at that step, and its entry of the result is the UnstableRollout;
+    the other entries are (summary, states, controls), where states has
+    shape (s_len + 1, n) (the last row is the terminal state) and controls
+    has shape (s_len, m).
+    """
+    if s_len < 1:
+        raise ValueError("s_len must be at least 1")
+    n, m = theta_sim.n, theta_sim.m
+    d = n + m
+    count = len(rngs)
+    lam0 = cfg.regularizer
+
+    if cfg.controller_mode == "fixed_gain":
+        gain = np.asarray(cfg.fixed_gain, dtype=np.float64)
+        if gain.shape != (m, n):
+            raise DimensionMismatch(f"fixed_gain must be {(m, n)}, got {gain.shape}")
+        gain = np.repeat(gain[None], count, axis=0)
+    else:
+        # Gain of the zero initial estimate; stabilizing for that estimate.
+        gain = np.zeros((count, m, n))
+    u = np.repeat(lam0 * np.eye(d)[None], count, axis=0)
+    cross = np.zeros((count, d, n))
+    xi = np.zeros((count, n))
+    ab = theta_sim.stacked.T
+    states = np.zeros((count, s_len + 1, n))
+    controls = np.zeros((count, s_len, m))
+    results: List[Union[OfflineDataset, UnstableRollout, None]] = [None] * count
+    live = np.arange(count)
+
+    # The steps run in windows of gain_refresh, with the gains refreshed at
+    # the start of every window but the first.  Each live run draws the
+    # window's noise with one call, which gives the normals that one draw
+    # of m and then one of n per step would give: row k holds the dither
+    # and the process noise of the window's step k.  The Gram terms of a
+    # window's steps are added at its end by one add.accumulate, which adds
+    # them one after another, as step-by-step sums would.  A non-finite
+    # state is caught by the ceiling test at its step, so numpy's warnings
+    # about it are silenced.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, s_len, cfg.gain_refresh):
+            if not live.size:
+                break
+            stop = min(start + cfg.gain_refresh, s_len)
+            if cfg.controller_mode == "ce_dither" and start > 0:
+                gain = _refresh_gains(u, cross, costs, gain)
+            noise = np.empty((live.size, stop - start, m + n))
+            for j, i in enumerate(live):
+                rngs[i].standard_normal(out=noise[j])
+            noise[:, :, :m] *= cfg.dither_std
+            # Row k holds the regressor [xi; v] of the window's step k.
+            window = np.empty((live.size, stop - start, d))
+            for k in range(stop - start):
+                y = np.concatenate([xi, (gain @ xi[:, :, None])[:, :, 0] + noise[:, k, :m]], axis=1)
+                xi = (ab[None] @ y[:, :, None])[:, :, 0] + noise[:, k, m:]
+                window[:, k] = y
+                norms = np.sqrt(np.vecdot(xi, xi))
+                if not norms.max() <= cfg.state_ceiling:  # also true when a state has a NaN or an inf
+                    unstable = ~(norms <= cfg.state_ceiling)
+                    message = f"offline state norm exceeded {cfg.state_ceiling:g} at step {start + k + 1}"
+                    for i in live[unstable]:
+                        results[i] = UnstableRollout(message)
+                    keep = ~unstable
+                    live, gain, u, cross, xi = live[keep], gain[keep], u[keep], cross[keep], xi[keep]
+                    noise, window = noise[keep], window[keep]
+                    if not live.size:
+                        break
+            nexts = np.concatenate([window[:, 1:, :n], xi[:, None]], axis=1)
+            u = _add_outer(u, window, window)
+            cross = _add_outer(cross, window, nexts)
+            states[live, start:stop] = window[:, :, :n]
+            controls[live, start:stop] = window[:, :, n:]
+    states[live, s_len] = xi
+
+    u = 0.5 * (u + u.mT)
+    theta_hat = np.linalg.solve(u, cross)
+    for j, i in enumerate(live):
+        summary = OfflineSummary(
+            u_matrix=u[j],
+            theta_hat_sim=ThetaParams.from_stacked(theta_hat[j], n, m),
+            alpha=alpha_from_bound(u[j], n, delta1, lam0, cfg.set_p.phi),
+            s_len=s_len,
+            m_delta=m_delta,
+            delta1=delta1,
+            regularizer=lam0,
+        )
+        results[i] = (summary, states[i], controls[i])
+    return results
 
 
 def simulate_offline(
@@ -152,67 +270,18 @@ def simulate_offline(
     delta1: float,
     m_delta: float,
     rng: RngStream,
-) -> Tuple[OfflineSummary, np.ndarray, np.ndarray]:
-    """Roll out the auxiliary system for s_len steps and accumulate statistics.
+) -> OfflineDataset:
+    """Roll out the auxiliary system for s_len steps and accumulate statistics:
+    the one-run batch of collect_offline_batch, raising UnstableRollout when
+    the state norm exceeds the ceiling.
 
     Returns (summary, states, controls) where states has shape (s_len + 1, n)
     (the last row is the terminal state) and controls has shape (s_len, m).
     """
-    if s_len < 1:
-        raise ValueError("s_len must be at least 1")
-    n, m = theta_sim.n, theta_sim.m
-    d = n + m
-    lam0 = cfg.regularizer
-
-    u = lam0 * np.eye(d)
-    cross = np.zeros((d, n))
-    if cfg.controller_mode == "fixed_gain":
-        gain = np.asarray(cfg.fixed_gain, dtype=np.float64)
-        if gain.shape != (m, n):
-            raise DimensionMismatch(f"fixed_gain must be {(m, n)}, got {gain.shape}")
-    else:
-        # Gain of the zero initial estimate; stabilizing for that estimate.
-        gain = np.zeros((m, n))
-
-    states = np.zeros((s_len + 1, n))
-    controls = np.zeros((s_len, m))
-    ab = theta_sim.stacked.T
-    # Row s holds step s's dither and process noise, in the order that one
-    # draw of m and then one of n per step would give them.
-    noise = rng.standard_normal((s_len, m + n))
-    dither = cfg.dither_std * noise[:, :m]
-    process = noise[:, m:]
-    xi = np.zeros(n)
-    for s in range(s_len):
-        if cfg.controller_mode == "ce_dither" and s > 0 and s % cfg.gain_refresh == 0:
-            gain = _refresh_gain(u, cross, n, m, costs, gain)
-        v = gain @ xi + dither[s]
-        y = np.concatenate([xi, v])
-        xi_next = ab @ y + process[s]
-        u += np.outer(y, y)
-        cross += np.outer(y, xi_next)
-        states[s] = xi
-        controls[s] = v
-        xi = xi_next
-        if not math.sqrt(xi @ xi) <= cfg.state_ceiling:  # also true when xi has a NaN or an inf
-            raise UnstableRollout(
-                f"offline state norm exceeded {cfg.state_ceiling:g} at step {s + 1}"
-            )
-    states[s_len] = xi
-
-    u = 0.5 * (u + u.T)
-    theta_hat = ThetaParams.from_stacked(np.linalg.solve(u, cross), n, m)
-    alpha = alpha_from_bound(u, n, delta1, lam0, cfg.set_p.phi)
-    summary = OfflineSummary(
-        u_matrix=u,
-        theta_hat_sim=theta_hat,
-        alpha=alpha,
-        s_len=s_len,
-        m_delta=m_delta,
-        delta1=delta1,
-        regularizer=lam0,
-    )
-    return summary, states, controls
+    (result,) = collect_offline_batch(theta_sim, costs, s_len, cfg, delta1, m_delta, [rng])
+    if isinstance(result, UnstableRollout):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -308,7 +377,8 @@ def save_offline(
 def load_offline(basepath) -> Tuple[OfflineSummary, np.ndarray, np.ndarray]:
     """Load a trajectory and summary written by save_offline.  Blank lines
     are skipped; a sidecar key, a header field, a row or a number that is
-    missing, repeated or malformed raises ValueError."""
+    missing, repeated or malformed, or a sidecar whose n and m disagree with
+    the shapes of its matrices, raises ValueError."""
     base = Path(basepath)
     with open(base.with_suffix(".json"), encoding="utf-8") as fh:
         sidecar = json.load(fh)
@@ -316,6 +386,12 @@ def load_offline(basepath) -> Tuple[OfflineSummary, np.ndarray, np.ndarray]:
         if key not in sidecar:
             raise ValueError(f"offline sidecar {base.with_suffix('.json')} lacks the key {key!r}")
     n, m, s_len = sidecar["n"], sidecar["m"], sidecar["s_len"]
+    shapes = {key: np.shape(sidecar[key]) for key in ("theta_hat_a", "theta_hat_b", "u_matrix")}
+    if list(shapes.values()) != [(n, n), (n, m), (n + m, n + m)]:
+        raise ValueError(
+            f"offline sidecar {base.with_suffix('.json')} gives n={n}, m={m}, which do not match "
+            + ", ".join(f"{key} of shape {shape}" for key, shape in shapes.items())
+        )
     summary = OfflineSummary(
         u_matrix=np.array(sidecar["u_matrix"], dtype=np.float64),
         theta_hat_sim=ThetaParams(sidecar["theta_hat_a"], sidecar["theta_hat_b"]),

@@ -27,6 +27,7 @@ from tsodlqr import (
 )
 from tsodlqr.config import build_experiment_config, load_experiment_config
 from tsodlqr.harness import binomial_lower_test, run_diagnostics, run_experiment
+from tsodlqr.offline import collect_offline_batch
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -247,10 +248,11 @@ def test_criterion_7_offline_interface(theta_sim, costs32, set_p):
     lam_ok = 0
     covered = 0
     n_runs = 200
-    for seed in range(n_runs):
-        summary, _, _ = simulate_offline(
-            theta_sim, costs32, s_len, cfg, delta1, 0.15, RngStream(seed, 0)
-        )
+    # One lockstep batch; each run gets the dataset simulate_offline gives it.
+    datasets = collect_offline_batch(
+        theta_sim, costs32, s_len, cfg, delta1, 0.15, [RngStream(seed, 0) for seed in range(n_runs)]
+    )
+    for seed, (summary, _, _) in enumerate(datasets):
         rep = check_assumption2(summary, theta_sim, 3, 2)
         if seed < 10 and rep.lambda_ok:
             lam_ok += 1

@@ -229,7 +229,7 @@ class TestSampleConstrained:
             return np.full(len(stacked), np.inf)
 
         # The draws go through the block screen, the ladder through q_membership.
-        monkeypatch.setattr("tsodlqr.controller.closed_loop_floors", screen_out)
+        monkeypatch.setattr("tsodlqr.lqr.closed_loop_floors", screen_out)
         monkeypatch.setattr("tsodlqr.controller.q_membership", reject)
         with pytest.raises(NonStabilizable, match="no admissible fallback"):
             sample_constrained(
@@ -772,3 +772,60 @@ class TestLockstep:
             assert np.trace(p) <= set_q.m_p * (1.0 + 1e-8)
             assert np.linalg.norm(a + b @ k, 2) <= set_q.rho + 1e-8
             assert np.linalg.norm(gain - k) <= 1e-6 * max(1.0, float(np.linalg.norm(k)))
+
+
+class TestMixedLockstep:
+    """A batch may mix variants and priors of several S; each run still gets
+    what the batch of its own (variant, S) cell gives it."""
+
+    SEEDS = (42, 7, 99)
+
+    @pytest.fixture(scope="class")
+    def priors(self, theta_sim, costs32, offline_cfg):
+        return {
+            (s_len, seed): simulate_offline(
+                theta_sim, costs32, s_len, offline_cfg, delta1_for(0.1, s_len, 60), 0.15, RngStream(seed, 0)
+            )[0]
+            for s_len in (150, 250)
+            for seed in self.SEEDS
+        }
+
+    def test_mixed_batch_equals_its_cells(self, priors, theta_star, costs32, set_q):
+        cells = [
+            (variant, s_len)
+            for variant in ("tsod", "ts_no_offline", "offline_estimate_only", "oracle")
+            for s_len in (150, 250)
+        ]
+        runs = [(variant, s_len, seed) for variant, s_len in cells for seed in self.SEEDS]
+        args = (costs32, set_q, 60, delta2_for(0.1, 60))
+        batch_rngs = [RngStream(seed, 1) for _, _, seed in runs]
+        batch = run_episodes(
+            [theta_star] * len(runs), [priors[(s_len, seed)] for _, s_len, seed in runs], *args,
+            [variant for variant, _, _ in runs], batch_rngs, max_attempts=20, seeds=[seed for _, _, seed in runs],
+        )
+        bits = TestLockstep.bits
+        for variant, s_len in cells:
+            cell_rngs = [RngStream(seed, 1) for seed in self.SEEDS]
+            alone = run_episodes(
+                [theta_star] * len(self.SEEDS), [priors[(s_len, seed)] for seed in self.SEEDS], *args, variant,
+                cell_rngs, max_attempts=20, seeds=list(self.SEEDS),
+            )
+            for seed, expected, rng in zip(self.SEEDS, alone, cell_rngs):
+                k = runs.index((variant, s_len, seed))
+                got = batch[k]
+                for name in ("t", "cost", "instant_regret", "cum_regret", "beta", "rejections", "state_norm"):
+                    assert bits(getattr(got.trace, name)) == bits(getattr(expected.trace, name)), (k, name)
+                assert (got.trace.j_star, got.trace.seed) == (expected.trace.j_star, expected.trace.seed)
+                assert [tuple(map(bits, vars(c).values())) for c in got.diagnostics.checkpoints] == [
+                    tuple(map(bits, vars(c).values())) for c in expected.diagnostics.checkpoints
+                ]
+                for name in vars(expected.diagnostics):
+                    if name != "checkpoints":
+                        assert bits(getattr(got.diagnostics, name)) == bits(getattr(expected.diagnostics, name))
+                for name in ("v_matrix", "cross_term", "logdet_v", "info_sum", "logdet_u"):
+                    assert bits(getattr(got.belief, name)) == bits(getattr(expected.belief, name)), (k, name)
+                assert batch_rngs[k].bit_generator.state == rng.bit_generator.state, k
+        # The oracle draws only its process noise; the learners also sample.
+        oracle = runs.index(("oracle", 150, 42))
+        assert batch[oracle].trace.rejections.sum() == 0
+        assert batch[runs.index(("ts_no_offline", 150, 42))].trace.rejections.sum() > 0

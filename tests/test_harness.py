@@ -170,7 +170,7 @@ class TestRunExperiment:
         assert len(result.runs) == 2
         for record in result.runs:
             seed = RunSpec(cfg, "tsod", 250, record.run_id).seed
-            theta = harness._resolve_theta_star(cfg, RngStream(seed, harness.STREAM_DELTA))
+            (theta,) = harness._resolve_theta_stars(cfg, [RngStream(seed, harness.STREAM_DELTA)])
             assert np.linalg.norm(theta.stacked - cfg.theta_sim.stacked) <= 0.1 * (1.0 + 1e-12)
             assert q_membership(theta, cfg.costs, cfg.set_q) is not None
             assert record.trace.j_star == solve_dare(theta, cfg.costs).avg_cost
@@ -330,6 +330,73 @@ class TestLockstepCells:
         assert written == [f"tsod_run{i:03d}.csv" for i in range(3) if i != worst]
         for name in written:
             assert (out / "runs" / name).read_bytes() == (tmp_path / "clean" / "runs" / name).read_bytes()
+
+
+class TestExperimentBatch:
+    """An experiment runs as one lockstep batch, and each run of it gets the
+    bits that the batch of its own (variant, S) cell gives it."""
+
+    VARIANTS = ["tsod", "ts_no_offline", "offline_estimate_only", "oracle"]
+
+    @staticmethod
+    def recorded_streams(monkeypatch):
+        """Make the harness record every generator it creates, by (seed, stream)."""
+        streams = {}
+
+        def record(seed, stream_id):
+            rng = RngStream(seed, stream_id)
+            streams[(seed, stream_id)] = rng
+            return rng
+
+        monkeypatch.setattr(harness, "RngStream", record)
+        return streams
+
+    def test_mixed_batch_equals_its_cells(self, monkeypatch):
+        # theta* is drawn, so the batch also redraws offsets in rounds, and
+        # a low ceiling fails some runs.
+        cfg = tiny_config(
+            variants=self.VARIANTS, s_len=[150, 250], num_runs=3, t_horizon=40,
+            a_star=None, b_star=None, sample_delta=True, m_delta=0.1, state_ceiling=8.0,
+        )
+        specs = [
+            RunSpec(cfg, variant, s_len, run_id)
+            for variant in cfg.variants for s_len in cfg.s_values for run_id in range(cfg.num_runs)
+        ]
+        streams = self.recorded_streams(monkeypatch)
+        batch = harness.execute_batch(specs)
+        batch_states = {key: rng.bit_generator.state for key, rng in streams.items()}
+        streams.clear()
+        cells = [harness.execute_batch(specs[k : k + 3]) for k in range(0, len(specs), 3)]
+        assert {key: rng.bit_generator.state for key, rng in streams.items()} == batch_states
+        assert len(batch_states) == 3 * len(specs) - 2 * 3  # ts_no_offline collects no offline data
+        failures = 0
+        for got, expected in zip(batch, [o for cell in cells for o in cell]):
+            assert type(got) is type(expected)
+            if isinstance(got, harness.RunFailure):
+                failures += 1
+                assert got.as_json() == expected.as_json()
+                continue
+            assert (got.variant, got.s_len, got.run_id) == (expected.variant, expected.s_len, expected.run_id)
+            for name in ("t", "cost", "instant_regret", "cum_regret", "beta", "rejections", "state_norm"):
+                assert getattr(got.trace, name).tobytes() == getattr(expected.trace, name).tobytes()
+            assert (got.trace.j_star, got.trace.seed) == (expected.trace.j_star, expected.trace.seed)
+            # repr round-trips every float, so equal reprs mean equal bits.
+            assert repr(got.diagnostics) == repr(expected.diagnostics)
+            assert repr(got.assumption2) == repr(expected.assumption2)
+        assert 0 < failures < len(specs)
+
+    def test_an_experiment_is_one_batch(self, tmp_path, monkeypatch):
+        batches = []
+        real_batch = harness.execute_batch
+
+        def record(specs):
+            batches.append([(spec.variant, spec.s_len) for spec in specs])
+            return real_batch(specs)
+
+        monkeypatch.setattr(harness, "execute_batch", record)
+        cfg = tiny_config(variants=self.VARIANTS, s_len=[150, 250], num_runs=2, t_horizon=10)
+        run_experiment(cfg, out_dir=tmp_path)
+        assert batches == [[(v, s) for v in self.VARIANTS for s in (150, 250) for _ in range(2)]]
 
 
 class TestSeedPlan:

@@ -1,12 +1,15 @@
 import json
 import math
 import pickle
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from tsodlqr import (
     DomainError,
+    NonStabilizable,
     OfflineConfig,
     RngStream,
     ThetaParams,
@@ -18,7 +21,8 @@ from tsodlqr import (
     simulate_offline,
     solve_dare,
 )
-from tsodlqr.offline import _refresh_gain
+import tsodlqr.offline as offline
+from tsodlqr.offline import _refresh_gains, collect_offline_batch
 
 
 def batch_least_squares(states, controls, regularizer):
@@ -125,23 +129,166 @@ class TestSimulateOffline:
         gain = np.zeros((2, 3))
         gain[0, 0] = bad
         cfg = OfflineConfig(set_p=set_p, controller_mode="fixed_gain", fixed_gain=gain)
-        with pytest.raises(UnstableRollout, match=r"offline state norm exceeded 1e\+06 at step 1$"):
-            simulate_offline(theta_sim, costs32, 200, cfg, 0.1, 0.15, RngStream(4, 0))
+        # No numpy warning about the non-finite state escapes the collector.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnstableRollout, match=r"offline state norm exceeded 1e\+06 at step 1$"):
+                simulate_offline(theta_sim, costs32, 200, cfg, 0.1, 0.15, RngStream(4, 0))
 
 
 class TestRefreshGain:
     def test_stabilizable_estimate_gives_its_gain(self, theta_star, costs32):
-        previous = np.ones((2, 3))
+        previous = np.ones((1, 2, 3))
         # With U = I the running estimate is the cross term itself.
-        gain = _refresh_gain(np.eye(5), theta_star.stacked, 3, 2, costs32, previous)
-        assert np.array_equal(gain, solve_dare(theta_star, costs32).gain)
+        gain = _refresh_gains(np.eye(5)[None], theta_star.stacked[None], costs32, previous)
+        assert np.array_equal(gain[0], solve_dare(theta_star, costs32).gain)
 
-    def test_non_stabilizable_estimate_keeps_previous_gain(self, costs32):
-        previous = np.ones((2, 3))
+    def test_non_stabilizable_estimate_keeps_previous_gain(self, theta_star, costs32):
+        previous = np.stack([np.ones((2, 3)), 2.0 * np.ones((2, 3))])
         unstable = ThetaParams(2.0 * np.eye(3), np.zeros((3, 2)))
-        gain = _refresh_gain(np.eye(5), unstable.stacked, 3, 2, costs32, previous)
-        assert gain is previous
+        cross = np.stack([unstable.stacked, theta_star.stacked])
+        gain = _refresh_gains(np.stack([np.eye(5)] * 2), cross, costs32, previous)
+        assert np.array_equal(gain[0], previous[0])
+        assert np.array_equal(gain[1], solve_dare(theta_star, costs32).gain)
 
+
+def serial_reference(theta_sim, costs, s_len, cfg, delta1, m_delta, rng):
+    """The one-run collector loop, step by step with 2-D products: the
+    reference that the lockstep collector must match bit for bit."""
+    n, m = theta_sim.n, theta_sim.m
+    u = cfg.regularizer * np.eye(n + m)
+    cross = np.zeros((n + m, n))
+    gain = np.asarray(cfg.fixed_gain, dtype=np.float64) if cfg.controller_mode == "fixed_gain" else np.zeros((m, n))
+    states, controls = np.zeros((s_len + 1, n)), np.zeros((s_len, m))
+    ab = theta_sim.stacked.T
+    noise = rng.standard_normal((s_len, m + n))
+    dither, process = cfg.dither_std * noise[:, :m], noise[:, m:]
+    xi = np.zeros(n)
+    for s in range(s_len):
+        if cfg.controller_mode == "ce_dither" and s > 0 and s % cfg.gain_refresh == 0:
+            estimate = ThetaParams.from_stacked(np.linalg.solve(u, cross), n, m)
+            try:
+                gain = solve_dare(estimate, costs).gain
+            except NonStabilizable:
+                pass
+        v = gain @ xi + dither[s]
+        y = np.concatenate([xi, v])
+        xi_next = ab @ y + process[s]
+        u += np.outer(y, y)
+        cross += np.outer(y, xi_next)
+        states[s], controls[s] = xi, v
+        xi = xi_next
+        if not math.sqrt(xi @ xi) <= cfg.state_ceiling:
+            raise UnstableRollout(f"offline state norm exceeded {cfg.state_ceiling:g} at step {s + 1}")
+    states[s_len] = xi
+    u = 0.5 * (u + u.T)
+    theta_hat = np.linalg.solve(u, cross)
+    return u, theta_hat, alpha_from_bound(u, n, delta1, cfg.regularizer, cfg.set_p.phi), states, controls
+
+
+class TestLockstepCollector:
+    """collect_offline_batch rolls its runs out together, and each run gets
+    the bits that the serial loop and the one-run batch, simulate_offline,
+    give it: states, controls, U, theta-hat and alpha, and the generator
+    left in the same state."""
+
+    SEEDS = (3, 14, 15, 92, 65, 35)
+
+    @staticmethod
+    def assert_same_dataset(got, summary, states, controls):
+        assert got[0].u_matrix.tobytes() == summary.u_matrix.tobytes()
+        assert got[0].theta_hat_sim.stacked.tobytes() == summary.theta_hat_sim.stacked.tobytes()
+        assert got[0].alpha.hex() == summary.alpha.hex()
+        assert got[1].tobytes() == states.tobytes() and got[2].tobytes() == controls.tobytes()
+
+    def check_batch(self, theta_sim, costs, s_len, cfg):
+        """Collect SEEDS as one batch and compare every run with the serial
+        reference and with simulate_offline; returns the batch's entries."""
+        batch_rngs = [RngStream(seed, 0) for seed in self.SEEDS]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = collect_offline_batch(theta_sim, costs, s_len, cfg, 0.01, 0.15, batch_rngs)
+        for seed, got, rng in zip(self.SEEDS, batch, batch_rngs):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    reference = serial_reference(theta_sim, costs, s_len, cfg, 0.01, 0.15, RngStream(seed, 0))
+                except UnstableRollout as exc:
+                    reference = exc
+            if isinstance(reference, UnstableRollout):
+                assert isinstance(got, UnstableRollout) and str(got) == str(reference), seed
+                with pytest.raises(UnstableRollout, match=re.escape(str(reference))):
+                    simulate_offline(theta_sim, costs, s_len, cfg, 0.01, 0.15, RngStream(seed, 0))
+                continue
+            u, theta_hat, alpha, states, controls = reference
+            assert got[0].u_matrix.tobytes() == u.tobytes(), seed
+            assert got[0].theta_hat_sim.stacked.tobytes() == theta_hat.tobytes(), seed
+            assert got[0].alpha.hex() == alpha.hex(), seed
+            assert got[1].tobytes() == states.tobytes() and got[2].tobytes() == controls.tobytes(), seed
+            alone_rng = RngStream(seed, 0)
+            self.assert_same_dataset(
+                got, *simulate_offline(theta_sim, costs, s_len, cfg, 0.01, 0.15, alone_rng)
+            )
+            assert rng.bit_generator.state == alone_rng.bit_generator.state
+        return batch
+
+    @pytest.mark.parametrize("mode", ["ce_dither", "fixed_gain"])
+    def test_batch_equals_serial_runs(self, theta_sim, costs32, set_p, mode):
+        # 230 steps: four refreshes and a last window of 30 steps.
+        fixed = np.array([[-0.3, 0.1, 0.0], [0.0, -0.2, 0.1]])
+        cfg = OfflineConfig(set_p=set_p, controller_mode=mode, fixed_gain=fixed)
+        batch = self.check_batch(theta_sim, costs32, 230, cfg)
+        assert all(isinstance(entry, tuple) for entry in batch)
+
+    def test_runs_past_the_ceiling_leave_the_batch(self, theta_sim, costs32, set_p):
+        # A ceiling between the runs' peak state norms fails some of them.
+        cfg = OfflineConfig(set_p=set_p)
+        peaks = sorted(
+            float(np.sqrt((simulate_offline(theta_sim, costs32, 230, cfg, 0.01, 0.15, RngStream(seed, 0))[1] ** 2)
+                          .sum(axis=1)).max())
+            for seed in self.SEEDS
+        )
+        ceiling = 0.5 * (peaks[2] + peaks[3])
+        batch = self.check_batch(theta_sim, costs32, 230, OfflineConfig(set_p=set_p, state_ceiling=ceiling))
+        assert sum(isinstance(entry, UnstableRollout) for entry in batch) == 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_run_leaves_the_batch_without_a_warning(self, theta_sim, costs32, offline_cfg, bad):
+        class PoisonedStream(RngStream):
+            """Its first normal, the dither of step 1, is `bad`."""
+
+            def standard_normal(self, *args, out, **kwargs):
+                super().standard_normal(*args, out=out, **kwargs)
+                out.flat[0] = bad
+
+        rngs = [RngStream(self.SEEDS[0], 0), PoisonedStream(self.SEEDS[1], 0), RngStream(self.SEEDS[2], 0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = collect_offline_batch(theta_sim, costs32, 120, offline_cfg, 0.01, 0.15, rngs)
+        assert isinstance(batch[1], UnstableRollout)
+        assert str(batch[1]) == "offline state norm exceeded 1e+06 at step 1"
+        for j in (0, 2):
+            alone = simulate_offline(theta_sim, costs32, 120, offline_cfg, 0.01, 0.15, RngStream(self.SEEDS[j], 0))
+            self.assert_same_dataset(batch[j], *alone)
+
+    def test_failed_refresh_keeps_the_previous_gain(self, costs32, set_p, monkeypatch):
+        # The first state is unstable and no input reaches it, so every
+        # estimate of this system is far from stabilizable; with refreshes
+        # every 10 steps and a loose ceiling some refreshes fail.
+        theta = ThetaParams(np.diag([1.05, 0.5, 0.3]), np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        failures = []
+        real_solve = offline.solve_dare_stack
+
+        def record(stacked, costs):
+            sols = real_solve(stacked, costs)
+            failures.extend(sols.failure.tolist())
+            return sols
+
+        monkeypatch.setattr(offline, "solve_dare_stack", record)
+        cfg = OfflineConfig(set_p=set_p, gain_refresh=10, state_ceiling=1e12)
+        batch = self.check_batch(theta, costs32, 120, cfg)
+        assert all(isinstance(entry, tuple) for entry in batch)
+        assert 0 < sum(code != 0 for code in failures) < len(failures), failures
 
 class TestCheckAssumption2:
     def test_boundary_lambda(self, theta_sim):
@@ -253,7 +400,7 @@ class TestSerialization:
         "header_only": lambda lines: lines[:1],
     }
 
-    @pytest.mark.parametrize("edit", [*TRAJECTORY_EDITS, "sidecar_key"])
+    @pytest.mark.parametrize("edit", [*TRAJECTORY_EDITS, "sidecar_key", "sidecar_dims"])
     def test_incomplete_trajectory_raises(self, tmp_path, theta_sim, costs32, offline_cfg, edit, recwarn):
         summary, states, controls = simulate_offline(
             theta_sim, costs32, 100, offline_cfg, 0.1, 0.15, RngStream(8, 0)
@@ -265,6 +412,15 @@ class TestSerialization:
             sidecar = json.loads(path.read_text())
             del sidecar["delta1"]
             path.write_text(json.dumps(sidecar))
+        elif edit == "sidecar_dims":
+            # n and m swapped, with a CSV header that matches them.
+            path, match = base.with_suffix(".json"), r"offline_s100.json gives n=2, m=3, which do not match"
+            sidecar = json.loads(path.read_text())
+            sidecar["n"], sidecar["m"] = 2, 3
+            path.write_text(json.dumps(sidecar))
+            csv_path = base.with_suffix(".csv")
+            lines = csv_path.read_text().splitlines(keepends=True)
+            csv_path.write_text("".join(["s,xi1,xi2,v1,v2,v3\n"] + lines[1:]))
         else:
             path, match = base.with_suffix(".csv"), "trajectory CSV"
             path.write_text("".join(self.TRAJECTORY_EDITS[edit](path.read_text().splitlines(keepends=True))))

@@ -17,7 +17,14 @@ sides, the ratio of the medians (`change_over_parent`) and the number of
 pairs the change won (`change_wins`), then every pair's full perfbench
 record, the traced per-layer figures, the environment, and the lines the
 change adds to and removes from `src/` against the parent (`git diff
---numstat REF -- src`, over tracked and staged files). Only the standard
+--numstat REF -- src`, over tracked and staged files).
+
+perfbench's `fig1` workload runs the `tsod` variant alone, so the result
+also holds the north-star numbers under `north_star`: for each of
+`configs/paper_fig1.cfg` and `configs/paper_fig2.cfg`, NORTH_STAR_PAIRS
+alternating pairs of `tsodlqr run --set workers=1`, each run in a fresh
+process, with the wall time of every run, the medians of both sides, and
+whether each pair's output trees have equal digests. Only the standard
 library is used.
 """
 
@@ -32,6 +39,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +48,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's workload names and seeds)
 
 PAIRS = 10
+NORTH_STAR_PAIRS = 3
+NORTH_STAR_CONFIGS = ("paper_fig1", "paper_fig2")
 COMMAND = "python3 perfbench/run.py --workload {workload} --seed {seed} --seconds {seconds:g} --trace {trace}"
 
 
@@ -62,6 +72,52 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
         raise RuntimeError(f"{' '.join(command)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     record = tree / "perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
     return json.loads(record.read_text(encoding="utf-8"))
+
+
+def run_cli(tree: Path, config: str, out: Path) -> float:
+    """Wall seconds of one `tsodlqr run` of configs/<config>.cfg in `tree`,
+    serial and at one BLAS thread, in a fresh process that imports the
+    package from `tree`."""
+    command = [sys.executable, "-m", "tsodlqr.cli", "run", "--config", f"configs/{config}.cfg"]
+    command += ["--set", "workers=1", "--out", str(out)]
+    # One BLAS thread, as perfbench runs its workloads.
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    proc = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(command)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return wall
+
+
+def north_star_pairs(trees: dict, scratch: Path) -> dict:
+    """Alternating serial pairs of `tsodlqr run` on the north-star configs."""
+    result = {"command": "python3 -m tsodlqr.cli run --config configs/CONFIG.cfg --set workers=1 --out DIR"}
+    for config in NORTH_STAR_CONFIGS:
+        pairs = []
+        for i in range(1, NORTH_STAR_PAIRS + 1):
+            order = ("parent", "change") if i % 2 else ("change", "parent")
+            pair = {"pair": i, "first": order[0]}
+            for side in order:
+                pair[f"{side}_wall_s"] = run_cli(trees[side], config, scratch / f"{config}_{side}_{i}")
+            pair["same_digest"] = workloads.digest_tree(scratch / f"{config}_parent_{i}") == workloads.digest_tree(
+                scratch / f"{config}_change_{i}"
+            )
+            pairs.append(pair)
+            print(f"{config} pair {i}: " + ", ".join(
+                f"{side} wall_s {pair[f'{side}_wall_s']:.3f}" for side in order
+            ) + f", same digest {pair['same_digest']}", file=sys.stderr, flush=True)
+        parent = statistics.median(p["parent_wall_s"] for p in pairs)
+        change = statistics.median(p["change_wall_s"] for p in pairs)
+        result[config] = {
+            "parent_median_wall_s": parent,
+            "change_median_wall_s": change,
+            "change_over_parent": change / parent,
+            "change_wins": sum(p["change_wall_s"] < p["parent_wall_s"] for p in pairs),
+            "all_same_digest": all(p["same_digest"] for p in pairs),
+            "pairs": pairs,
+        }
+    return result
 
 
 def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
@@ -168,6 +224,7 @@ def main(argv=None) -> int:
                 metrics = run_bench(trees[side], workload, seed, seconds, 1)["metrics"]
                 traced[side] = {name: metric["value"] for name, metric in metrics.items()}
             out[f"traced_{workload}_seed{seed}"] = traced
+        out["north_star"] = north_star_pairs(trees, Path(tmp))
     out["environment"] = out["workloads"][0]["pairs"][0]["change"]["environment"]
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
