@@ -79,14 +79,13 @@ def _cmd_offline(cfg, out_dir) -> int:
     out = Path(out_dir) / "offline"
     out.mkdir(parents=True, exist_ok=True)
     clear_outputs(out, r"s[0-9]+_run[0-9]{3,}\.(csv|json)")
-    for s_len in cfg.s_values:
-        # The datasets that the runs of the tsod variant collect.
-        specs = [RunSpec(cfg, "tsod", s_len, run_id) for run_id in range(cfg.num_runs)]
-        for spec, dataset in zip(specs, collect_offline(specs)):
-            if isinstance(dataset, TsodLqrError):
-                raise dataset
-            save_offline(out / f"s{s_len}_run{spec.run_id:03d}", *dataset)
-            logger.info("wrote offline dataset S=%d run=%d", s_len, spec.run_id)
+    # The datasets that the runs of the tsod variant collect.
+    specs = [RunSpec(cfg, "tsod", s_len, run_id) for s_len in cfg.s_values for run_id in range(cfg.num_runs)]
+    for spec, dataset in zip(specs, collect_offline(specs)):
+        if isinstance(dataset, TsodLqrError):
+            raise dataset
+        save_offline(out / f"s{spec.s_len}_run{spec.run_id:03d}", *dataset)
+        logger.info("wrote offline dataset S=%d run=%d", spec.s_len, spec.run_id)
     print(f"offline datasets written to {out}")
     return EXIT_OK
 

@@ -282,14 +282,14 @@ def _sample_batch(
         blocks = mean_p[:, None] + beta_p[:, None, None, None] * (inv_half[:, None] @ normals)
         if not np.isfinite(blocks).all():
             raise ValueError("sampled parameter has non-finite entries")
-        admitted, gains = admitted_stack(blocks.reshape(-1, d, n), costs, set_q)
+        admitted, sols = admitted_stack(blocks.reshape(-1, d, n), costs, set_q.m_p, set_q.rho)
         admitted = admitted.reshape(pending.size, size)
         first = admitted.argmax(axis=1)
         found = admitted[np.arange(pending.size), first]
         for j in np.flatnonzero(found):
             i, k = pending[j], int(first[j])
             samples.theta[i] = blocks[j, k]
-            samples.gain[i] = gains[j * size + k]
+            samples.gain[i] = sols.gain[j * size + k]
             samples.rejections[i] = drawn + k
             if k + 1 < size:
                 # Leave the stream where one draw per tested candidate leaves it.

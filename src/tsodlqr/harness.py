@@ -90,7 +90,7 @@ def _resolve_theta_stars(
             break
         offsets = [sample_theta_delta(cfg.m_delta, cfg.n, cfg.m, rngs[i]).stacked for i in pending]
         candidates = np.array([cfg.theta_sim.stacked + offset for offset in offsets])
-        admitted = admitted_stack(candidates, cfg.costs, cfg.set_q)[0]
+        admitted = admitted_stack(candidates, cfg.costs, cfg.set_q.m_p, cfg.set_q.rho)[0]
         for i, candidate in zip(np.array(pending)[admitted], candidates[admitted]):
             found[i] = ThetaParams.from_stacked(candidate, cfg.n, cfg.m)
         pending = [i for i, ok in zip(pending, admitted) if not ok]
@@ -105,13 +105,14 @@ def _resolve_theta_stars(
 @dataclass(frozen=True, eq=False)
 class RunSpec:
     """One (variant, S, run_id) run of a config: everything that decides its
-    seed, its offline dataset and its prior."""
+    seed, its offline dataset and its prior.  With share_offline, the run
+    uses the offline dataset of run 0 of its (variant, S) cell."""
 
     cfg: ExperimentConfig
     variant: str
     s_len: int
     run_id: int
-    shared_summary: Optional[OfflineSummary] = None
+    share_offline: bool = False
     diagnostics: bool = False
 
     @property
@@ -120,6 +121,12 @@ class RunSpec:
         is keyed by this one seed; diagnostics runs tag their variant `diag:`."""
         tag = "diag:" if self.diagnostics else ""
         return hash64(self.cfg.base_seed, tag + self.variant, self.run_id, self.s_len)
+
+    @property
+    def offline_seed(self) -> int:
+        """The seed whose offline stream collects the run's dataset; the seed
+        includes S, so it names the dataset."""
+        return replace(self, run_id=0).seed if self.share_offline else self.seed
 
     @property
     def delta1(self) -> float:
@@ -154,31 +161,25 @@ class RunFailure:
 
 def collect_offline(specs: Sequence[RunSpec]) -> List[Union[OfflineDataset, TsodLqrError]]:
     """The offline dataset of each run of one config and diagnostics flag,
-    (summary, states, controls), or the error its collection raised.  The
-    runs of each S are collected in lockstep, as one batch."""
-    outcomes: List[Union[OfflineDataset, TsodLqrError, None]] = [None] * len(specs)
+    (summary, states, controls), or the error its collection raised.  Each
+    distinct offline seed is collected once, and those of each S in
+    lockstep, as one batch."""
+    datasets: Dict[int, Union[OfflineDataset, TsodLqrError]] = {}
     for s_len in sorted({spec.s_len for spec in specs}):
-        group = [k for k, spec in enumerate(specs) if spec.s_len == s_len]
-        first = specs[group[0]]
-        cfg = first.cfg
+        group = [spec for spec in specs if spec.s_len == s_len]
+        seeds = list(dict.fromkeys(spec.offline_seed for spec in group))
+        cfg = group[0].cfg
         batch = collect_offline_batch(
             cfg.theta_sim,
             cfg.costs,
             s_len,
             cfg.offline,
-            first.delta1,
+            group[0].delta1,
             cfg.m_delta,
-            [RngStream(specs[k].seed, STREAM_OFFLINE) for k in group],
+            [RngStream(seed, STREAM_OFFLINE) for seed in seeds],
         )
-        for k, outcome in zip(group, batch):
-            outcomes[k] = outcome
-    return outcomes
-
-
-def _offline_summaries(specs: Sequence[RunSpec]) -> List[Union[OfflineSummary, TsodLqrError]]:
-    """collect_offline with only the summaries kept, so that no trajectory
-    outlives the call."""
-    return [dataset if isinstance(dataset, TsodLqrError) else dataset[0] for dataset in collect_offline(specs)]
+        datasets.update(zip(seeds, batch))
+    return [datasets[spec.offline_seed] for spec in specs]
 
 
 def execute_batch(specs: Sequence[RunSpec]) -> List[Union[RunRecord, RunFailure]]:
@@ -197,11 +198,13 @@ def execute_batch(specs: Sequence[RunSpec]) -> List[Union[RunRecord, RunFailure]
             outcomes[index] = RunFailure(spec, theta_stars[index])
         elif spec.variant == "ts_no_offline":
             priors[index] = no_offline_prior(cfg.n, cfg.m, cfg.offline.regularizer, spec.s_len, spec.delta1)
-        elif spec.shared_summary is not None:
-            priors[index] = spec.shared_summary
         else:
             collect.append(index)
-    priors.update(zip(collect, _offline_summaries([specs[index] for index in collect])))
+    # Only the summaries are kept, so that no trajectory outlives this statement.
+    priors.update(
+        (index, dataset if isinstance(dataset, TsodLqrError) else dataset[0])
+        for index, dataset in zip(collect, collect_offline([specs[k] for k in collect]))
+    )
     ready = []
     for index in sorted(priors):
         spec, summary = specs[index], priors[index]
@@ -309,22 +312,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     clear_outputs(out, r"aggregate\.csv|regret\.svg|failures\.json")
     clear_outputs(runs_dir, r".*_run[0-9]{3,}\.csv")
 
-    # share_offline: every run of a (variant, S) cell reuses run 0's dataset.
-    shared: Dict[Tuple[str, int], OfflineSummary] = {}
-    if cfg.share_offline:
-        firsts = [
-            RunSpec(cfg, variant, s_len, 0)
-            for variant in cfg.variants
-            if variant != "ts_no_offline"
-            for s_len in cfg.s_values
-        ]
-        for spec, summary in zip(firsts, _offline_summaries(firsts)):
-            if isinstance(summary, TsodLqrError):
-                raise summary
-            shared[(spec.variant, spec.s_len)] = summary
-
     specs = [
-        RunSpec(cfg, variant, s_len, run_id, shared.get((variant, s_len)))
+        RunSpec(cfg, variant, s_len, run_id, share_offline=cfg.share_offline)
         for variant in cfg.variants
         for s_len in cfg.s_values
         for run_id in range(cfg.num_runs)
@@ -531,15 +520,7 @@ def scaling_study(
         cell = records[index * cfg.num_runs : (index + 1) * cfg.num_runs]
         finals = np.asarray([rec.trace.final_cum_regret for rec in cell])
         std = float(finals.std(ddof=1)) if len(finals) > 1 else 0.0
-        cells.append(
-            ScalingCell(
-                s_len=s_len,
-                t_horizon=t_horizon,
-                mean_final_regret=float(finals.mean()),
-                std_final_regret=std,
-                n_runs=cfg.num_runs,
-            )
-        )
+        cells.append(ScalingCell(s_len, t_horizon, float(finals.mean()), std, cfg.num_runs))
     usable = [c for c in cells if c.mean_final_regret > 0]
     slope = None
     if len(usable) >= 2:
@@ -549,13 +530,9 @@ def scaling_study(
             slope = float(np.polyfit(x, y, 1)[0])
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    table = [(c.s_len, c.t_horizon, c.mean_final_regret, c.std_final_regret, c.n_runs) for c in cells]
+    footer = "" if slope is None else f"# fitted log-log slope of regret vs T/S: {slope:.17g}"
     with open(out / "scaling.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write("s,t,mean_final_regret,std_final_regret,n_runs\n")
-        for c in cells:
-            fh.write(
-                f"{c.s_len},{c.t_horizon},{c.mean_final_regret:.17g},"
-                f"{c.std_final_regret:.17g},{c.n_runs}\n"
-            )
-        if slope is not None:
-            fh.write(f"# fitted log-log slope of regret vs T/S: {slope:.17g}\n")
+        header = "s,t,mean_final_regret,std_final_regret,n_runs"
+        np.savetxt(fh, table, fmt="%d,%d,%.17g,%.17g,%d", header=header, footer=footer, comments="")
     return ScalingResult(cells=tuple(cells), slope=slope)

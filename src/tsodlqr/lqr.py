@@ -48,9 +48,12 @@ def _frobenius(mats: np.ndarray) -> np.ndarray:
 def _check_spd(mat: np.ndarray, name: str) -> None:
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {mat.shape}")
-    residual = np.linalg.norm(mat - mat.T)
-    if residual > 1e-12 * np.linalg.norm(mat):
-        raise ValueError(f"{name} is not symmetric (residual {residual:.3e})")
+    # Divided by its largest entry (floored for a zero matrix), neither the
+    # difference nor a norm can overflow.
+    unit = mat / max(np.abs(mat).max(initial=0.0), np.finfo(np.float64).tiny)
+    residual = np.linalg.norm(unit - unit.T)
+    if residual > 1e-12 * np.linalg.norm(unit):
+        raise ValueError(f"{name} is not symmetric (relative residual {residual:.3e})")
     if mat.shape[0] == 0 or float(np.linalg.eigvalsh(mat)[0]) <= 0.0:
         raise ValueError(f"{name} is not positive definite")
 
@@ -164,7 +167,7 @@ class ConstraintSetQ:
     rho: float
 
     def __post_init__(self):
-        if self.m_p <= 0:
+        if not self.m_p > 0:  # also false for nan
             raise ValueError("m_p must be positive")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
@@ -180,7 +183,7 @@ class ConstraintSetP:
     rho_sim: float
 
     def __post_init__(self):
-        if self.m_sim <= 0:
+        if not self.m_sim > 0:  # also false for nan
             raise ValueError("m_sim must be positive")
         if self.phi <= 0:
             raise ValueError("phi must be positive")
@@ -208,9 +211,11 @@ class RiccatiStack:
     failure: np.ndarray
 
 
-# The nonzero failure codes of RiccatiStack.
+# The nonzero failure codes of RiccatiStack; SCREENED marks a slice that
+# admitted_stack's screen rejected unsolved.
 DIVERGED = 1
 STALLED = 2
+SCREENED = 3
 
 
 def failure_text(code: int) -> str:
@@ -310,8 +315,16 @@ def closed_loop_norm(theta: ThetaParams, gain: np.ndarray) -> float:
 
 
 def closed_loop_floors(stacked: np.ndarray) -> np.ndarray:
-    """closed_loop_floor of every slice of a (K, n+m, n) stack of stacked
-    parameters, with one stacked QR for the whole stack."""
+    """Lower bound on ||A + B K||_2 over every gain K, for every slice of a
+    (K, n+m, n) stack of stacked parameters, with one stacked QR for the
+    whole stack: ||N^T A||_2, where N holds the last n - m columns of the
+    complete QR factor of B.
+
+    Those columns are orthonormal and orthogonal to range(B), so
+    N^T (A + B K) = N^T A and ||A + B K||_2 >= ||N^T A||_2 for any B; for B
+    of full column rank the bound is the minimum over K. It is 0 when
+    m >= n, and then costs nothing.
+    """
     n = stacked.shape[-1]
     m = stacked.shape[-2] - n
     if m >= n:
@@ -326,68 +339,65 @@ def closed_loop_floors(stacked: np.ndarray) -> np.ndarray:
     return np.linalg.svd(rows, compute_uv=False)[:, 0]
 
 
-def closed_loop_floor(theta: ThetaParams) -> float:
-    """Lower bound on ||A + B K||_2 over every gain K: ||N^T A||_2, where N
-    holds the last n - m columns of the complete QR factor of B.
+def _screen(stacked: np.ndarray, rho: float) -> np.ndarray:
+    """Whether each slice's closed-loop floor is at most rho * SCREEN_MARGIN;
+    a slice that fails cannot be admitted and is not solved."""
+    return closed_loop_floors(stacked) <= rho * SCREEN_MARGIN
 
-    Those columns are orthonormal and orthogonal to range(B), so
-    N^T (A + B K) = N^T A and ||A + B K||_2 >= ||N^T A||_2 for any B; for B
-    of full column rank the bound is the minimum over K. It is 0 when
-    m >= n, and then costs nothing.
-    """
-    return float(closed_loop_floors(theta.stacked[None])[0])
+
+def _bounded(stacked: np.ndarray, gains: np.ndarray, avg_costs: np.ndarray, trace_bound: float, rho: float):
+    """Whether each slice has trace(P) <= trace_bound and ||A + B K||_2 <= rho
+    with its own (A, B); the NaN cost of a failed or unsolved slice fails."""
+    admitted = avg_costs <= trace_bound
+    if admitted.any():
+        admitted[admitted] = ~(closed_loop_norms(stacked[admitted], gains[admitted]) > rho)
+    return admitted
 
 
 def admitted_stack(
-    stacked: np.ndarray, costs: CostMatrices, set_q: ConstraintSetQ
-) -> Tuple[np.ndarray, np.ndarray]:
-    """q_membership of every slice of a (K, n+m, n) stack of stacked
-    parameters: whether each slice is admissible, and the (K, m, n) gains,
-    which are meaningful only where it is.  One stacked QR screens the stack,
-    and one stacked Riccati solve takes the slices that pass, so each slice
-    gets the verdict and the bits that it gets alone."""
-    count, n = stacked.shape[0], stacked.shape[-1]
-    admitted = closed_loop_floors(stacked) <= set_q.rho * SCREEN_MARGIN
-    gains = np.zeros((count, stacked.shape[-2] - n, n))
-    if admitted.any():
-        sols = solve_dare_stack(stacked[admitted], costs)
-        ok = (sols.failure == 0) & ~(sols.avg_cost > set_q.m_p)
-        if ok.any():
-            ok[ok] = ~(closed_loop_norms(stacked[admitted][ok], sols.gain[ok]) > set_q.rho)
-        gains[admitted] = sols.gain
-        admitted[admitted] = ok
-    return admitted, gains
-
-
-def _admissible(
-    theta: ThetaParams, costs: CostMatrices, trace_bound: float, rho: float
-) -> Optional[RiccatiSolution]:
-    """Riccati solution when trace(P) <= trace_bound and ||A + B K||_2 <= rho,
-    else None.  The closed loop is evaluated with theta's own (A, B); solver
-    failure means non-membership.  A screen first rejects, without a solve,
-    a theta whose closed-loop floor already exceeds rho * SCREEN_MARGIN."""
-    if closed_loop_floor(theta) > rho * SCREEN_MARGIN:
-        return None
-    try:
-        sol = solve_dare(theta, costs)
-    except NonStabilizable:
-        return None
-    if sol.avg_cost > trace_bound or closed_loop_norm(theta, sol.gain) > rho:
-        return None
-    return sol
+    stacked: np.ndarray, costs: CostMatrices, trace_bound: float, rho: float
+) -> Tuple[np.ndarray, RiccatiStack]:
+    """The admissibility rule, trace(P) <= trace_bound and ||A + B K||_2 <= rho,
+    for every slice of a (K, n+m, n) stack of stacked parameters: the admitted
+    mask and the stack's Riccati solutions.  One stacked QR screens the stack;
+    a slice that it rejects keeps NaN P, gain and cost and the failure code
+    SCREENED.  One stacked solve takes the rest.  Boolean indexing keeps each
+    slice's memory layout, so each slice gets the verdict and bits it gets
+    alone."""
+    count, d, n = stacked.shape
+    sols = RiccatiStack(
+        np.full((count, n, n), np.nan), np.full((count, d - n, n), np.nan), np.full(count, np.nan),
+        np.full(count, SCREENED),
+    )
+    passed = _screen(stacked, rho)
+    if passed.any():
+        solved = solve_dare_stack(stacked[passed], costs)
+        sols.p_matrix[passed], sols.gain[passed] = solved.p_matrix, solved.gain
+        sols.avg_cost[passed], sols.failure[passed] = solved.avg_cost, solved.failure
+    return _bounded(stacked, sols.gain, sols.avg_cost, trace_bound, rho), sols
 
 
 def q_membership(
     theta: ThetaParams, costs: CostMatrices, set_q: ConstraintSetQ
 ) -> Optional[RiccatiSolution]:
-    """Riccati solution when theta is admissible, else None."""
-    return _admissible(theta, costs, set_q.m_p, set_q.rho)
+    """Riccati solution when theta is admissible, else None: admitted_stack's
+    screen and bound tests for theta alone, around one solve_dare call."""
+    stacked = theta.stacked[None]
+    if not _screen(stacked, set_q.rho)[0]:
+        return None
+    try:
+        sol = solve_dare(theta, costs)
+    except NonStabilizable:
+        return None
+    return sol if _bounded(stacked, sol.gain[None], np.array([sol.avg_cost]), set_q.m_p, set_q.rho)[0] else None
 
 
 def p_membership(
     theta: ThetaParams, costs: CostMatrices, set_p: ConstraintSetP
 ) -> Optional[RiccatiSolution]:
-    """Riccati solution when theta lies in the auxiliary-system set, else None."""
+    """Riccati solution when theta lies in the auxiliary-system set, else None:
+    the set_q rule with set_p's bounds, within the Frobenius ball of radius
+    phi."""
     if theta.frobenius_norm() > set_p.phi:
         return None
-    return _admissible(theta, costs, set_p.m_sim, set_p.rho_sim)
+    return q_membership(theta, costs, ConstraintSetQ(set_p.m_sim, set_p.rho_sim))

@@ -377,30 +377,40 @@ def save_offline(
 def load_offline(basepath) -> Tuple[OfflineSummary, np.ndarray, np.ndarray]:
     """Load a trajectory and summary written by save_offline.  Blank lines
     are skipped; a sidecar key, a header field, a row or a number that is
-    missing, repeated or malformed, or a sidecar whose n and m disagree with
-    the shapes of its matrices, raises ValueError."""
+    missing, repeated or malformed, a sidecar whose n, m or s_len is not a
+    positive integer or whose n and m disagree with the shapes of its
+    matrices, or a summary that its constructor rejects, raises a ValueError
+    that names the file."""
     base = Path(basepath)
-    with open(base.with_suffix(".json"), encoding="utf-8") as fh:
+    sidecar_path = base.with_suffix(".json")
+    with open(sidecar_path, encoding="utf-8") as fh:
         sidecar = json.load(fh)
     for key in _SIDECAR_KEYS:
         if key not in sidecar:
-            raise ValueError(f"offline sidecar {base.with_suffix('.json')} lacks the key {key!r}")
+            raise ValueError(f"offline sidecar {sidecar_path} lacks the key {key!r}")
     n, m, s_len = sidecar["n"], sidecar["m"], sidecar["s_len"]
+    for key, value in (("n", n), ("m", m), ("s_len", s_len)):
+        # type() and not isinstance(): a bool is an int too.
+        if type(value) is not int or value < 1:
+            raise ValueError(f"offline sidecar {sidecar_path} gives {key}={value!r}, which is not a positive integer")
     shapes = {key: np.shape(sidecar[key]) for key in ("theta_hat_a", "theta_hat_b", "u_matrix")}
     if list(shapes.values()) != [(n, n), (n, m), (n + m, n + m)]:
         raise ValueError(
-            f"offline sidecar {base.with_suffix('.json')} gives n={n}, m={m}, which do not match "
+            f"offline sidecar {sidecar_path} gives n={n}, m={m}, which do not match "
             + ", ".join(f"{key} of shape {shape}" for key, shape in shapes.items())
         )
-    summary = OfflineSummary(
-        u_matrix=np.array(sidecar["u_matrix"], dtype=np.float64),
-        theta_hat_sim=ThetaParams(sidecar["theta_hat_a"], sidecar["theta_hat_b"]),
-        alpha=float(sidecar["alpha"]),
-        s_len=s_len,
-        m_delta=float(sidecar["m_delta"]),
-        delta1=float(sidecar["delta1"]),
-        regularizer=float(sidecar["regularizer"]),
-    )
+    try:
+        summary = OfflineSummary(
+            u_matrix=np.array(sidecar["u_matrix"], dtype=np.float64),
+            theta_hat_sim=ThetaParams(sidecar["theta_hat_a"], sidecar["theta_hat_b"]),
+            alpha=float(sidecar["alpha"]),
+            s_len=s_len,
+            m_delta=float(sidecar["m_delta"]),
+            delta1=float(sidecar["delta1"]),
+            regularizer=float(sidecar["regularizer"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"offline sidecar {sidecar_path}: {exc}") from None
     path = base.with_suffix(".csv")
     with open(path, newline="", encoding="utf-8") as fh:
         if fh.readline().rstrip("\r\n") != _trajectory_header(n, m):
@@ -410,7 +420,8 @@ def load_offline(basepath) -> Tuple[OfflineSummary, np.ndarray, np.ndarray]:
         except ValueError as exc:
             raise ValueError(f"trajectory CSV {path}: {exc}") from None
     order = np.argsort(rows["s"])
-    if not np.array_equal(rows["s"][order], np.arange(1, s_len + 2)):
+    # The length first, so that a huge s_len allocates nothing.
+    if len(order) != s_len + 1 or not np.array_equal(rows["s"][order], np.arange(1, s_len + 2)):
         raise ValueError(f"trajectory CSV {path} does not hold the rows 1..{s_len + 1} once each")
     values = rows["x"][order]
     return summary, np.ascontiguousarray(values[:, :n]), np.ascontiguousarray(values[:s_len, n:])

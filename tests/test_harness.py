@@ -185,7 +185,7 @@ class TestRunExperiment:
             assert name.read_bytes() == twin.read_bytes()
 
     def test_shared_offline_workers_match_serial(self, tmp_path):
-        # The shared summary crosses into the worker processes by pickle.
+        # Each worker process collects the shared dataset of its own chunk.
         for workers in (1, 2):
             cfg = tiny_config(num_runs=2, share_offline=True, workers=workers)
             run_experiment(cfg, out_dir=tmp_path / str(workers))
@@ -447,6 +447,64 @@ class TestSeedPlan:
             assert (tmp_path / "own" / "runs" / name).read_bytes() == (
                 tmp_path / "shared" / "runs" / name
             ).read_bytes()
+
+    @staticmethod
+    def offline_state(cfg, variant, run_id):
+        seed = RunSpec(cfg, variant, 250, run_id).seed
+        return RngStream(seed, harness.STREAM_OFFLINE).bit_generator.state
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_shared_offline_collects_each_dataset_once(self, tmp_path, monkeypatch, share):
+        variants = ["tsod", "ts_no_offline", "offline_estimate_only"]
+        cfg = tiny_config(num_runs=3, variants=variants, share_offline=share, t_horizon=10)
+        real_collect = harness.collect_offline_batch
+        calls = []
+
+        def record(*args):
+            calls.append((args[2], [rng.bit_generator.state for rng in args[-1]]))
+            return real_collect(*args)
+
+        monkeypatch.setattr(harness, "collect_offline_batch", record)
+        run_experiment(cfg, out_dir=tmp_path)
+        run_ids = [0] if share else [0, 1, 2]
+        expected = [self.offline_state(cfg, v, i) for v in ("tsod", "offline_estimate_only") for i in run_ids]
+        assert calls == [(250, expected)]
+
+    def test_failed_shared_dataset_fails_the_runs_of_its_cell(self, tmp_path, monkeypatch):
+        variants = ["tsod", "offline_estimate_only"]
+        cfg = tiny_config(num_runs=3, variants=variants, share_offline=True)
+        config = tmp_path / "shared.cfg"
+        config.write_text(json.dumps(cfg.raw))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "clean")]) == 0
+        real_collect = harness.collect_offline_batch
+        failing = self.offline_state(cfg, "tsod", 0)
+
+        def fail_tsod(*args):
+            states = [rng.bit_generator.state for rng in args[-1]]
+            return [
+                UnstableRollout("offline state norm exceeded 1e+06 at step 3") if state == failing else dataset
+                for state, dataset in zip(states, real_collect(*args))
+            ]
+
+        monkeypatch.setattr(harness, "collect_offline_batch", fail_tsod)
+        out = tmp_path / "failed"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+        written = sorted(p.name for p in (out / "runs").iterdir())
+        assert written == [f"offline_estimate_only_run00{i}.csv" for i in range(3)]
+        for name in written:
+            assert (out / "runs" / name).read_bytes() == (tmp_path / "clean" / "runs" / name).read_bytes()
+        assert not (out / "aggregate.csv").exists()
+        assert json.loads((out / "failures.json").read_text()) == [
+            {
+                "variant": "tsod",
+                "S": 250,
+                "run_id": run_id,
+                "seed": hash64(42, "tsod", run_id, 250),
+                "error": "UnstableRollout",
+                "message": "offline state norm exceeded 1e+06 at step 3",
+            }
+            for run_id in range(3)
+        ]
 
     def test_diagnostics_run_identity(self):
         cfg = tiny_config(diag_delta1=0.25, diag_delta2=0.3)

@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from tsodlqr import (
 import tsodlqr.lqr as lqr
 from tsodlqr.lqr import (
     DIVERGED,
+    SCREEN_MARGIN,
     STALLED,
-    closed_loop_floor,
+    admitted_stack,
+    closed_loop_floors,
     closed_loop_norms,
     failure_text,
     p_membership,
@@ -181,6 +184,14 @@ class TestClosedLoopNorm:
 
 
 class TestMembership:
+    @pytest.mark.parametrize("bound", [0.0, -1.0, math.nan])
+    def test_trace_bounds_must_be_positive(self, bound):
+        # The trace test admits trace(P) <= bound, which no nan bound would.
+        with pytest.raises(ValueError, match="m_p must be positive"):
+            ConstraintSetQ(bound, 0.99)
+        with pytest.raises(ValueError, match="m_sim must be positive"):
+            ConstraintSetP(bound, 5.0, 0.99)
+
     def test_trivial_true(self):
         theta = ThetaParams(np.zeros((3, 3)), np.eye(3))
         assert q_membership(theta, CostMatrices.identity(3, 3), ConstraintSetQ(10.0, 0.99)) is not None
@@ -273,7 +284,7 @@ class TestClosedLoopFloor:
         set_p = ConstraintSetP(m_sim=m_p, phi=1e3, rho_sim=rho)
         assert same_solution(p_membership(theta, costs, set_p), ref)
 
-        floor = closed_loop_floor(theta)
+        floor = closed_loop_floors(theta.stacked[None])[0]
         if m >= n:
             assert floor == 0.0
         gains = [rng.standard_normal((m, n)) * g for g in (0.1, 1.0, 10.0)]
@@ -299,15 +310,95 @@ class TestClosedLoopFloor:
             theta = ThetaParams.from_stacked(theta_star.stacked + delta.stacked, 3, 2)
             ref = unscreened_membership(theta, costs32, set_q.m_p, set_q.rho)
             assert same_solution(q_membership(theta, costs32, set_q), ref)
-            screened += closed_loop_floor(theta) > set_q.rho * (1.0 + 1e-9)
+            screened += closed_loop_floors(theta.stacked[None])[0] > set_q.rho * (1.0 + 1e-9)
             admitted += ref is not None
         assert screened >= 30 and admitted >= 30
 
     def test_screened_theta_skips_the_solve(self, monkeypatch):
         theta = ThetaParams(2.0 * np.eye(3), np.eye(3)[:, :2])
-        assert closed_loop_floor(theta) == 2.0
+        assert closed_loop_floors(theta.stacked[None])[0] == 2.0
         monkeypatch.setattr("tsodlqr.lqr.solve_dare", lambda *args, **kwargs: pytest.fail("solved"))
         assert q_membership(theta, CostMatrices.identity(3, 2), ConstraintSetQ(50.0, 0.99)) is None
+
+
+def reference_admissible(theta, costs, trace_bound, rho):
+    """The one-slice admissibility arithmetic that admitted_stack replaced:
+    the closed-loop screen, then the Riccati solve and the trace and
+    closed-loop norm tests."""
+    if closed_loop_floors(theta.stacked[None])[0] > rho * SCREEN_MARGIN:
+        return None
+    return unscreened_membership(theta, costs, trace_bound, rho)
+
+
+class TestAdmittedStack:
+    """admitted_stack against the one-slice reference, verdict and bits, for
+    theta held column-major (ThetaParams(a, b)) and row-major (from_stacked):
+    the last bits of a solve depend on the layout.  (1, 1) and (2, 3) skip
+    the screen (m >= n); (3, 1) and (2, 1) have m = 1."""
+
+    SHAPES = [(1, 1), (3, 1), (2, 1), (2, 3), (3, 2), (4, 2)]
+    BOUNDS = [(50.0, 0.99), (4.0, 0.8)]
+
+    @staticmethod
+    def thetas(n, m, count):
+        rng = np.random.default_rng(100 * n + m)
+        for _ in range(count):
+            column = random_theta(rng, n, m, min(n, m), rng.uniform(0.3, 1.6))
+            yield column
+            yield ThetaParams.from_stacked(column.stacked, n, m)
+
+    @pytest.mark.parametrize("n, m", SHAPES)
+    def test_membership_matches_the_reference(self, n, m):
+        costs = CostMatrices.identity(n, m)
+        layouts = admitted = 0
+        for theta in self.thetas(n, m, 40):
+            layouts += theta.stacked.flags.c_contiguous
+            for trace_bound, rho in self.BOUNDS:
+                ref = reference_admissible(theta, costs, trace_bound, rho)
+                assert same_solution(q_membership(theta, costs, ConstraintSetQ(trace_bound, rho)), ref)
+                assert same_solution(p_membership(theta, costs, ConstraintSetP(trace_bound, 1e3, rho)), ref)
+                small_phi = ConstraintSetP(trace_bound, 0.5 * theta.frobenius_norm(), rho)
+                assert p_membership(theta, costs, small_phi) is None
+                admitted += ref is not None
+        assert admitted >= 10
+        if n > 1:
+            assert layouts == 40  # one of each pair is row-major
+
+    @pytest.mark.parametrize("n, m", SHAPES)
+    def test_each_slice_gets_its_one_slice_verdict_and_bits(self, n, m):
+        costs = CostMatrices.identity(n, m)
+        thetas = list(self.thetas(n, m, 20))
+        for trace_bound, rho in self.BOUNDS:
+            refs = [reference_admissible(theta, costs, trace_bound, rho) for theta in thetas]
+            # A stack of row-major slices, and the one-slice stack of each theta.
+            rows = [theta for theta in thetas if theta.stacked.flags.c_contiguous or n == 1]
+            stacked = np.stack([theta.stacked for theta in rows])
+            cases = [(stacked, [refs[thetas.index(theta)] for theta in rows])]
+            cases += [(theta.stacked[None], [ref]) for theta, ref in zip(thetas, refs)]
+            for stack, expected in cases:
+                admitted, sols = admitted_stack(stack, costs, trace_bound, rho)
+                assert admitted.tolist() == [ref is not None for ref in expected]
+                for k, ref in enumerate(expected):
+                    if ref is not None:
+                        assert np.array_equal(sols.p_matrix[k], ref.p_matrix)
+                        assert np.array_equal(sols.gain[k], ref.gain)
+                        assert sols.avg_cost[k] == ref.avg_cost and sols.failure[k] == 0
+
+    def test_screened_and_failed_slices(self):
+        # An unstable mode outside range(B) puts the closed-loop floor above
+        # rho, so only with m >= n, where the screen is skipped, does such a
+        # theta reach the solve.
+        b3, b2 = np.eye(3)[:, :2], np.diag([1.0, 0.0])
+        for thetas, failure in [
+            ((ThetaParams(2.0 * np.eye(3), b3), ThetaParams(0.5 * np.eye(3), b3)), lqr.SCREENED),
+            ((ThetaParams(np.diag([0.5, 2.0]), b2), ThetaParams(np.diag([0.5, 0.5]), b2)), DIVERGED),
+        ]:
+            n, m = thetas[0].n, thetas[0].m
+            stack = np.stack([theta.stacked for theta in thetas])
+            admitted, sols = admitted_stack(stack, CostMatrices.identity(n, m), 50.0, 0.99)
+            assert admitted.tolist() == [False, True]
+            assert sols.failure.tolist() == [failure, 0]
+            assert np.isnan(sols.p_matrix[0]).all() and np.isnan(sols.gain[0]).all() and np.isnan(sols.avg_cost[0])
 
 
 class TestThetaParams:
@@ -358,3 +449,23 @@ class TestCostMatrices:
             CostMatrices(np.eye(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(ValueError, match="q_matrix"):
             CostMatrices(np.array([[1.0, 0.5], [0.4, 1.0]]), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "r_matrix",
+        [
+            [[1e200, 1e200], [0.0, 1e200]],
+            [[1.7e308, -1.7e308], [1.7e308, 1.7e308]],
+            [[-1.7e308, 0.0], [1e308, 1.7e308]],
+        ],
+    )
+    def test_asymmetry_is_caught_when_a_norm_would_overflow(self, r_matrix):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="r_matrix is not symmetric"):
+                CostMatrices(np.eye(2), np.array(r_matrix))
+
+    def test_symmetric_matrix_near_the_float_limit_is_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            costs = CostMatrices(np.eye(2), np.array([[1.7e308, 1e308], [1e308, 1.7e308]]))
+        assert costs.r_matrix[0, 0] == 1.7e308

@@ -400,14 +400,37 @@ class TestSerialization:
         "header_only": lambda lines: lines[:1],
     }
 
-    @pytest.mark.parametrize("edit", [*TRAJECTORY_EDITS, "sidecar_key", "sidecar_dims"])
+    # Each edit sets sidecar keys of an n = 3, m = 2, S = 100 dataset to
+    # values that the loader must reject, naming the sidecar.
+    SIDECAR_EDITS = {
+        "s_len_string": {"s_len": "100"},
+        "s_len_float": {"s_len": 100.0},
+        "s_len_null": {"s_len": None},
+        "n_float": {"n": 3.0},
+        "n_zero": {"n": 0},
+        "m_bool": {"m": True},
+        "alpha_string": {"alpha": "x"},
+        "alpha_null": {"alpha": None},
+        "delta1_out_of_range": {"delta1": 2.0},
+    }
+
+    @pytest.mark.parametrize(
+        "edit", [*TRAJECTORY_EDITS, *SIDECAR_EDITS, "sidecar_key", "sidecar_dims", "sidecar_huge_s_len"]
+    )
     def test_incomplete_trajectory_raises(self, tmp_path, theta_sim, costs32, offline_cfg, edit, recwarn):
         summary, states, controls = simulate_offline(
             theta_sim, costs32, 100, offline_cfg, 0.1, 0.15, RngStream(8, 0)
         )
         base = tmp_path / "offline_s100"
         save_offline(base, summary, states, controls)
-        if edit == "sidecar_key":
+        if edit in self.SIDECAR_EDITS:
+            path, match = base.with_suffix(".json"), "offline sidecar .*offline_s100.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()), **self.SIDECAR_EDITS[edit]}))
+        elif edit == "sidecar_huge_s_len":
+            # Checked against the CSV's row count before any array of that length is made.
+            path, match = base.with_suffix(".json"), rf"offline_s100.csv does not hold the rows 1\.\.{10**30 + 1} "
+            path.write_text(json.dumps({**json.loads(path.read_text()), "s_len": 10**30}))
+        elif edit == "sidecar_key":
             path, match = base.with_suffix(".json"), "offline_s100.json lacks the key 'delta1'"
             sidecar = json.loads(path.read_text())
             del sidecar["delta1"]
@@ -427,6 +450,7 @@ class TestSerialization:
         # The filters stay as in a run, where a warning is no error; so the
         # loader itself must reject, and no numpy warning may escape it.
         recwarn.clear()
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match) as raised:
             load_offline(base)
+        assert type(raised.value) is ValueError
         assert [str(w.message) for w in recwarn] == []
