@@ -22,9 +22,10 @@ from .lqr import (  # noqa: F401
     ConstraintSetQ,
     CostMatrices,
     ThetaParams,
-    admitted_stack,
+    _screen,
     failure_text,
     q_membership,
+    solve_and_bound,
     solve_dare,
     solve_dare_stack,
 )
@@ -217,99 +218,128 @@ def _fallback_candidates(
         yield ThetaParams.from_stacked(scale * target.stacked, n, m)
 
 
-@dataclass(frozen=True, eq=False)
-class _Samples:
-    """The batch sampler's result: per run the parameter, its gain, the
-    rejections and the fallback flag, and the runs that raised, by index."""
+def _sampler_fields(count: int, d: int, n: int) -> dict:
+    """The sampler's per-run fields of a _Runs, for runs of (d, n) stacked
+    parameters: the width and V^{-1/2} of the step, the generator state at
+    its start, the candidates drawn so far, the current block of candidates
+    (drawn from candidate `base` on) with the mask of those that passed the
+    screen and are not yet solved, and the step's outcome."""
+    return dict(
+        beta=np.zeros(count),
+        inv_half=np.zeros((count, d, d)),
+        start=_objects([None] * count),
+        drawn=np.zeros(count, dtype=np.int64),
+        base=np.zeros(count, dtype=np.int64),
+        block=np.zeros((count, SAMPLE_BLOCK, d, n)),
+        passed=np.zeros((count, SAMPLE_BLOCK), dtype=bool),
+        theta_tilde=np.zeros((count, d, n)),
+        gain=np.zeros((count, d - n, n)),
+        rejections=np.zeros(count, dtype=np.int64),
+        fallback=np.zeros(count, dtype=bool),
+    )
 
-    theta: np.ndarray
-    gain: np.ndarray
-    rejections: np.ndarray
-    fallback: np.ndarray
-    errors: Dict[int, TsodLqrError]
+
+def _begin_step(runs: "_Runs", rows: np.ndarray) -> Dict[int, TsodLqrError]:
+    """Start a sampling step for the runs at positions `rows`, whose widths
+    are set: one stacked eigh gives their V^{-1/2}, each saves its generator
+    state, and none has drawn a candidate.  Returns the errors of the runs
+    that cannot sample, by position."""
+    errors: Dict[int, TsodLqrError] = {}
+    for k in np.flatnonzero(runs.beta[rows] < 0):
+        errors[int(rows[k])] = DomainError("beta must be nonnegative")
+    eigvals, eigvecs = np.linalg.eigh(runs.v_matrix[rows])
+    for k in np.flatnonzero(eigvals[:, 0] <= 0):
+        errors.setdefault(int(rows[k]), SingularPrecision("belief precision is not positive definite"))
+    if errors:
+        ok = np.array([int(j) not in errors for j in rows], dtype=bool)
+        rows, eigvals, eigvecs = rows[ok], eigvals[ok], eigvecs[ok]
+    runs.inv_half[rows] = (eigvecs / np.sqrt(eigvals)[:, None, :]) @ eigvecs.mT
+    runs.drawn[rows] = 0
+    runs.passed[rows] = False
+    for j in rows:
+        runs.start[j] = runs.rng[j].bit_generator.state
+    return errors
 
 
-def _sample_batch(
-    v_matrix: np.ndarray,
-    mean: np.ndarray,
-    beta: np.ndarray,
+def _sample_round(
+    runs: "_Runs",
+    rows: np.ndarray,
     set_q: ConstraintSetQ,
     costs: CostMatrices,
-    rngs: Sequence[RngStream],
     max_attempts: int,
     ladder: Callable[[int], Iterable[ThetaParams]],
-) -> _Samples:
-    """sample_constrained for every run of a batch: precisions (R, d, d),
-    means (R, d, n) and widths (R,), with run i drawing from rngs[i].
+) -> Tuple[np.ndarray, Dict[int, TsodLqrError]]:
+    """One round of sample_constrained for the runs at positions `rows`, each
+    in a step that _begin_step started.
 
-    One stacked eigh gives every V^{-1/2}.  Then each round, every run that
-    has not yet been admitted draws its next block of SAMPLE_BLOCK candidates
-    with one call on its own generator; the round screens and solves all of
-    them in one stacked call, and each run takes its first admitted candidate
-    in draw order.  Runs that exhaust max_attempts try the candidates of
-    ladder(i), their fallback ladder, one by one.  A run that raises
-    TsodLqrError is reported in `errors`, and its entries in the other fields
-    are meaningless.
+    Each run that holds no candidate that passed the screen draws its next
+    block of up to SAMPLE_BLOCK candidates with one call on its own
+    generator, and one stacked screen covers every new block, until each run
+    holds a passing candidate or has drawn max_attempts.  A run in the second
+    case tries the candidates of ladder(j), its fallback ladder, one by one.
+    Then one solve_and_bound call takes each other run's next passing
+    candidate in draw order, one slice per run, and the runs it admits end
+    their sampling; the others try their next candidate in the next round.
+    An admitted run restores its stream and redraws its tested candidates,
+    so it ends where one draw per tested candidate leaves it.
+
+    The outcome of a run that ends its sampling is in theta_tilde, gain,
+    rejections and fallback.  Returns the positions of those runs and the
+    errors of the runs that raised TsodLqrError, by position.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
-    count, d, n = mean.shape
-    m = d - n
-    samples = _Samples(
-        theta=mean.copy(),
-        gain=np.zeros((count, m, n)),
-        rejections=np.full(count, max_attempts, dtype=np.int64),
-        fallback=np.zeros(count, dtype=bool),
-        errors={},
-    )
-    for i in np.flatnonzero(beta < 0):
-        samples.errors[int(i)] = DomainError("beta must be nonnegative")
-    eigvals, eigvecs = np.linalg.eigh(v_matrix)
-    for i in np.flatnonzero(eigvals[:, 0] <= 0):
-        samples.errors.setdefault(int(i), SingularPrecision("belief precision is not positive definite"))
-    pending = np.array([i for i in range(count) if i not in samples.errors], dtype=np.int64)
-    if not pending.size:
-        return samples
-    inv_half = (eigvecs[pending] / np.sqrt(eigvals[pending])[:, None, :]) @ eigvecs[pending].mT
-    mean_p, beta_p = mean[pending], beta[pending]
-    starts = [rngs[i].bit_generator.state for i in pending]
-    drawn = 0
-    while pending.size and drawn < max_attempts:
-        size = min(SAMPLE_BLOCK, max_attempts - drawn)
-        normals = np.empty((pending.size, size, d, n))
-        for j, i in enumerate(pending):
-            rngs[i].standard_normal(out=normals[j])
-        blocks = mean_p[:, None] + beta_p[:, None, None, None] * (inv_half[:, None] @ normals)
+    _, block_size, d, n = runs.block.shape
+    need = rows[~runs.passed[rows].any(axis=1)]
+    while True:
+        need = need[runs.drawn[need] < max_attempts]
+        if not need.size:
+            break
+        sizes = np.minimum(block_size, max_attempts - runs.drawn[need])
+        ends = np.cumsum(sizes)
+        owner = np.repeat(need, sizes)
+        slot = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+        normals = np.empty((ends[-1], d, n))
+        for j, lo, hi in zip(need, ends - sizes, ends):
+            runs.rng[j].standard_normal(out=normals[lo:hi])
+        blocks = runs.theta_hat[owner] + runs.beta[owner][:, None, None] * (runs.inv_half[owner] @ normals)
         if not np.isfinite(blocks).all():
             raise ValueError("sampled parameter has non-finite entries")
-        admitted, sols = admitted_stack(blocks.reshape(-1, d, n), costs, set_q.m_p, set_q.rho)
-        admitted = admitted.reshape(pending.size, size)
-        first = admitted.argmax(axis=1)
-        found = admitted[np.arange(pending.size), first]
-        for j in np.flatnonzero(found):
-            i, k = pending[j], int(first[j])
-            samples.theta[i] = blocks[j, k]
-            samples.gain[i] = sols.gain[j * size + k]
-            samples.rejections[i] = drawn + k
-            if k + 1 < size:
-                # Leave the stream where one draw per tested candidate leaves it.
-                rngs[i].bit_generator.state = starts[j]
-                rngs[i].standard_normal((drawn + k + 1, d, n))
-        keep = ~found
-        pending, mean_p, beta_p, inv_half = pending[keep], mean_p[keep], beta_p[keep], inv_half[keep]
-        starts = [state for state, kept in zip(starts, keep) if kept]
-        drawn += size
-    for i in pending:
-        for candidate in ladder(i):
+        runs.passed[need] = False
+        runs.block[owner, slot] = blocks
+        runs.passed[owner, slot] = _screen(blocks, set_q.rho)
+        runs.base[need] = runs.drawn[need]
+        runs.drawn[need] += sizes
+        need = need[~runs.passed[need].any(axis=1)]
+
+    holding = runs.passed[rows].any(axis=1)
+    done, errors = [], {}
+    for j in rows[~holding]:
+        for candidate in ladder(j):
             sol = q_membership(candidate, costs, set_q)
             if sol is not None:
-                samples.theta[i] = candidate.stacked
-                samples.gain[i] = sol.gain
-                samples.fallback[i] = True
+                runs.theta_tilde[j], runs.gain[j] = candidate.stacked, sol.gain
+                runs.rejections[j], runs.fallback[j] = max_attempts, True
+                done.append(j)
                 break
         else:
-            samples.errors[int(i)] = NonStabilizable("no admissible fallback parameter found")
-    return samples
+            errors[int(j)] = NonStabilizable("no admissible fallback parameter found")
+    solving = rows[holding]
+    if solving.size:
+        first = runs.passed[solving].argmax(axis=1)
+        runs.passed[solving, first] = False
+        candidates = runs.block[solving, first]
+        admitted, sols = solve_and_bound(candidates, costs, set_q.m_p, set_q.rho)
+        won = solving[admitted]
+        runs.theta_tilde[won], runs.gain[won] = candidates[admitted], sols.gain[admitted]
+        runs.rejections[won], runs.fallback[won] = runs.base[won] + first[admitted], False
+        for j in won:
+            tested = runs.rejections[j] + 1
+            if tested < runs.drawn[j]:
+                runs.rng[j].bit_generator.state = runs.start[j]
+                runs.rng[j].standard_normal((tested, d, n))
+        done.extend(won)
+    return np.array(done, dtype=np.int64), errors
 
 
 def sample_constrained(
@@ -332,29 +362,34 @@ def sample_constrained(
 
     Draws come in blocks of SAMPLE_BLOCK from one call, which fills the
     array with the normals that one call per candidate would draw.  The block
-    is screened at once, and the candidates that pass are solved at once.
-    Once candidate i, the first admitted in draw order, is taken, the stream
-    is restored and i + 1 candidates are redrawn, so it ends where one draw
-    per tested candidate leaves it.  This is the one-run batch of the
-    sampler that run_episodes steps all runs with.
+    is screened when it is drawn, and the candidates that pass are solved one
+    per round in draw order.  Once candidate i, the first admitted, is taken,
+    the stream is restored and i + 1 candidates are redrawn, so it ends where
+    one draw per tested candidate leaves it.  These are the rounds of the
+    one-run batch that run_episodes samples all runs with.
     """
-    samples = _sample_batch(
-        belief.v_matrix[None],
-        belief.theta_hat.stacked[None],
-        np.array([float(beta)]),
-        set_q,
-        costs,
-        [rng],
-        max_attempts,
-        lambda i: _fallback_candidates(belief.theta_hat, anchor, last_accepted),
+    runs = _Runs(
+        rng=_objects([rng]),
+        v_matrix=belief.v_matrix[None],
+        theta_hat=belief.theta_hat.stacked[None],
+        **_sampler_fields(1, belief.dim, belief.n),
     )
-    if samples.errors:
-        raise samples.errors[0]
+    runs.beta[0] = beta
+    rows = np.zeros(1, dtype=np.int64)
+    errors = _begin_step(runs, rows)
+    done = ()
+    while not errors and not len(done):
+        done, errors = _sample_round(
+            runs, rows, set_q, costs, max_attempts,
+            lambda j: _fallback_candidates(belief.theta_hat, anchor, last_accepted),
+        )
+    if errors:
+        raise errors[0]
     return SampleOutcome(
-        ThetaParams.from_stacked(samples.theta[0], belief.n, belief.m),
-        samples.gain[0],
-        int(samples.rejections[0]),
-        bool(samples.fallback[0]),
+        ThetaParams.from_stacked(runs.theta_tilde[0], belief.n, belief.m),
+        runs.gain[0],
+        int(runs.rejections[0]),
+        bool(runs.fallback[0]),
     )
 
 
@@ -484,15 +519,20 @@ def run_episodes(
     state_ceiling: float = DEFAULT_STATE_CEILING,
     seeds: Optional[Sequence[int]] = None,
 ) -> List[Union[EpisodeResult, TsodLqrError]]:
-    """Run one online episode per hidden system, all in lockstep: run i plays
+    """Run one online episode per hidden system, all as one batch: run i plays
     theta_stars[i] as variants[i] (one variant string stands for every run)
     from the prior of sources[i] and draws from rngs[i] alone, so its result
     does not depend on the others.
 
     Per step: sample an admissible parameter, apply its gain, observe the
-    transition and stage cost, and apply the rank-one belief update, each as
-    one stacked operation over the runs.  The oracle variant plays the hidden
-    parameters directly and serves as a policy-level sanity check.  A state
+    transition and stage cost, and apply the rank-one belief update.  The
+    batch moves in global rounds, and each run keeps its own step.  In a
+    round, the runs that start a step compute beta and record their
+    checkpoints, every sampling run takes one _sample_round, and the runs
+    whose step ends (admitted, fallen back, or oracle) step their systems and
+    update their beliefs as one stacked operation over that subset.  The
+    oracle variant plays the hidden parameters directly and serves as a
+    policy-level sanity check.  A state
     whose norm exceeds `state_ceiling`, or is not finite, raises
     UnstableRollout.  A run that raises TsodLqrError leaves the batch, and
     its entry of the result is that error; the other entries are
@@ -559,7 +599,6 @@ def run_episodes(
         last_accepted=np.zeros((len(started), n + m, n)),
         has_last=np.zeros(len(started), dtype=bool),
         theta_star=star_stack[solved],
-        star_gain=star_sols.gain[solved],
         alpha_sum=np.array([setups[i][1].alpha_sum for i in started]),
         mdelta_sum=np.array([setups[i][1].mdelta_sum for i in started]),
         logdet_u=np.array([belief.logdet_u for belief in beliefs]),
@@ -570,17 +609,12 @@ def run_episodes(
         info_sum=np.zeros(len(started)),
         state=np.zeros((len(started), n)),
         state_norm=np.zeros(len(started)),
+        step=np.zeros(len(started), dtype=np.int64),
+        fresh=np.ones(len(started), dtype=bool),
+        **_sampler_fields(len(started), n + m, n),
     )
-
-    def drop(errors: Dict[int, TsodLqrError]) -> np.ndarray:
-        """Record the errors of the runs at these positions and drop those
-        runs from the batch; returns the mask of the runs kept."""
-        kept = np.ones(runs.index.size, dtype=bool)
-        for j, error in errors.items():
-            results[runs.index[j]] = error
-            kept[j] = False
-        runs.keep(kept)
-        return kept
+    # Oracle runs play the hidden system's gain, with no rejection, at every step.
+    runs.gain[:] = star_sols.gain[solved]
 
     # The per-step record of every run, and the belief at sampling time of
     # each checkpoint step.
@@ -590,90 +624,111 @@ def run_episodes(
     record["gain"] = np.zeros((count, horizon, m, n))
     checkpoint_theta = np.zeros((count, len(checkpoint_ts), n + m, n))
     checkpoint_v = np.zeros((count, len(checkpoint_ts), n + m, n + m))
+    slot_of = np.full(horizon + 1, -1)
+    slot_of[checkpoint_ts] = np.arange(len(checkpoint_ts))
 
-    for idx in range(horizon):
+    def ladder(j: int) -> Iterable[ThetaParams]:
+        # Before the first update the mean is the prior's own object, which
+        # the ladder solves as it is.
+        hat = runs.anchor[j] if runs.step[j] == 0 else ThetaParams.from_stacked(runs.theta_hat[j], n, m)
+        last = ThetaParams.from_stacked(runs.last_accepted[j], n, m) if runs.has_last[j] else None
+        return _fallback_candidates(hat, runs.anchor[j], last)
+
+    def fail(errors: Dict[int, TsodLqrError]) -> None:
+        # A run that raises records its error, takes no further part in the
+        # round, and leaves the batch at the round's end.
+        for j, error in errors.items():
+            results[runs.index[j]] = error
+            live[j] = False
+
+    while True:
+        ended = runs.step == horizon
+        for j in np.flatnonzero(ended):
+            i = runs.index[j]
+            src_raw, src, j_star, _ = setups[i]
+            belief = BeliefState(
+                v_matrix=runs.v_matrix[j],
+                theta_hat=ThetaParams.from_stacked(runs.theta_hat[j], n, m),
+                logdet_v=float(runs.logdet_v[j]),
+                info_sum=float(runs.info_sum[j]),
+                logdet_u=float(runs.logdet_u[j]),
+                cross_term=runs.cross_term[j],
+            )
+            results[i] = _episode_result(
+                theta_stars[i], src_raw, src, j_star, set_q, horizon, checkpoint_ts,
+                checkpoint_theta[i], checkpoint_v[i], belief, seeds[i], {name: arr[i] for name, arr in record.items()},
+            )
+        if ended.any():
+            runs.keep(~ended)
         if not runs.index.size:
             break
-        step_t = idx + 1
-        beta_t, inconsistent = _betas(
-            n, runs.logdet_v, runs.logdet_u, runs.alpha_sum, runs.mdelta_sum, delta2, beta_mdelta_scale
+        live = np.ones(runs.index.size, dtype=bool)
+
+        # The runs that start a step: beta, checkpoints, and the sampler's start.
+        new = np.flatnonzero(runs.fresh)
+        beta, inconsistent = _betas(
+            n, runs.logdet_v[new], runs.logdet_u[new], runs.alpha_sum[new], runs.mdelta_sum[new], delta2,
+            beta_mdelta_scale,
         )
-        if inconsistent.any():
-            beta_t = beta_t[drop({j: DomainError(_INCONSISTENT) for j in np.flatnonzero(inconsistent)})]
-        if step_t in checkpoint_ts:
-            slot = checkpoint_ts.index(step_t)
-            checkpoint_theta[runs.index, slot] = runs.theta_hat
-            checkpoint_v[runs.index, slot] = runs.v_matrix
-        # Oracle runs play the hidden system's gain; the others sample.
-        gains = runs.star_gain.copy()
-        rejections = np.zeros(runs.index.size, dtype=np.int64)
-        fallback = np.zeros(runs.index.size, dtype=bool)
-        learners = np.flatnonzero(~runs.oracle)
+        runs.beta[new] = beta
+        fail({j: DomainError(_INCONSISTENT) for j in new[inconsistent]})
+        new = new[~inconsistent]
+        runs.fresh[new] = False
+        slots = slot_of[runs.step[new] + 1]
+        hit = slots >= 0
+        if hit.any():
+            at = (runs.index[new[hit]], slots[hit])
+            checkpoint_theta[at], checkpoint_v[at] = runs.theta_hat[new[hit]], runs.v_matrix[new[hit]]
+        learners = new[~runs.oracle[new]]
         if learners.size:
+            fail(_begin_step(runs, learners))
 
-            def ladder(k: int) -> Iterable[ThetaParams]:
-                # Before the first update the mean is the prior's own object,
-                # which the ladder solves as it is.
-                j = learners[k]
-                hat = runs.anchor[j] if idx == 0 else ThetaParams.from_stacked(runs.theta_hat[j], n, m)
-                last = ThetaParams.from_stacked(runs.last_accepted[j], n, m) if runs.has_last[j] else None
-                return _fallback_candidates(hat, runs.anchor[j], last)
-
-            samples = _sample_batch(
-                runs.v_matrix[learners], runs.theta_hat[learners], beta_t[learners], set_q, costs,
-                runs.rng[learners], max_attempts, ladder,
-            )
-            gains[learners] = samples.gain
-            rejections[learners], fallback[learners] = samples.rejections, samples.fallback
-            accepted = learners[~samples.fallback]
-            runs.last_accepted[accepted] = samples.theta[~samples.fallback]
+        # One sampler round for every learner, then the steps that end.
+        sampling = np.flatnonzero(live & ~runs.oracle)
+        ending = live & runs.oracle
+        if sampling.size:
+            done, errors = _sample_round(runs, sampling, set_q, costs, max_attempts, ladder)
+            fail(errors)
+            accepted = done[~runs.fallback[done]]
+            runs.last_accepted[accepted] = runs.theta_tilde[accepted]
             runs.has_last[accepted] = True
-            if samples.errors:
-                kept = drop({learners[k]: error for k, error in samples.errors.items()})
-                beta_t, gains, rejections, fallback = beta_t[kept], gains[kept], rejections[kept], fallback[kept]
-            if not runs.index.size:
-                break
+            ending[done] = True
+        ends = np.flatnonzero(ending)
+        if ends.size:
+            noise = np.empty((ends.size, n))
+            for k, j in enumerate(ends):
+                runs.rng[j].standard_normal(out=noise[k])
+            gains, state = runs.gain[ends], runs.state[ends]
+            controls = (gains @ state[:, :, None])[:, :, 0]
+            z, next_state, cost = step_systems(runs.theta_star[ends], state, controls, costs, noise)
+            v_next, cross_next, theta_next, quad = _update_beliefs(
+                runs.v_matrix[ends], runs.cross_term[ends], z, next_state
+            )
+            runs.v_matrix[ends], runs.cross_term[ends], runs.theta_hat[ends] = v_next, cross_next, theta_next
+            runs.logdet_v[ends] = runs.logdet_v[ends] + _log1p(quad)
+            runs.info_sum[ends] = runs.info_sum[ends] + quad
 
-        noise = np.empty((runs.index.size, n))
-        for j, rng in enumerate(runs.rng):
-            rng.standard_normal(out=noise[j])
-        controls = (gains @ runs.state[:, :, None])[:, :, 0]
-        z, next_state, cost = step_systems(runs.theta_star, runs.state, controls, costs, noise)
-        runs.v_matrix, runs.cross_term, runs.theta_hat, quad = _update_beliefs(
-            runs.v_matrix, runs.cross_term, z, next_state
-        )
-        runs.logdet_v = runs.logdet_v + _log1p(quad)
-        runs.info_sum = runs.info_sum + quad
+            step = {
+                "cost": cost, "beta": runs.beta[ends], "rejections": runs.rejections[ends],
+                "state_norm": runs.state_norm[ends], "fallback": runs.fallback[ends], "gain": gains,
+                "z_norm": np.sqrt(np.vecdot(z, z)), "logdet": runs.logdet_v[ends], "info": runs.info_sum[ends],
+            }
+            at = (runs.index[ends], runs.step[ends])
+            for name, value in step.items():
+                record[name][at] = value
 
-        step = {
-            "cost": cost, "beta": beta_t, "rejections": rejections, "state_norm": runs.state_norm,
-            "fallback": fallback, "gain": gains, "z_norm": np.sqrt(np.vecdot(z, z)),
-            "logdet": runs.logdet_v, "info": runs.info_sum,
-        }
-        for name, value in step.items():
-            record[name][runs.index, idx] = value
-
-        runs.state = next_state
-        runs.state_norm = np.sqrt(np.vecdot(next_state, next_state))
-        unstable = ~(runs.state_norm <= state_ceiling)  # also true when the state has a NaN or an inf
-        if unstable.any():
-            message = f"online state norm exceeded {state_ceiling:g} at step {step_t}"
-            drop({j: UnstableRollout(message) for j in np.flatnonzero(unstable)})
-
-    for j, i in enumerate(runs.index):
-        src_raw, src, j_star, _ = setups[i]
-        belief = BeliefState(
-            v_matrix=runs.v_matrix[j],
-            theta_hat=ThetaParams.from_stacked(runs.theta_hat[j], n, m),
-            logdet_v=float(runs.logdet_v[j]),
-            info_sum=float(runs.info_sum[j]),
-            logdet_u=float(runs.logdet_u[j]),
-            cross_term=runs.cross_term[j],
-        )
-        results[i] = _episode_result(
-            theta_stars[i], src_raw, src, j_star, set_q, horizon, checkpoint_ts,
-            checkpoint_theta[i], checkpoint_v[i], belief, seeds[i], {name: arr[i] for name, arr in record.items()},
-        )
+            runs.state[ends] = next_state
+            runs.state_norm[ends] = np.sqrt(np.vecdot(next_state, next_state))
+            runs.step[ends] += 1
+            runs.fresh[ends] = True
+            # Also true when the state has a NaN or an inf.
+            unstable = ends[~(runs.state_norm[ends] <= state_ceiling)]
+            fail({
+                j: UnstableRollout(f"online state norm exceeded {state_ceiling:g} at step {runs.step[j]}")
+                for j in unstable
+            })
+        if not live.all():
+            runs.keep(live)
     return results
 
 

@@ -183,11 +183,11 @@ def collect_offline(specs: Sequence[RunSpec]) -> List[Union[OfflineDataset, Tsod
 
 
 def execute_batch(specs: Sequence[RunSpec]) -> List[Union[RunRecord, RunFailure]]:
-    """Run specs of one config and diagnostics flag, in spec order, in
-    lockstep: the true systems, the offline data of each S, then all
-    episodes.  A run that raises TsodLqrError becomes a RunFailure, and the
-    others finish unchanged.  Only the summaries of the offline data are
-    kept."""
+    """Run specs of one config and diagnostics flag, in spec order, as
+    batches: the true systems, the offline data of each S in lockstep, then
+    all episodes in one run_episodes call.  A run that raises TsodLqrError
+    becomes a RunFailure, and the others finish unchanged.  Only the
+    summaries of the offline data are kept."""
     outcomes: List[Union[RunRecord, RunFailure, None]] = [None] * len(specs)
     cfg = specs[0].cfg
     theta_stars = _resolve_theta_stars(cfg, [RngStream(spec.seed, STREAM_DELTA) for spec in specs])
@@ -268,7 +268,7 @@ def execute_runs(
 ) -> Tuple[List[RunRecord], List[RunFailure]]:
     """Run every spec, serially or on min(workers, #specs, #CPUs) processes.
 
-    The specs of each cell run as one lockstep batch; with several processes
+    The specs of each cell run as one batch; with several processes
     each cell is split into that many contiguous chunks.  Both lists keep spec
     order, and no batch size changes an output, so the worker count never
     does.  A run that raises TsodLqrError becomes a RunFailure and the others

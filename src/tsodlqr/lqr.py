@@ -354,6 +354,16 @@ def _bounded(stacked: np.ndarray, gains: np.ndarray, avg_costs: np.ndarray, trac
     return admitted
 
 
+def solve_and_bound(
+    stacked: np.ndarray, costs: CostMatrices, trace_bound: float, rho: float
+) -> Tuple[np.ndarray, RiccatiStack]:
+    """The admissibility rule after the screen, for every slice of a (K, n+m, n)
+    stack that passed it: one stacked solve, then the trace and norm tests.
+    Returns the admitted mask and the stack's Riccati solutions."""
+    sols = solve_dare_stack(stacked, costs)
+    return _bounded(stacked, sols.gain, sols.avg_cost, trace_bound, rho), sols
+
+
 def admitted_stack(
     stacked: np.ndarray, costs: CostMatrices, trace_bound: float, rho: float
 ) -> Tuple[np.ndarray, RiccatiStack]:
@@ -361,20 +371,21 @@ def admitted_stack(
     for every slice of a (K, n+m, n) stack of stacked parameters: the admitted
     mask and the stack's Riccati solutions.  One stacked QR screens the stack;
     a slice that it rejects keeps NaN P, gain and cost and the failure code
-    SCREENED.  One stacked solve takes the rest.  Boolean indexing keeps each
+    SCREENED.  solve_and_bound takes the rest.  Boolean indexing keeps each
     slice's memory layout, so each slice gets the verdict and bits it gets
     alone."""
     count, d, n = stacked.shape
+    admitted = np.zeros(count, dtype=bool)
     sols = RiccatiStack(
         np.full((count, n, n), np.nan), np.full((count, d - n, n), np.nan), np.full(count, np.nan),
         np.full(count, SCREENED),
     )
     passed = _screen(stacked, rho)
     if passed.any():
-        solved = solve_dare_stack(stacked[passed], costs)
+        admitted[passed], solved = solve_and_bound(stacked[passed], costs, trace_bound, rho)
         sols.p_matrix[passed], sols.gain[passed] = solved.p_matrix, solved.gain
         sols.avg_cost[passed], sols.failure[passed] = solved.avg_cost, solved.failure
-    return _bounded(stacked, sols.gain, sols.avg_cost, trace_bound, rho), sols
+    return admitted, sols
 
 
 def q_membership(

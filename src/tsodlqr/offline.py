@@ -376,15 +376,19 @@ def save_offline(
 
 def load_offline(basepath) -> Tuple[OfflineSummary, np.ndarray, np.ndarray]:
     """Load a trajectory and summary written by save_offline.  Blank lines
-    are skipped; a sidecar key, a header field, a row or a number that is
-    missing, repeated or malformed, a sidecar whose n, m or s_len is not a
-    positive integer or whose n and m disagree with the shapes of its
-    matrices, or a summary that its constructor rejects, raises a ValueError
-    that names the file."""
+    are skipped; a sidecar that is not valid JSON, a sidecar key, a header
+    field, a row or a number that is missing, repeated or malformed, a
+    sidecar whose n, m or s_len is not a positive integer, whose matrices are
+    ragged or whose n and m disagree with the shapes of its matrices, or a
+    summary that its constructor rejects, raises a ValueError that names the
+    file."""
     base = Path(basepath)
     sidecar_path = base.with_suffix(".json")
     with open(sidecar_path, encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+        try:
+            sidecar = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"offline sidecar {sidecar_path} is not valid JSON: {exc}") from None
     for key in _SIDECAR_KEYS:
         if key not in sidecar:
             raise ValueError(f"offline sidecar {sidecar_path} lacks the key {key!r}")
@@ -393,7 +397,10 @@ def load_offline(basepath) -> Tuple[OfflineSummary, np.ndarray, np.ndarray]:
         # type() and not isinstance(): a bool is an int too.
         if type(value) is not int or value < 1:
             raise ValueError(f"offline sidecar {sidecar_path} gives {key}={value!r}, which is not a positive integer")
-    shapes = {key: np.shape(sidecar[key]) for key in ("theta_hat_a", "theta_hat_b", "u_matrix")}
+    try:
+        shapes = {key: np.shape(sidecar[key]) for key in ("theta_hat_a", "theta_hat_b", "u_matrix")}
+    except ValueError as exc:  # a ragged matrix
+        raise ValueError(f"offline sidecar {sidecar_path}: {exc}") from None
     if list(shapes.values()) != [(n, n), (n, m), (n + m, n + m)]:
         raise ValueError(
             f"offline sidecar {sidecar_path} gives n={n}, m={m}, which do not match "

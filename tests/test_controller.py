@@ -748,16 +748,14 @@ class TestLockstep:
         # sampler admits without the fallback ladder is judged by scipy's DARE
         # solution and gain.
         admitted = []
-        real_sampler = controller._sample_batch
+        real_solve = controller.solve_and_bound
 
-        def record(*args):
-            samples = real_sampler(*args)
-            for j in range(len(samples.theta)):
-                if j not in samples.errors and not samples.fallback[j]:
-                    admitted.append((samples.theta[j].copy(), samples.gain[j].copy()))
-            return samples
+        def record(stacked, *args):
+            verdict, sols = real_solve(stacked, *args)
+            admitted.extend(zip(stacked[verdict].copy(), sols.gain[verdict].copy()))
+            return verdict, sols
 
-        monkeypatch.setattr(controller, "_sample_batch", record)
+        monkeypatch.setattr(controller, "solve_and_bound", record)
         results = run_episodes(
             [theta_star] * 6, summaries[:1] * 6, costs32, set_q, 60, delta2_for(0.1, 60), "ts_no_offline",
             [RngStream(seed, 1) for seed in range(6)],
@@ -829,3 +827,122 @@ class TestMixedLockstep:
         oracle = runs.index(("oracle", 150, 42))
         assert batch[oracle].trace.rejections.sum() == 0
         assert batch[runs.index(("ts_no_offline", 150, 42))].trace.rejections.sum() > 0
+
+
+def assert_same_run(got, alone, got_rng, alone_rng):
+    """got and alone agree bit for bit in every trace array, check and belief
+    field, and left their generators in the same state."""
+    bits = TestLockstep.bits
+    for name in ("t", "cost", "instant_regret", "cum_regret", "beta", "rejections", "state_norm"):
+        assert bits(getattr(got.trace, name)) == bits(getattr(alone.trace, name)), name
+    assert (got.trace.j_star, got.trace.seed) == (alone.trace.j_star, alone.trace.seed)
+    assert [tuple(map(bits, vars(c).values())) for c in got.diagnostics.checkpoints] == [
+        tuple(map(bits, vars(c).values())) for c in alone.diagnostics.checkpoints
+    ]
+    for name in vars(alone.diagnostics):
+        if name != "checkpoints":
+            assert bits(getattr(got.diagnostics, name)) == bits(getattr(alone.diagnostics, name)), name
+    for name in ("v_matrix", "cross_term", "logdet_v", "info_sum", "logdet_u"):
+        assert bits(getattr(got.belief, name)) == bits(getattr(alone.belief, name)), name
+    assert bits(got.belief.theta_hat.stacked) == bits(alone.belief.theta_hat.stacked)
+    assert got_rng.bit_generator.state == alone_rng.bit_generator.state
+
+
+class TestSamplerRounds:
+    """run_episodes moves in global rounds: each run keeps its own step, and
+    each sampling run sends at most one candidate per round to the solve."""
+
+    def test_one_solve_per_sampling_run_per_round(self, monkeypatch):
+        # A scalar batch skips the screen (m = n), so every candidate drawn
+        # passes it, and the candidates tested up to each step's admission
+        # are exactly those the sampler must solve.
+        theta = ThetaParams(np.array([[0.8]]), np.array([[1.0]]))
+        variants = ["tsod", "ts_no_offline", "tsod", "oracle", "tsod", "ts_no_offline"]
+        sources = [make_summary(precision * np.eye(2), theta) for precision in (1, 3, 10, 30, 100, 300)]
+        max_attempts, rows, calls = 6, [], []
+        real_round, real_solve = controller._sample_round, controller.solve_and_bound
+
+        def sample_round(runs, sampling, *args):
+            rows.append(len(sampling))
+            return real_round(runs, sampling, *args)
+
+        def solve(stacked, *args):
+            calls.append((len(rows), len(stacked)))
+            return real_solve(stacked, *args)
+
+        monkeypatch.setattr(controller, "_sample_round", sample_round)
+        monkeypatch.setattr(controller, "solve_and_bound", solve)
+        results = run_episodes(
+            [theta] * 6, sources, CostMatrices.identity(1, 1), ConstraintSetQ(1.5, 0.3), 40, delta2_for(0.1, 40),
+            variants, [RngStream(seed, 1) for seed in range(6)], max_attempts=max_attempts,
+        )
+        assert all(isinstance(r, EpisodeResult) for r in results)
+        # At most one solve per round, holding at most one slice per sampling run.
+        rounds = [r for r, _ in calls]
+        assert len(set(rounds)) == len(rounds)
+        assert all(size <= rows[r - 1] <= 5 for r, size in calls)
+        tested = sum(
+            int(np.minimum(r.trace.rejections + 1, max_attempts).sum())
+            for r, variant in zip(results, variants) if variant != "oracle"
+        )
+        assert sum(size for _, size in calls) == tested
+        # Rejections and the ladder both occur, so the runs' steps fall apart.
+        assert sum(r.diagnostics.fallback_steps for r in results) > 0
+        assert len(rows) > 40
+
+    def test_uneven_rounds_equal_each_run_alone(self, theta_star, theta_sim, costs32, offline_cfg):
+        # Under a tight set_q the no-offline runs reach the fallback ladder at
+        # most steps, while the tsod run on the long offline trajectory is
+        # often admitted at once and the oracle never samples.
+        set_q = ConstraintSetQ(10.0, 0.8)
+        priors = {
+            s_len: simulate_offline(
+                theta_sim, costs32, s_len, offline_cfg, delta1_for(0.1, s_len, 60), 0.15, RngStream(s_len, 0)
+            )[0]
+            for s_len in (250, 20000)
+        }
+        runs = [("oracle", 250, 42), ("tsod", 20000, 7), ("ts_no_offline", 250, 99), ("tsod", 250, 5),
+                ("offline_estimate_only", 20000, 3), ("oracle", 20000, 1)]
+        args = (costs32, set_q, 60, delta2_for(0.1, 60))
+        batch_rngs = [RngStream(seed, 1) for _, _, seed in runs]
+        batch = run_episodes(
+            [theta_star] * len(runs), [priors[s_len] for _, s_len, _ in runs], *args,
+            [variant for variant, _, _ in runs], batch_rngs, max_attempts=20, seeds=[seed for _, _, seed in runs],
+        )
+        for k, (variant, s_len, seed) in enumerate(runs):
+            rng = RngStream(seed, 1)
+            alone = run_episode(theta_star, priors[s_len], *args, variant, rng, max_attempts=20, seed=seed)
+            assert_same_run(batch[k], alone, batch_rngs[k], rng)
+        fallbacks = [r.diagnostics.fallback_steps for r in batch]
+        at_once = [int(np.count_nonzero(r.trace.rejections == 0)) for r in batch]
+        assert fallbacks[2] > 40 and fallbacks[1] == 0 and at_once[1] > 20
+
+    def test_several_rounds_in_one_step_match_the_reference(self, theta_sim, costs32, set_q, offline_cfg,
+                                                           monkeypatch):
+        # Of the candidates that pass the screen on this short trajectory's
+        # prior, many fail the solve, so a step often takes several rounds:
+        # one per candidate solved.
+        monkeypatch.setattr("tsodlqr.controller.SAMPLE_BLOCK", 8)
+        summary = simulate_offline(
+            theta_sim, costs32, 250, offline_cfg, delta1_for(0.1, 250, 60), 0.15, RngStream(42, 0)
+        )[0]
+        belief = init_belief(summary)
+        beta = compute_beta(belief, as_sources(summary), delta2_for(0.1, 60))
+        rounds = []
+        real_round = controller._sample_round
+
+        def sample_round(*args):
+            rounds[-1] += 1
+            return real_round(*args)
+
+        monkeypatch.setattr(controller, "_sample_round", sample_round)
+        for seed in range(20):
+            got_rng, ref_rng = RngStream(seed, 1), RngStream(seed, 1)
+            rounds.append(0)
+            got = sample_constrained(belief, beta, set_q, costs32, got_rng, 100, anchor=belief.theta_hat)
+            ref = reference_sampler(belief, beta, set_q, costs32, ref_rng, 100, belief.theta_hat, None)
+            assert got.theta_tilde.stacked.tobytes() == ref.theta_tilde.stacked.tobytes()
+            assert got.gain.tobytes() == ref.gain.tobytes()
+            assert (got.rejections, got.fallback_used) == (ref.rejections, ref.fallback_used)
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert max(rounds) >= 3

@@ -412,10 +412,11 @@ class TestSerialization:
         "alpha_string": {"alpha": "x"},
         "alpha_null": {"alpha": None},
         "delta1_out_of_range": {"delta1": 2.0},
+        "ragged_matrix": {"theta_hat_a": [[1, 2], [3]]},
     }
 
     @pytest.mark.parametrize(
-        "edit", [*TRAJECTORY_EDITS, *SIDECAR_EDITS, "sidecar_key", "sidecar_dims", "sidecar_huge_s_len"]
+        "edit", [*TRAJECTORY_EDITS, *SIDECAR_EDITS, "sidecar_key", "sidecar_dims", "sidecar_huge_s_len", "not_json"]
     )
     def test_incomplete_trajectory_raises(self, tmp_path, theta_sim, costs32, offline_cfg, edit, recwarn):
         summary, states, controls = simulate_offline(
@@ -435,6 +436,9 @@ class TestSerialization:
             sidecar = json.loads(path.read_text())
             del sidecar["delta1"]
             path.write_text(json.dumps(sidecar))
+        elif edit == "not_json":
+            path, match = base.with_suffix(".json"), "offline_s100.json is not valid JSON"
+            path.write_text(path.read_text().replace(",", "", 1))
         elif edit == "sidecar_dims":
             # n and m swapped, with a CSV header that matches them.
             path, match = base.with_suffix(".json"), r"offline_s100.json gives n=2, m=3, which do not match"
