@@ -267,7 +267,7 @@ def _sample_round(
     set_q: ConstraintSetQ,
     costs: CostMatrices,
     max_attempts: int,
-    ladder: Callable[[int], Iterable[ThetaParams]],
+    ladder: Callable[[int], Iterable[Tuple[ThetaParams, Optional[np.ndarray]]]],
 ) -> Tuple[np.ndarray, Dict[int, TsodLqrError]]:
     """One round of sample_constrained for the runs at positions `rows`, each
     in a step that _begin_step started.
@@ -276,7 +276,8 @@ def _sample_round(
     block of up to SAMPLE_BLOCK candidates with one call on its own
     generator, and one stacked screen covers every new block, until each run
     holds a passing candidate or has drawn max_attempts.  A run in the second
-    case tries the candidates of ladder(j), its fallback ladder, one by one.
+    case tries the candidates of ladder(j), its fallback ladder, one by one:
+    ladder(j) yields each with its gain, or with None when it must be solved.
     Then one solve_and_bound call takes each other run's next passing
     candidate in draw order, one slice per run, and the runs it admits end
     their sampling; the others try their next candidate in the next round.
@@ -315,10 +316,12 @@ def _sample_round(
     holding = runs.passed[rows].any(axis=1)
     done, errors = [], {}
     for j in rows[~holding]:
-        for candidate in ladder(j):
-            sol = q_membership(candidate, costs, set_q)
-            if sol is not None:
-                runs.theta_tilde[j], runs.gain[j] = candidate.stacked, sol.gain
+        for candidate, gain in ladder(j):
+            if gain is None:
+                sol = q_membership(candidate, costs, set_q)
+                gain = None if sol is None else sol.gain
+            if gain is not None:
+                runs.theta_tilde[j], runs.gain[j] = candidate.stacked, gain
                 runs.rejections[j], runs.fallback[j] = max_attempts, True
                 done.append(j)
                 break
@@ -381,7 +384,7 @@ def sample_constrained(
     while not errors and not len(done):
         done, errors = _sample_round(
             runs, rows, set_q, costs, max_attempts,
-            lambda j: _fallback_candidates(belief.theta_hat, anchor, last_accepted),
+            lambda j: ((rung, None) for rung in _fallback_candidates(belief.theta_hat, anchor, last_accepted)),
         )
     if errors:
         raise errors[0]
@@ -597,6 +600,7 @@ def run_episodes(
         oracle=np.array([variants[i] == "oracle" for i in started], dtype=bool),
         anchor=_objects([belief.theta_hat for belief in beliefs]),
         last_accepted=np.zeros((len(started), n + m, n)),
+        last_gain=np.zeros((len(started), m, n)),
         has_last=np.zeros(len(started), dtype=bool),
         theta_star=star_stack[solved],
         alpha_sum=np.array([setups[i][1].alpha_sum for i in started]),
@@ -627,12 +631,14 @@ def run_episodes(
     slot_of = np.full(horizon + 1, -1)
     slot_of[checkpoint_ts] = np.arange(len(checkpoint_ts))
 
-    def ladder(j: int) -> Iterable[ThetaParams]:
-        # Before the first update the mean is the prior's own object, which
-        # the ladder solves as it is.
+    def ladder(j: int) -> Iterable[Tuple[ThetaParams, Optional[np.ndarray]]]:
+        # The last accepted sample passed under the same set_q, so it keeps
+        # its gain.  Before the first update the mean is the prior's own
+        # object, which the ladder solves as it is.
+        if runs.has_last[j]:
+            yield ThetaParams.from_stacked(runs.last_accepted[j], n, m), runs.last_gain[j]
         hat = runs.anchor[j] if runs.step[j] == 0 else ThetaParams.from_stacked(runs.theta_hat[j], n, m)
-        last = ThetaParams.from_stacked(runs.last_accepted[j], n, m) if runs.has_last[j] else None
-        return _fallback_candidates(hat, runs.anchor[j], last)
+        yield from ((rung, None) for rung in _fallback_candidates(hat, runs.anchor[j], None))
 
     def fail(errors: Dict[int, TsodLqrError]) -> None:
         # A run that raises records its error, takes no further part in the
@@ -690,7 +696,7 @@ def run_episodes(
             done, errors = _sample_round(runs, sampling, set_q, costs, max_attempts, ladder)
             fail(errors)
             accepted = done[~runs.fallback[done]]
-            runs.last_accepted[accepted] = runs.theta_tilde[accepted]
+            runs.last_accepted[accepted], runs.last_gain[accepted] = runs.theta_tilde[accepted], runs.gain[accepted]
             runs.has_last[accepted] = True
             ending[done] = True
         ends = np.flatnonzero(ending)

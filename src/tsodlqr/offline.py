@@ -168,15 +168,16 @@ def collect_offline_batch(
     runs in lockstep, and accumulate each run's statistics: run i draws from
     rngs[i] alone, so its result does not depend on the others.
 
-    Each step is one stacked operation over the runs' states (R, n), the Gram
-    stacks (R, d, d) and (R, d, n) take the terms of a window of steps at
-    once, and each gain refresh is one stacked Riccati solve.  The arithmetic
-    is that of a one-run loop over the steps, so each run gets its bits.  A
-    run whose state norm exceeds the ceiling, or is not finite, leaves the
-    batch at that step, and its entry of the result is the UnstableRollout;
-    the other entries are (summary, states, controls), where states has
-    shape (s_len + 1, n) (the last row is the terminal state) and controls
-    has shape (s_len, m).
+    The runs' trajectories are one (R, s_len + 1, d) buffer of regressors
+    [xi; v], into which each step writes its controls and next state.  The
+    ceiling test and the Gram stacks (R, d, d) and (R, d, n) take a window
+    of gain_refresh steps at once, and each gain refresh is one stacked
+    Riccati solve.  The arithmetic is that of a one-run loop over the steps,
+    so each run gets its bits.  A run whose state norm exceeds the ceiling,
+    or is not finite, leaves the batch at the end of that window, and its
+    entry is the UnstableRollout that names its first such step; the others
+    are (summary, states, controls), views of the buffer of shapes
+    (s_len + 1, n) (the last row is the terminal state) and (s_len, m).
     """
     if s_len < 1:
         raise ValueError("s_len must be at least 1")
@@ -195,22 +196,21 @@ def collect_offline_batch(
         gain = np.zeros((count, m, n))
     u = np.repeat(lam0 * np.eye(d)[None], count, axis=0)
     cross = np.zeros((count, d, n))
-    xi = np.zeros((count, n))
     ab = theta_sim.stacked.T
-    states = np.zeros((count, s_len + 1, n))
-    controls = np.zeros((count, s_len, m))
+    traj = np.zeros((count, s_len + 1, d))  # row t of run j is [xi_t; v_t]; the last row has zero controls
     results: List[Union[OfflineDataset, UnstableRollout, None]] = [None] * count
     live = np.arange(count)
+    exceeded = f"offline state norm exceeded {cfg.state_ceiling:g}"
 
     # The steps run in windows of gain_refresh, with the gains refreshed at
     # the start of every window but the first.  Each live run draws the
     # window's noise with one call, which gives the normals that one draw
     # of m and then one of n per step would give: row k holds the dither
-    # and the process noise of the window's step k.  The Gram terms of a
-    # window's steps are added at its end by one add.accumulate, which adds
-    # them one after another, as step-by-step sums would.  A non-finite
-    # state is caught by the ceiling test at its step, so numpy's warnings
-    # about it are silenced.
+    # and the process noise of the window's step k.  At the window's end a
+    # run that failed the ceiling test leaves, and one add.accumulate adds
+    # the others' Gram terms one after another, as step-by-step sums would.
+    # The steps a run takes after its failure are thrown away, so numpy's
+    # warnings about their non-finite values are silenced.
     with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, s_len, cfg.gain_refresh):
             if not live.size:
@@ -218,33 +218,27 @@ def collect_offline_batch(
             stop = min(start + cfg.gain_refresh, s_len)
             if cfg.controller_mode == "ce_dither" and start > 0:
                 gain = _refresh_gains(u, cross, costs, gain)
-            noise = np.empty((live.size, stop - start, m + n))
+            noise = np.empty((live.size, stop - start, d, 1))
             for j, i in enumerate(live):
                 rngs[i].standard_normal(out=noise[j])
-            noise[:, :, :m] *= cfg.dither_std
-            # Row k holds the regressor [xi; v] of the window's step k.
-            window = np.empty((live.size, stop - start, d))
-            for k in range(stop - start):
-                y = np.concatenate([xi, (gain @ xi[:, :, None])[:, :, 0] + noise[:, k, :m]], axis=1)
-                xi = (ab[None] @ y[:, :, None])[:, :, 0] + noise[:, k, m:]
-                window[:, k] = y
-                norms = np.sqrt(np.vecdot(xi, xi))
-                if not norms.max() <= cfg.state_ceiling:  # also true when a state has a NaN or an inf
-                    unstable = ~(norms <= cfg.state_ceiling)
-                    message = f"offline state norm exceeded {cfg.state_ceiling:g} at step {start + k + 1}"
-                    for i in live[unstable]:
-                        results[i] = UnstableRollout(message)
-                    keep = ~unstable
-                    live, gain, u, cross, xi = live[keep], gain[keep], u[keep], cross[keep], xi[keep]
-                    noise, window = noise[keep], window[keep]
-                    if not live.size:
-                        break
-            nexts = np.concatenate([window[:, 1:, :n], xi[:, None]], axis=1)
-            u = _add_outer(u, window, window)
-            cross = _add_outer(cross, window, nexts)
-            states[live, start:stop] = window[:, :, :n]
-            controls[live, start:stop] = window[:, :, n:]
-    states[live, s_len] = xi
+            dither, process = noise[:, :, :m].swapaxes(0, 1), noise[:, :, m:].swapaxes(0, 1)
+            dither *= cfg.dither_std
+            # Step first: step k reads row k and writes its controls and the state of row k + 1.
+            rows = traj[:, start : stop + 1, :, None].swapaxes(0, 1)
+            xs = rows[:, :, :n]
+            for y, x, v, x_next, dither_k, process_k in zip(rows, xs, rows[:, :, n:], xs[1:], dither, process):
+                np.add(gain @ x, dither_k, out=v)
+                np.add(ab @ y, process_k, out=x_next)
+            nexts = traj[:, start + 1 : stop + 1, :n]
+            bad = ~(np.sqrt(np.vecdot(nexts, nexts)) <= cfg.state_ceiling)  # also true for a NaN or an inf
+            failed = bad.any(axis=1)
+            for j in np.flatnonzero(failed):
+                results[live[j]] = UnstableRollout(f"{exceeded} at step {start + bad[j].argmax() + 1}")
+            if failed.any():
+                live, gain, u, cross, traj = live[~failed], gain[~failed], u[~failed], cross[~failed], traj[~failed]
+            window = traj[:, start : stop + 1]
+            u = _add_outer(u, window[:, :-1], window[:, :-1])
+            cross = _add_outer(cross, window[:, :-1], window[:, 1:, :n])
 
     u = 0.5 * (u + u.mT)
     theta_hat = np.linalg.solve(u, cross)
@@ -258,7 +252,7 @@ def collect_offline_batch(
             delta1=delta1,
             regularizer=lam0,
         )
-        results[i] = (summary, states[i], controls[i])
+        results[i] = (summary, traj[j, :, :n], traj[j, :-1, n:])
     return results
 
 

@@ -890,6 +890,41 @@ class TestSamplerRounds:
         assert sum(r.diagnostics.fallback_steps for r in results) > 0
         assert len(rows) > 40
 
+    def test_ladder_takes_the_last_accepted_sample_without_a_solve(
+        self, theta_sim, theta_star, costs32, set_q, offline_cfg, monkeypatch
+    ):
+        # Once every run holds a last accepted sample, the screen rejects
+        # every draw, so each later step falls back.  The ladder's first rung,
+        # the last accepted sample, comes with its gain, so no rung is solved.
+        summary = simulate_offline(
+            theta_sim, costs32, 250, offline_cfg, delta1_for(0.1, 250, 30), 0.15, RngStream(42, 0)
+        )[0]
+        closed, solved_after = [False], []
+        real_round, real_screen, real_membership = controller._sample_round, controller._screen, controller.q_membership
+
+        def sample_round(runs, rows, *args):
+            closed[0] = closed[0] or bool(runs.has_last.all())
+            return real_round(runs, rows, *args)
+
+        def screen(stacked, rho):
+            return np.zeros(len(stacked), dtype=bool) if closed[0] else real_screen(stacked, rho)
+
+        def membership(theta, *args):
+            if closed[0]:
+                solved_after.append(theta)
+            return real_membership(theta, *args)
+
+        monkeypatch.setattr(controller, "_sample_round", sample_round)
+        monkeypatch.setattr(controller, "_screen", screen)
+        monkeypatch.setattr(controller, "q_membership", membership)
+        results = run_episodes(
+            [theta_star] * 3, [summary] * 3, costs32, set_q, 30, delta2_for(0.1, 30), "tsod",
+            [RngStream(seed, 1) for seed in range(3)], max_attempts=5,
+        )
+        assert all(isinstance(r, EpisodeResult) for r in results)
+        assert closed[0] and solved_after == []
+        assert all(r.diagnostics.fallback_steps > 20 for r in results)
+
     def test_uneven_rounds_equal_each_run_alone(self, theta_star, theta_sim, costs32, offline_cfg):
         # Under a tight set_q the no-offline runs reach the fallback ladder at
         # most steps, while the tsod run on the long offline trajectory is

@@ -290,6 +290,101 @@ class TestLockstepCollector:
         assert all(isinstance(entry, tuple) for entry in batch)
         assert 0 < sum(code != 0 for code in failures) < len(failures), failures
 
+class PoisonedStream(RngStream):
+    """An RngStream whose normal number `at`, counted over all its draws, is
+    `value`: the same normal whether they come in one call or in several."""
+
+    def __init__(self, seed, at, value):
+        super().__init__(seed, 0)
+        self.at, self.value, self.drawn = at, value, 0
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        result = super().standard_normal(size, dtype=dtype, out=out)
+        first, self.drawn = self.drawn, self.drawn + result.size
+        if first <= self.at < self.drawn:
+            result.flat[self.at - first] = self.value
+        return result
+
+
+class TestTrajectoryBuffer:
+    """collect_offline_batch runs the ceiling test once per window of
+    gain_refresh steps: a run that fails anywhere in a window leaves the
+    batch with the first step it failed at, and neither that nor the steps
+    it takes after its failure change a bit of the other runs."""
+
+    SEEDS = (3, 14, 15)
+    S_LEN = 230  # windows of 50 steps, the last one of 30
+
+    @staticmethod
+    def make_stream(seed, poison):
+        """Run seed's generator; poison = (step, value) sets the first
+        process noise of that 1-based step to value, so its state fails.
+        Each step draws m + n = 5 normals, the m = 2 dithers first."""
+        if poison is None:
+            return RngStream(seed, 0)
+        step, value = poison
+        return PoisonedStream(seed, (step - 1) * 5 + 2, value)
+
+    def check(self, theta_sim, costs, cfg, poisons):
+        """Collect one run per entry of poisons as one batch, with numpy's
+        warnings as errors, and compare each with the serial reference and
+        with simulate_offline, generator states included."""
+        runs = list(zip(self.SEEDS * 2, poisons))
+        batch_rngs = [self.make_stream(seed, poison) for seed, poison in runs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = collect_offline_batch(theta_sim, costs, self.S_LEN, cfg, 0.01, 0.15, batch_rngs)
+        assert len(batch) == len(runs)
+        for (seed, poison), got, rng in zip(runs, batch, batch_rngs):
+            alone_rng = self.make_stream(seed, poison)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    reference = serial_reference(
+                        theta_sim, costs, self.S_LEN, cfg, 0.01, 0.15, self.make_stream(seed, poison)
+                    )
+                except UnstableRollout as exc:
+                    reference = exc
+                try:
+                    alone = simulate_offline(theta_sim, costs, self.S_LEN, cfg, 0.01, 0.15, alone_rng)
+                except UnstableRollout as exc:
+                    alone = exc
+            assert rng.bit_generator.state == alone_rng.bit_generator.state
+            if poison is not None:
+                message = f"offline state norm exceeded 1e+06 at step {poison[0]}"
+                assert isinstance(got, UnstableRollout) and str(got) == message
+                assert str(reference) == str(alone) == message
+                continue
+            u, theta_hat, alpha, states, controls = reference
+            assert got[0].u_matrix.tobytes() == u.tobytes() == alone[0].u_matrix.tobytes()
+            assert got[0].theta_hat_sim.stacked.tobytes() == theta_hat.tobytes()
+            assert got[0].alpha.hex() == alpha.hex() == alone[0].alpha.hex()
+            assert got[1].tobytes() == states.tobytes() == alone[1].tobytes()
+            assert got[2].tobytes() == controls.tobytes() == alone[2].tobytes()
+
+    @pytest.mark.parametrize("mode", ["ce_dither", "fixed_gain"])
+    @pytest.mark.parametrize(
+        "poisons",
+        [
+            [(1, math.nan), None, None],  # the first step of the first window
+            [None, (51, 1e200), (100, math.nan)],  # the first and the last step of a window
+            [(216, math.inf), None, (230, 1e200)],  # the last window, which is partial
+            [None, (124, math.nan), None],  # a NaN that enters mid-window
+            [(124, 1e200), None, (124, math.nan)],  # two failures at one step
+        ],
+    )
+    def test_failed_runs_leave_and_the_others_keep_their_bits(self, theta_sim, costs32, set_p, mode, poisons):
+        fixed = np.array([[-0.3, 0.1, 0.0], [0.0, -0.2, 0.1]])
+        cfg = OfflineConfig(set_p=set_p, controller_mode=mode, fixed_gain=fixed)
+        self.check(theta_sim, costs32, cfg, poisons)
+
+    def test_every_run_failing_gives_each_its_own_step(self, theta_sim, costs32, offline_cfg):
+        # Two runs fail in one window and the others in later ones, the last
+        # at the last step.
+        poisons = [(7, math.nan), (33, 1e200), (60, math.inf), (150, 1e200), (199, math.nan), (230, math.inf)]
+        self.check(theta_sim, costs32, offline_cfg, poisons)
+
+
 class TestCheckAssumption2:
     def test_boundary_lambda(self, theta_sim):
         s_len = 400

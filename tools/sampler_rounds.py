@@ -11,11 +11,12 @@ outputs written to a temporary directory, and prints one JSON line:
   of `controller._sample_round`;
 - `solve_calls`, `solved_slices` and `max_slices_per_call`: the calls of the
   sampler's solve binding, `controller.solve_and_bound`, and the candidates
-  they solved.
+  they solved;
+- `ladder_solves`: the fallback ladder's one-candidate solves, the calls of
+  `controller.q_membership`.
 
 The counts come from wrappers around those module bindings, so no file
-under `src/` needs to change. The fallback ladder's solves, which go through
-`q_membership`, are not counted.
+under `src/` needs to change.
 """
 
 from __future__ import annotations
@@ -35,8 +36,11 @@ from tsodlqr.harness import run_diagnostics, run_experiment  # noqa: E402
 
 
 def count(config: str, overrides: list, command: str) -> dict:
-    counts = {"steps": 0, "rounds": 0, "solve_calls": 0, "solved_slices": 0, "max_slices_per_call": 0}
+    counts = {
+        "steps": 0, "rounds": 0, "solve_calls": 0, "solved_slices": 0, "max_slices_per_call": 0, "ladder_solves": 0,
+    }
     real_round, real_solve, real_step = controller._sample_round, controller.solve_and_bound, controller.step_systems
+    real_membership = controller.q_membership
 
     def sample_round(*args, **kwargs):
         counts["rounds"] += 1
@@ -52,9 +56,13 @@ def count(config: str, overrides: list, command: str) -> dict:
         counts["steps"] += len(thetas)
         return real_step(thetas, *args, **kwargs)
 
+    def q_membership(*args, **kwargs):
+        counts["ladder_solves"] += 1
+        return real_membership(*args, **kwargs)
+
     cfg = load_experiment_config(config, list(overrides) + ["workers=1"])
     controller._sample_round, controller.solve_and_bound = sample_round, solve_and_bound
-    controller.step_systems = step_systems
+    controller.step_systems, controller.q_membership = step_systems, q_membership
     try:
         with tempfile.TemporaryDirectory(prefix="sampler_rounds_") as out:
             if command == "run":
@@ -63,7 +71,7 @@ def count(config: str, overrides: list, command: str) -> dict:
                 run_diagnostics(cfg, out_dir=out)
     finally:
         controller._sample_round, controller.solve_and_bound = real_round, real_solve
-        controller.step_systems = real_step
+        controller.step_systems, controller.q_membership = real_step, real_membership
     return counts
 
 
