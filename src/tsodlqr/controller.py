@@ -37,9 +37,10 @@ from .traces import CheckpointRecord, EpisodeDiagnostics, RegretTrace
 VARIANTS = ("tsod", "ts_no_offline", "offline_estimate_only", "oracle")
 
 DEFAULT_MAX_ATTEMPTS = 100
-# Candidates drawn and screened per call.  A speed constant only: the sampler
-# rewinds the stream to where one-at-a-time draws would have left it, so no
-# value of it moves a byte.
+# Candidates drawn and screened per call when n > m; when m >= n the screen
+# passes every draw, so each call draws one.  A speed constant only: the
+# sampler rewinds the stream to where one-at-a-time draws would have left it,
+# so no value of it moves a byte.
 SAMPLE_BLOCK = 8
 DEFAULT_STATE_CEILING = 1e6
 # Estimation-error checkpoints, as fractions of the horizon.
@@ -220,18 +221,23 @@ def _fallback_candidates(
 
 def _sampler_fields(count: int, d: int, n: int) -> dict:
     """The sampler's per-run fields of a _Runs, for runs of (d, n) stacked
-    parameters: the width and V^{-1/2} of the step, the generator state at
-    its start, the candidates drawn so far, the current block of candidates
-    (drawn from candidate `base` on) with the mask of those that passed the
-    screen and are not yet solved, and the step's outcome."""
+    parameters: the width and V^{-1/2} of the step, the candidates drawn so
+    far, the current block of candidates (drawn from candidate `base` on,
+    with the generator state before it) with the mask of those that passed
+    the screen and are not yet solved, and the step's outcome.
+
+    Blocks hold SAMPLE_BLOCK candidates when n > m.  When m >= n the screen
+    cannot reject (lqr.closed_loop_floors is 0), so a block holds one: each
+    run then draws only the candidates it solves, and never rewinds."""
+    block_size = SAMPLE_BLOCK if n > d - n else 1
     return dict(
         beta=np.zeros(count),
         inv_half=np.zeros((count, d, d)),
         start=_objects([None] * count),
         drawn=np.zeros(count, dtype=np.int64),
         base=np.zeros(count, dtype=np.int64),
-        block=np.zeros((count, SAMPLE_BLOCK, d, n)),
-        passed=np.zeros((count, SAMPLE_BLOCK), dtype=bool),
+        block=np.zeros((count, block_size, d, n)),
+        passed=np.zeros((count, block_size), dtype=bool),
         theta_tilde=np.zeros((count, d, n)),
         gain=np.zeros((count, d - n, n)),
         rejections=np.zeros(count, dtype=np.int64),
@@ -241,9 +247,9 @@ def _sampler_fields(count: int, d: int, n: int) -> dict:
 
 def _begin_step(runs: "_Runs", rows: np.ndarray) -> Dict[int, TsodLqrError]:
     """Start a sampling step for the runs at positions `rows`, whose widths
-    are set: one stacked eigh gives their V^{-1/2}, each saves its generator
-    state, and none has drawn a candidate.  Returns the errors of the runs
-    that cannot sample, by position."""
+    are set: one stacked eigh gives their V^{-1/2}, and none has drawn a
+    candidate.  Returns the errors of the runs that cannot sample, by
+    position."""
     errors: Dict[int, TsodLqrError] = {}
     for k in np.flatnonzero(runs.beta[rows] < 0):
         errors[int(rows[k])] = DomainError("beta must be nonnegative")
@@ -256,8 +262,6 @@ def _begin_step(runs: "_Runs", rows: np.ndarray) -> Dict[int, TsodLqrError]:
     runs.inv_half[rows] = (eigvecs / np.sqrt(eigvals)[:, None, :]) @ eigvecs.mT
     runs.drawn[rows] = 0
     runs.passed[rows] = False
-    for j in rows:
-        runs.start[j] = runs.rng[j].bit_generator.state
     return errors
 
 
@@ -273,23 +277,24 @@ def _sample_round(
     in a step that _begin_step started.
 
     Each run that holds no candidate that passed the screen draws its next
-    block of up to SAMPLE_BLOCK candidates with one call on its own
-    generator, and one stacked screen covers every new block, until each run
-    holds a passing candidate or has drawn max_attempts.  A run in the second
-    case tries the candidates of ladder(j), its fallback ladder, one by one:
-    ladder(j) yields each with its gain, or with None when it must be solved.
-    Then one solve_and_bound call takes each other run's next passing
-    candidate in draw order, one slice per run, and the runs it admits end
-    their sampling; the others try their next candidate in the next round.
-    An admitted run restores its stream and redraws its tested candidates,
-    so it ends where one draw per tested candidate leaves it.
+    block, of up to the block size of _sampler_fields, with one call on its
+    own generator, saving the generator state first when the block holds
+    more than one candidate.  One stacked screen covers every new block,
+    until each run holds a passing candidate or has drawn max_attempts.  A
+    run in the second case tries the candidates of ladder(j), its fallback
+    ladder, one by one: ladder(j) yields each with its gain, or with None
+    when it must be solved.  Then one solve_and_bound call takes each other
+    run's next passing candidate in draw order, one slice per run, and the
+    runs it admits end their sampling; the others try their next candidate
+    in the next round.
+    An admission falls in the run's current block: a run admitted at slot k
+    of a block of more candidates restores the block's saved state and
+    redraws k + 1, so it ends where one draw per tested candidate leaves it.
 
     The outcome of a run that ends its sampling is in theta_tilde, gain,
     rejections and fallback.  Returns the positions of those runs and the
     errors of the runs that raised TsodLqrError, by position.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
     _, block_size, d, n = runs.block.shape
     need = rows[~runs.passed[rows].any(axis=1)]
     while True:
@@ -302,6 +307,8 @@ def _sample_round(
         slot = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
         normals = np.empty((ends[-1], d, n))
         for j, lo, hi in zip(need, ends - sizes, ends):
+            if hi - lo > 1:
+                runs.start[j] = runs.rng[j].bit_generator.state
             runs.rng[j].standard_normal(out=normals[lo:hi])
         blocks = runs.theta_hat[owner] + runs.beta[owner][:, None, None] * (runs.inv_half[owner] @ normals)
         if not np.isfinite(blocks).all():
@@ -335,12 +342,12 @@ def _sample_round(
         admitted, sols = solve_and_bound(candidates, costs, set_q.m_p, set_q.rho)
         won = solving[admitted]
         runs.theta_tilde[won], runs.gain[won] = candidates[admitted], sols.gain[admitted]
-        runs.rejections[won], runs.fallback[won] = runs.base[won] + first[admitted], False
-        for j in won:
-            tested = runs.rejections[j] + 1
-            if tested < runs.drawn[j]:
-                runs.rng[j].bit_generator.state = runs.start[j]
-                runs.rng[j].standard_normal((tested, d, n))
+        slots = first[admitted]
+        runs.rejections[won], runs.fallback[won] = runs.base[won] + slots, False
+        rewind = slots + 1 < runs.drawn[won] - runs.base[won]
+        for j, k in zip(won[rewind], slots[rewind]):
+            runs.rng[j].bit_generator.state = runs.start[j]
+            runs.rng[j].standard_normal((k + 1, d, n))
         done.extend(won)
     return np.array(done, dtype=np.int64), errors
 
@@ -363,14 +370,19 @@ def sample_constrained(
     interpolations from the mean toward `anchor`, and scalings of the anchor
     toward zero; fallback_used marks that path.
 
-    Draws come in blocks of SAMPLE_BLOCK from one call, which fills the
-    array with the normals that one call per candidate would draw.  The block
+    Draws come in blocks from one call, which fills the array with the
+    normals that one call per candidate would draw: SAMPLE_BLOCK candidates
+    when n > m, one when m >= n, where the screen cannot reject.  The block
     is screened when it is drawn, and the candidates that pass are solved one
-    per round in draw order.  Once candidate i, the first admitted, is taken,
-    the stream is restored and i + 1 candidates are redrawn, so it ends where
-    one draw per tested candidate leaves it.  These are the rounds of the
-    one-run batch that run_episodes samples all runs with.
+    per round in draw order.  The generator state is saved before each block
+    of more than one candidate.  Once candidate k of a block, the step's
+    first admitted, is taken, the block's state is restored and k + 1
+    candidates are redrawn, so the stream ends where one draw per tested
+    candidate leaves it.  These are the rounds of the one-run batch that
+    run_episodes samples all runs with.  max_attempts must be at least 1.
     """
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be at least 1")
     runs = _Runs(
         rng=_objects([rng]),
         v_matrix=belief.v_matrix[None],
@@ -547,6 +559,8 @@ def run_episodes(
         raise ValueError("horizon must be nonnegative")
     if not 0.0 < delta2 < 1.0:
         raise DomainError("delta2 must lie in (0, 1)")
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be at least 1")
     count = len(theta_stars)
     seeds = list(seeds) if seeds is not None else [0] * count
     variants = [variants] * count if isinstance(variants, str) else list(variants)

@@ -196,6 +196,14 @@ class TestSampleConstrained:
         with pytest.raises(ValueError, match="non-finite"):
             sample_constrained(belief, math.inf, set_q, costs32, RngStream(4, 1))
 
+    def test_max_attempts_below_one_raises(self, costs32, set_q, theta_star):
+        belief = init_belief(MultiSourceSummary((make_summary(np.eye(5), theta_star),)))
+        rng = RngStream(4, 1)
+        start = rng.bit_generator.state
+        with pytest.raises(ValueError, match="max_attempts"):
+            sample_constrained(belief, 1.0, set_q, costs32, rng, max_attempts=0)
+        assert rng.bit_generator.state == start
+
     def test_fallback_marks_flag(self, costs32, set_q):
         # A mean far outside the admissible set forces the fallback ladder.
         wild = ThetaParams(5.0 * np.eye(3), np.zeros((3, 2)))
@@ -889,6 +897,65 @@ class TestSamplerRounds:
         # Rejections and the ladder both occur, so the runs' steps fall apart.
         assert sum(r.diagnostics.fallback_steps for r in results) > 0
         assert len(rows) > 40
+
+    @pytest.mark.parametrize("n, m, m_p, rho", [(1, 1, 1.5, 0.1), (2, 3, 2.4, 0.3)])
+    def test_one_candidate_blocks_when_the_screen_cannot_reject(self, monkeypatch, n, m, m_p, rho):
+        # When m >= n the screen passes every draw, so each run draws one
+        # candidate per round whatever SAMPLE_BLOCK is: every candidate drawn
+        # is screened once and solved once, and no stream is rewound.
+        monkeypatch.setattr("tsodlqr.controller.SAMPLE_BLOCK", 8)
+        rng = np.random.default_rng(n * 10 + m)
+        a = rng.standard_normal((n, n))
+        theta = ThetaParams(0.8 * a / np.linalg.norm(a, 2), rng.standard_normal((n, m)))
+        variants = ["tsod", "ts_no_offline", "oracle", "tsod", "ts_no_offline"]
+        sources = [make_summary(precision * np.eye(n + m), theta) for precision in (1, 3, 10, 30, 100)]
+        horizon, max_attempts, screened, solved = 40, 6, [], []
+        args = (CostMatrices.identity(n, m), ConstraintSetQ(m_p, rho), horizon, delta2_for(0.1, horizon))
+        real_screen, real_solve = controller._screen, controller.solve_and_bound
+
+        def screen(stacked, *rest):
+            screened.append(len(stacked))
+            return real_screen(stacked, *rest)
+
+        def solve(stacked, *rest):
+            solved.append(len(stacked))
+            return real_solve(stacked, *rest)
+
+        monkeypatch.setattr(controller, "_screen", screen)
+        monkeypatch.setattr(controller, "solve_and_bound", solve)
+        seeds = list(range(len(variants)))
+        batch_rngs = [RngStream(seed, 1) for seed in seeds]
+        batch = run_episodes([theta] * len(variants), sources, *args, variants, batch_rngs,
+                             max_attempts=max_attempts, seeds=seeds)
+        tested = [
+            int(np.minimum(r.trace.rejections + 1, max_attempts).sum()) if variant != "oracle" else 0
+            for r, variant in zip(batch, variants)
+        ]
+        assert sum(screened) == sum(solved) == sum(tested)
+        for k, (variant, seed) in enumerate(zip(variants, seeds)):
+            alone_rng = RngStream(seed, 1)
+            alone = run_episode(theta, sources[k], *args, variant, alone_rng, max_attempts=max_attempts, seed=seed)
+            assert_same_run(batch[k], alone, batch_rngs[k], alone_rng)
+            # The stream has drawn the normals of the tested candidates and
+            # of the process noise, and no others.
+            twin = RngStream(seed, 1)
+            twin.standard_normal(tested[k] * (n + m) * n + horizon * n)
+            assert batch_rngs[k].bit_generator.state == twin.bit_generator.state, k
+        # Steps that reject some candidates, and steps that fall back, occur.
+        rejections = np.concatenate([r.trace.rejections for r in batch])
+        assert (0 < rejections).any() and (rejections == max_attempts).any()
+
+    @pytest.mark.parametrize("variants", [["oracle", "oracle"], ["oracle", "tsod"]])
+    def test_max_attempts_below_one_raises_on_entry(self, theta_star, costs32, set_q, variants):
+        # A batch of oracles never samples, and still rejects the budget.
+        rngs = [RngStream(seed, 1) for seed in range(2)]
+        starts = [rng.bit_generator.state for rng in rngs]
+        with pytest.raises(ValueError, match="max_attempts"):
+            run_episodes(
+                [theta_star] * 2, [make_summary(np.eye(5), theta_star)] * 2, costs32, set_q, 10,
+                delta2_for(0.1, 10), variants, rngs, max_attempts=0,
+            )
+        assert [rng.bit_generator.state for rng in rngs] == starts
 
     def test_ladder_takes_the_last_accepted_sample_without_a_solve(
         self, theta_sim, theta_star, costs32, set_q, offline_cfg, monkeypatch

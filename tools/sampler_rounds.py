@@ -12,6 +12,8 @@ outputs written to a temporary directory, and prints one JSON line:
 - `solve_calls`, `solved_slices` and `max_slices_per_call`: the calls of the
   sampler's solve binding, `controller.solve_and_bound`, and the candidates
   they solved;
+- `screen_calls` and `screened_slices`: the calls of the sampler's screen,
+  `controller._screen`, and the candidates they screened;
 - `ladder_solves`: the fallback ladder's one-candidate solves, the calls of
   `controller.q_membership`.
 
@@ -37,10 +39,11 @@ from tsodlqr.harness import run_diagnostics, run_experiment  # noqa: E402
 
 def count(config: str, overrides: list, command: str) -> dict:
     counts = {
-        "steps": 0, "rounds": 0, "solve_calls": 0, "solved_slices": 0, "max_slices_per_call": 0, "ladder_solves": 0,
+        "steps": 0, "rounds": 0, "solve_calls": 0, "solved_slices": 0, "max_slices_per_call": 0,
+        "screen_calls": 0, "screened_slices": 0, "ladder_solves": 0,
     }
     real_round, real_solve, real_step = controller._sample_round, controller.solve_and_bound, controller.step_systems
-    real_membership = controller.q_membership
+    real_screen, real_membership = controller._screen, controller.q_membership
 
     def sample_round(*args, **kwargs):
         counts["rounds"] += 1
@@ -51,6 +54,11 @@ def count(config: str, overrides: list, command: str) -> dict:
         counts["solved_slices"] += len(stacked)
         counts["max_slices_per_call"] = max(counts["max_slices_per_call"], len(stacked))
         return real_solve(stacked, *args, **kwargs)
+
+    def screen(stacked, *args, **kwargs):
+        counts["screen_calls"] += 1
+        counts["screened_slices"] += len(stacked)
+        return real_screen(stacked, *args, **kwargs)
 
     def step_systems(thetas, *args, **kwargs):
         counts["steps"] += len(thetas)
@@ -63,6 +71,7 @@ def count(config: str, overrides: list, command: str) -> dict:
     cfg = load_experiment_config(config, list(overrides) + ["workers=1"])
     controller._sample_round, controller.solve_and_bound = sample_round, solve_and_bound
     controller.step_systems, controller.q_membership = step_systems, q_membership
+    controller._screen = screen
     try:
         with tempfile.TemporaryDirectory(prefix="sampler_rounds_") as out:
             if command == "run":
@@ -72,6 +81,7 @@ def count(config: str, overrides: list, command: str) -> dict:
     finally:
         controller._sample_round, controller.solve_and_bound = real_round, real_solve
         controller.step_systems, controller.q_membership = real_step, real_membership
+        controller._screen = real_screen
     return counts
 
 
