@@ -79,7 +79,7 @@ def _cmd_offline(cfg, out_dir) -> int:
     out = Path(out_dir) / "offline"
     out.mkdir(parents=True, exist_ok=True)
     clear_outputs(out, r"s[0-9]+_run[0-9]{3,}\.(csv|json)")
-    # The datasets that the runs of the tsod variant collect.
+    # The datasets that run i collects, for every variant that uses offline data.
     specs = [RunSpec(cfg, "tsod", s_len, run_id) for s_len in cfg.s_values for run_id in range(cfg.num_runs)]
     for spec, dataset in zip(specs, collect_offline(specs)):
         if isinstance(dataset, TsodLqrError):

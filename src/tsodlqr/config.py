@@ -157,7 +157,7 @@ SCHEMA = {
     },
     "beta_mdelta_scale": Key(1.0, _nonnegative, "scale on the sqrt(lambda_max(U)) * M_delta width term"),
     "max_attempts": Key(100, _count, "rejection-sampling budget per step"),
-    "share_offline": Key(False, _flag, "reuse one offline dataset across the runs of a cell"),
+    "share_offline": Key(False, _flag, "reuse run 0's offline dataset for every run of an S"),
     "workers": Key(
         1, _workers, f"processes for run, diagnostics and sweep (at most {MAX_WORKERS}, one per CPU and run)"
     ),

@@ -37,10 +37,10 @@ from .traces import CheckpointRecord, EpisodeDiagnostics, RegretTrace
 VARIANTS = ("tsod", "ts_no_offline", "offline_estimate_only", "oracle")
 
 DEFAULT_MAX_ATTEMPTS = 100
-# Candidates drawn and screened per call when n > m; when m >= n the screen
-# passes every draw, so each call draws one.  A speed constant only: the
-# sampler rewinds the stream to where one-at-a-time draws would have left it,
-# so no value of it moves a byte.
+# Candidates screened per call in run_episodes when n > m; when m >= n the
+# screen passes every draw, so each call takes one.  A speed constant only:
+# candidate k of a run is the k-th normal block of its sampler stream whatever
+# the block size, so no value of it moves a byte.
 SAMPLE_BLOCK = 8
 DEFAULT_STATE_CEILING = 1e6
 # Estimation-error checkpoints, as fractions of the horizon.
@@ -219,23 +219,23 @@ def _fallback_candidates(
         yield ThetaParams.from_stacked(scale * target.stacked, n, m)
 
 
-def _sampler_fields(count: int, d: int, n: int) -> dict:
+def _sampler_fields(count: int, d: int, n: int, block_size: int) -> dict:
     """The sampler's per-run fields of a _Runs, for runs of (d, n) stacked
-    parameters: the width and V^{-1/2} of the step, the candidates drawn so
-    far, the current block of candidates (drawn from candidate `base` on,
-    with the generator state before it) with the mask of those that passed
-    the screen and are not yet solved, and the step's outcome.
+    parameters: the width and V^{-1/2} of the step, the candidates formed so
+    far in the step, the normals of block_size candidates from the sampler
+    stream with the slot of the first not yet used, the candidates formed
+    from them with the mask of those that passed the screen and are not yet
+    solved, and the step's outcome.
 
-    Blocks hold SAMPLE_BLOCK candidates when n > m.  When m >= n the screen
-    cannot reject (lqr.closed_loop_floors is 0), so a block holds one: each
-    run then draws only the candidates it solves, and never rewinds."""
-    block_size = SAMPLE_BLOCK if n > d - n else 1
+    The normals that a step does not use are the first of the next step's
+    candidates, so candidate k of a run is the k-th (d, n) normal block of
+    its stream whatever block_size is."""
     return dict(
         beta=np.zeros(count),
         inv_half=np.zeros((count, d, d)),
-        start=_objects([None] * count),
         drawn=np.zeros(count, dtype=np.int64),
-        base=np.zeros(count, dtype=np.int64),
+        normals=np.zeros((count, block_size, d, n)),
+        pos=np.full(count, block_size, dtype=np.int64),
         block=np.zeros((count, block_size, d, n)),
         passed=np.zeros((count, block_size), dtype=bool),
         theta_tilde=np.zeros((count, d, n)),
@@ -247,7 +247,7 @@ def _sampler_fields(count: int, d: int, n: int) -> dict:
 
 def _begin_step(runs: "_Runs", rows: np.ndarray) -> Dict[int, TsodLqrError]:
     """Start a sampling step for the runs at positions `rows`, whose widths
-    are set: one stacked eigh gives their V^{-1/2}, and none has drawn a
+    are set: one stacked eigh gives their V^{-1/2}, and none has formed a
     candidate.  Returns the errors of the runs that cannot sample, by
     position."""
     errors: Dict[int, TsodLqrError] = {}
@@ -276,47 +276,45 @@ def _sample_round(
     """One round of sample_constrained for the runs at positions `rows`, each
     in a step that _begin_step started.
 
-    Each run that holds no candidate that passed the screen draws its next
-    block, of up to the block size of _sampler_fields, with one call on its
-    own generator, saving the generator state first when the block holds
-    more than one candidate.  One stacked screen covers every new block,
-    until each run holds a passing candidate or has drawn max_attempts.  A
-    run in the second case tries the candidates of ladder(j), its fallback
-    ladder, one by one: ladder(j) yields each with its gain, or with None
-    when it must be solved.  Then one solve_and_bound call takes each other
-    run's next passing candidate in draw order, one slice per run, and the
-    runs it admits end their sampling; the others try their next candidate
-    in the next round.
-    An admission falls in the run's current block: a run admitted at slot k
-    of a block of more candidates restores the block's saved state and
-    redraws k + 1, so it ends where one draw per tested candidate leaves it.
+    Each run that holds no candidate that passed the screen moves the
+    normals of its block that it has not used to the block's front, fills
+    the rest with one call on its sampler stream, and forms the block's
+    candidates, never more than max_attempts in a step.  One stacked screen
+    covers every run's new candidates, until each run holds a passing
+    candidate or has formed max_attempts.  A run in the second case tries
+    the candidates of ladder(j), its fallback ladder, one by one: ladder(j)
+    yields each with its gain, or with None when it must be solved.  Then
+    one solve_and_bound call takes each other run's next passing candidate
+    in draw order, one slice per run, and the runs it admits end their
+    sampling; the others try their next candidate in the next round.  A run
+    admitted at slot k of its block leaves the normals after k to its next
+    step, so each step uses the normals of the candidates it tested.
 
     The outcome of a run that ends its sampling is in theta_tilde, gain,
     rejections and fallback.  Returns the positions of those runs and the
     errors of the runs that raised TsodLqrError, by position.
     """
-    _, block_size, d, n = runs.block.shape
+    block_size = runs.normals.shape[1]
     need = rows[~runs.passed[rows].any(axis=1)]
     while True:
         need = need[runs.drawn[need] < max_attempts]
         if not need.size:
             break
+        for j in need:
+            left = block_size - runs.pos[j]
+            runs.normals[j, :left] = runs.normals[j, runs.pos[j] :]
+            runs.sampler_rng[j].standard_normal(out=runs.normals[j, left:])
         sizes = np.minimum(block_size, max_attempts - runs.drawn[need])
         ends = np.cumsum(sizes)
         owner = np.repeat(need, sizes)
         slot = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
-        normals = np.empty((ends[-1], d, n))
-        for j, lo, hi in zip(need, ends - sizes, ends):
-            if hi - lo > 1:
-                runs.start[j] = runs.rng[j].bit_generator.state
-            runs.rng[j].standard_normal(out=normals[lo:hi])
+        normals = runs.normals[owner, slot]
         blocks = runs.theta_hat[owner] + runs.beta[owner][:, None, None] * (runs.inv_half[owner] @ normals)
         if not np.isfinite(blocks).all():
             raise ValueError("sampled parameter has non-finite entries")
-        runs.passed[need] = False
         runs.block[owner, slot] = blocks
         runs.passed[owner, slot] = _screen(blocks, set_q.rho)
-        runs.base[need] = runs.drawn[need]
+        runs.pos[need] = sizes
         runs.drawn[need] += sizes
         need = need[~runs.passed[need].any(axis=1)]
 
@@ -343,11 +341,8 @@ def _sample_round(
         won = solving[admitted]
         runs.theta_tilde[won], runs.gain[won] = candidates[admitted], sols.gain[admitted]
         slots = first[admitted]
-        runs.rejections[won], runs.fallback[won] = runs.base[won] + slots, False
-        rewind = slots + 1 < runs.drawn[won] - runs.base[won]
-        for j, k in zip(won[rewind], slots[rewind]):
-            runs.rng[j].bit_generator.state = runs.start[j]
-            runs.rng[j].standard_normal((k + 1, d, n))
+        runs.rejections[won] = runs.drawn[won] - runs.pos[won] + slots
+        runs.fallback[won], runs.pos[won] = False, slots + 1
         done.extend(won)
     return np.array(done, dtype=np.int64), errors
 
@@ -370,24 +365,22 @@ def sample_constrained(
     interpolations from the mean toward `anchor`, and scalings of the anchor
     toward zero; fallback_used marks that path.
 
-    Draws come in blocks from one call, which fills the array with the
-    normals that one call per candidate would draw: SAMPLE_BLOCK candidates
-    when n > m, one when m >= n, where the screen cannot reject.  The block
-    is screened when it is drawn, and the candidates that pass are solved one
-    per round in draw order.  The generator state is saved before each block
-    of more than one candidate.  Once candidate k of a block, the step's
-    first admitted, is taken, the block's state is restored and k + 1
-    candidates are redrawn, so the stream ends where one draw per tested
-    candidate leaves it.  These are the rounds of the one-run batch that
-    run_episodes samples all runs with.  max_attempts must be at least 1.
+    Candidate k is the k-th (n+m) x n normal block drawn from rng, the
+    run's sampler stream.  Each is drawn, and screened, only when every
+    earlier candidate has been rejected, and the candidates that pass the
+    screen are solved one per round, so the call draws the candidates it
+    tests and no others: k successive calls use the normals that k steps of
+    run_episodes use.  These are the rounds of the one-run batch that
+    run_episodes samples all runs with, with blocks of one candidate.
+    max_attempts must be at least 1.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     runs = _Runs(
-        rng=_objects([rng]),
+        sampler_rng=_objects([rng]),
         v_matrix=belief.v_matrix[None],
         theta_hat=belief.theta_hat.stacked[None],
-        **_sampler_fields(1, belief.dim, belief.n),
+        **_sampler_fields(1, belief.dim, belief.n, 1),
     )
     runs.beta[0] = beta
     rows = np.zeros(1, dtype=np.int64)
@@ -423,11 +416,6 @@ def _update_beliefs(
     return v_next, cross_next, theta_next, quad
 
 
-def _log1p(values: np.ndarray) -> np.ndarray:
-    # math.log1p per entry: np.log1p differs from it in the last bit.
-    return np.array([math.log1p(value) for value in values.tolist()])
-
-
 def update_belief(belief: BeliefState, z_vector, next_state) -> BeliefState:
     """Rank-one information update with one observed transition.
 
@@ -446,7 +434,7 @@ def update_belief(belief: BeliefState, z_vector, next_state) -> BeliefState:
     return BeliefState(
         v_matrix=v_next[0],
         theta_hat=ThetaParams.from_stacked(theta_next[0], belief.n, belief.m),
-        logdet_v=belief.logdet_v + float(_log1p(quad)[0]),
+        logdet_v=belief.logdet_v + float(np.log1p(quad)[0]),
         info_sum=belief.info_sum + float(quad[0]),
         logdet_u=belief.logdet_u,
         cross_term=cross_next[0],
@@ -528,6 +516,7 @@ def run_episodes(
     delta2: float,
     variants: Union[str, Sequence[str]],
     rngs: Sequence[RngStream],
+    sampler_rngs: Sequence[RngStream],
     *,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     beta_mdelta_scale: float = 1.0,
@@ -536,8 +525,9 @@ def run_episodes(
 ) -> List[Union[EpisodeResult, TsodLqrError]]:
     """Run one online episode per hidden system, all as one batch: run i plays
     theta_stars[i] as variants[i] (one variant string stands for every run)
-    from the prior of sources[i] and draws from rngs[i] alone, so its result
-    does not depend on the others.
+    from the prior of sources[i], draws its process noise from rngs[i] and
+    its candidates from sampler_rngs[i], and from no other stream, so its
+    result does not depend on the others.
 
     Per step: sample an admissible parameter, apply its gain, observe the
     transition and stage cost, and apply the rank-one belief update.  The
@@ -564,23 +554,7 @@ def run_episodes(
     count = len(theta_stars)
     seeds = list(seeds) if seeds is not None else [0] * count
     variants = [variants] * count if isinstance(variants, str) else list(variants)
-    # x' = theta^T z is a matrix-vector product, whose bits depend on the
-    # memory layout of theta, so the hidden systems are stacked in their own
-    # layout, and a batch that mixes two layouts runs as two batches.
-    fortran = [_fortran(theta.stacked) for theta in theta_stars]
     results: List[Union[EpisodeResult, TsodLqrError, None]] = [None] * count
-    if len(set(fortran)) > 1:
-        for layout in (False, True):
-            part = [i for i in range(count) if fortran[i] == layout]
-            outcomes = run_episodes(
-                [theta_stars[i] for i in part], [sources[i] for i in part], costs, set_q, horizon,
-                delta2, [variants[i] for i in part], [rngs[i] for i in part], max_attempts=max_attempts,
-                beta_mdelta_scale=beta_mdelta_scale, state_ceiling=state_ceiling,
-                seeds=[seeds[i] for i in part],
-            )
-            for i, outcome in zip(part, outcomes):
-                results[i] = outcome
-        return results
     n, m = costs.n, costs.m
     checkpoint_ts = sorted({max(1, int(round(horizon * f))) for f in CHECKPOINT_FRACTIONS if horizon >= 1})
 
@@ -595,7 +569,7 @@ def run_episodes(
             results[i] = DimensionMismatch("hidden parameters do not match the offline summaries")
         else:
             sized[i] = (src_raw, src)
-    star_stack = _stack([theta_stars[i].stacked for i in sized], n + m, n)
+    star_stack = np.array([theta_stars[i].stacked for i in sized]).reshape(-1, n + m, n)
     star_sols = solve_dare_stack(star_stack, costs)
     setups, solved = {}, []
     for j, i in enumerate(sized):
@@ -610,7 +584,8 @@ def run_episodes(
     beliefs = [setups[i][3] for i in started]
     runs = _Runs(
         index=np.array(started, dtype=np.int64),
-        rng=_objects([rngs[i] for i in started]),
+        noise_rng=_objects([rngs[i] for i in started]),
+        sampler_rng=_objects([sampler_rngs[i] for i in started]),
         oracle=np.array([variants[i] == "oracle" for i in started], dtype=bool),
         anchor=_objects([belief.theta_hat for belief in beliefs]),
         last_accepted=np.zeros((len(started), n + m, n)),
@@ -629,7 +604,7 @@ def run_episodes(
         state_norm=np.zeros(len(started)),
         step=np.zeros(len(started), dtype=np.int64),
         fresh=np.ones(len(started), dtype=bool),
-        **_sampler_fields(len(started), n + m, n),
+        **_sampler_fields(len(started), n + m, n, SAMPLE_BLOCK if n > m else 1),
     )
     # Oracle runs play the hidden system's gain, with no rejection, at every step.
     runs.gain[:] = star_sols.gain[solved]
@@ -647,11 +622,10 @@ def run_episodes(
 
     def ladder(j: int) -> Iterable[Tuple[ThetaParams, Optional[np.ndarray]]]:
         # The last accepted sample passed under the same set_q, so it keeps
-        # its gain.  Before the first update the mean is the prior's own
-        # object, which the ladder solves as it is.
+        # its gain.
         if runs.has_last[j]:
             yield ThetaParams.from_stacked(runs.last_accepted[j], n, m), runs.last_gain[j]
-        hat = runs.anchor[j] if runs.step[j] == 0 else ThetaParams.from_stacked(runs.theta_hat[j], n, m)
+        hat = ThetaParams.from_stacked(runs.theta_hat[j], n, m)
         yield from ((rung, None) for rung in _fallback_candidates(hat, runs.anchor[j], None))
 
     def fail(errors: Dict[int, TsodLqrError]) -> None:
@@ -717,7 +691,7 @@ def run_episodes(
         if ends.size:
             noise = np.empty((ends.size, n))
             for k, j in enumerate(ends):
-                runs.rng[j].standard_normal(out=noise[k])
+                runs.noise_rng[j].standard_normal(out=noise[k])
             gains, state = runs.gain[ends], runs.state[ends]
             controls = (gains @ state[:, :, None])[:, :, 0]
             z, next_state, cost = step_systems(runs.theta_star[ends], state, controls, costs, noise)
@@ -725,7 +699,7 @@ def run_episodes(
                 runs.v_matrix[ends], runs.cross_term[ends], z, next_state
             )
             runs.v_matrix[ends], runs.cross_term[ends], runs.theta_hat[ends] = v_next, cross_next, theta_next
-            runs.logdet_v[ends] = runs.logdet_v[ends] + _log1p(quad)
+            runs.logdet_v[ends] = runs.logdet_v[ends] + np.log1p(quad)
             runs.info_sum[ends] = runs.info_sum[ends] + quad
 
             step = {
@@ -750,18 +724,6 @@ def run_episodes(
         if not live.all():
             runs.keep(live)
     return results
-
-
-def _fortran(arr: np.ndarray) -> bool:
-    return arr.flags.f_contiguous and not arr.flags.c_contiguous
-
-
-def _stack(arrays: List[np.ndarray], rows: int, cols: int) -> np.ndarray:
-    """The (R, rows, cols) stack of arrays, in Fortran order slice by slice
-    when the arrays are."""
-    if arrays and _fortran(arrays[0]):
-        return np.array([arr.T for arr in arrays]).mT
-    return np.array(arrays).reshape(-1, rows, cols)
 
 
 def _objects(items: list) -> np.ndarray:
@@ -843,16 +805,18 @@ def run_episode(
     delta2: float,
     variant: str,
     rng: RngStream,
+    sampler_rng: RngStream,
     *,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     beta_mdelta_scale: float = 1.0,
     state_ceiling: float = DEFAULT_STATE_CEILING,
     seed: int = 0,
 ) -> EpisodeResult:
-    """Run one online episode of the given variant against the hidden system:
-    the one-run batch of run_episodes, raising the error of a failed run."""
+    """Run one online episode of the given variant against the hidden system,
+    with process noise from rng and candidates from sampler_rng: the one-run
+    batch of run_episodes, raising the error of a failed run."""
     (result,) = run_episodes(
-        [theta_star_hidden], [sources], costs, set_q, horizon, delta2, variant, [rng],
+        [theta_star_hidden], [sources], costs, set_q, horizon, delta2, variant, [rng], [sampler_rng],
         max_attempts=max_attempts, beta_mdelta_scale=beta_mdelta_scale,
         state_ceiling=state_ceiling, seeds=[seed],
     )

@@ -105,8 +105,8 @@ def _resolve_theta_stars(
 @dataclass(frozen=True, eq=False)
 class RunSpec:
     """One (variant, S, run_id) run of a config: everything that decides its
-    seed, its offline dataset and its prior.  With share_offline, the run
-    uses the offline dataset of run 0 of its (variant, S) cell."""
+    seeds, its offline dataset and its prior.  With share_offline, the run
+    uses the offline dataset of run 0 of its S."""
 
     cfg: ExperimentConfig
     variant: str
@@ -116,11 +116,21 @@ class RunSpec:
     diagnostics: bool = False
 
     @property
+    def _tag(self) -> str:
+        return "diag:" if self.diagnostics else ""
+
+    @property
     def seed(self) -> int:
-        """The seed plan: every stream of the run (offline, episode, delta)
-        is keyed by this one seed; diagnostics runs tag their variant `diag:`."""
-        tag = "diag:" if self.diagnostics else ""
-        return hash64(self.cfg.base_seed, tag + self.variant, self.run_id, self.s_len)
+        """The seed of the streams that run i of every variant shares: the
+        true system (STREAM_DELTA), the offline data (STREAM_OFFLINE) and the
+        process noise (STREAM_EPISODE)."""
+        return hash64(self.cfg.base_seed, self._tag, self.run_id, self.s_len)
+
+    @property
+    def sampler_seed(self) -> int:
+        """The seed of the run's sampler stream (STREAM_EPISODE), the one
+        stream keyed by the variant."""
+        return hash64(self.cfg.base_seed, self._tag + self.variant, self.run_id, self.s_len)
 
     @property
     def offline_seed(self) -> int:
@@ -225,6 +235,7 @@ def execute_batch(specs: Sequence[RunSpec]) -> List[Union[RunRecord, RunFailure]
         kept[0].delta2,
         [spec.variant for spec in kept],
         [RngStream(spec.seed, STREAM_EPISODE) for spec in kept],
+        [RngStream(spec.sampler_seed, STREAM_EPISODE) for spec in kept],
         max_attempts=cfg.max_attempts,
         beta_mdelta_scale=cfg.beta_mdelta_scale,
         state_ceiling=cfg.state_ceiling,

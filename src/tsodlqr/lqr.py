@@ -61,7 +61,8 @@ def _check_spd(mat: np.ndarray, name: str) -> None:
 @dataclass(frozen=True, init=False, eq=False)
 class ThetaParams:
     """System parameters held once, as the read-only stacked (n+m) x n matrix
-    theta whose transpose is [A B]; A and B are read-only views of it."""
+    theta whose transpose is [A B], always row-major (C-contiguous); A and B
+    are read-only views of it."""
 
     stacked: np.ndarray
 
@@ -78,7 +79,8 @@ class ThetaParams:
             )
         if b.shape[1] < 1:
             raise DimensionMismatch("input dimension must be at least 1")
-        stacked = np.vstack([a.T, b.T])
+        # vstack of the transposes would be column-major.
+        stacked = np.ascontiguousarray(np.vstack([a.T, b.T]))
         stacked.setflags(write=False)
         object.__setattr__(self, "stacked", stacked)
 
@@ -371,9 +373,8 @@ def admitted_stack(
     for every slice of a (K, n+m, n) stack of stacked parameters: the admitted
     mask and the stack's Riccati solutions.  One stacked QR screens the stack;
     a slice that it rejects keeps NaN P, gain and cost and the failure code
-    SCREENED.  solve_and_bound takes the rest.  Boolean indexing keeps each
-    slice's memory layout, so each slice gets the verdict and bits it gets
-    alone."""
+    SCREENED.  solve_and_bound takes the rest.  Each slice gets the verdict
+    and bits it gets alone."""
     count, d, n = stacked.shape
     admitted = np.zeros(count, dtype=bool)
     sols = RiccatiStack(

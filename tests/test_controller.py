@@ -255,8 +255,9 @@ class TestSampleConstrained:
 
 
 def reference_sampler(belief, beta, set_q, costs, rng, max_attempts, anchor, last_accepted):
-    """The sampler before block draws: one draw, one ThetaParams and one
-    q_membership call per candidate, then the fallback ladder."""
+    """The sampler one candidate at a time: one draw from the sampler stream,
+    one ThetaParams and one q_membership call per candidate, then the
+    fallback ladder."""
     n, m = belief.n, belief.m
     eigvals, eigvecs = np.linalg.eigh(belief.v_matrix)
     inv_half = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
@@ -275,10 +276,13 @@ def reference_sampler(belief, beta, set_q, costs, rng, max_attempts, anchor, las
 
 
 class TestBlockSampler:
-    """The block sampler equals the one-at-a-time reference bit for bit, and
-    leaves the stream where the reference leaves it, for every block size."""
+    """run_episode's block sampler equals the one-at-a-time reference bit for
+    bit for every block size: candidate k of a run is the k-th normal block
+    of its sampler stream, and the normals that a step leaves unused are the
+    next step's first candidates."""
 
     STEPS = 40
+    DELTA2 = delta2_for(0.1, 60)
 
     @pytest.fixture(scope="class")
     def summary(self, theta_sim, costs32, offline_cfg):
@@ -286,17 +290,19 @@ class TestBlockSampler:
             theta_sim, costs32, 250, offline_cfg, delta1_for(0.1, 250, 60), 0.15, RngStream(42, 0)
         )[0]
 
-    def replay(self, theta_star, src, costs, set_q, max_attempts, block):
-        """Sample, step and update for STEPS steps with both samplers on twin
-        streams; returns the fallback steps and the admissions past the first
-        block."""
+    def replay(self, theta_star, src, costs, set_q, max_attempts):
+        """Sample, step and update for STEPS steps with the reference sampler
+        on sampler stream (7, 2) and the process noise on stream (7, 1).
+        sample_constrained on a twin sampler stream matches every step and
+        leaves its stream where the reference leaves it.  Returns the steps'
+        costs, rejections and fallback flags."""
         belief = init_belief(src)
         anchor, last_accepted = belief.theta_hat, None
-        got_rng, ref_rng = RngStream(7, 1), RngStream(7, 1)
+        noise, got_rng, ref_rng = RngStream(7, 1), RngStream(7, 2), RngStream(7, 2)
         state = np.zeros(theta_star.n)
-        fallbacks = past_first_block = 0
+        record = []
         for _ in range(self.STEPS):
-            beta = compute_beta(belief, src, delta2_for(0.1, 60))
+            beta = compute_beta(belief, src, self.DELTA2)
             ref = reference_sampler(belief, beta, set_q, costs, ref_rng, max_attempts, anchor, last_accepted)
             got = sample_constrained(
                 belief, beta, set_q, costs, got_rng, max_attempts, anchor=anchor, last_accepted=last_accepted
@@ -305,15 +311,32 @@ class TestBlockSampler:
             assert got.gain.tobytes() == ref.gain.tobytes()
             assert (got.rejections, got.fallback_used) == (ref.rejections, ref.fallback_used)
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
-            fallbacks += ref.fallback_used
             if not ref.fallback_used:
-                past_first_block += ref.rejections >= block
                 last_accepted = ref.theta_tilde
-            z, next_state, _ = step_system(theta_star, state, ref.gain @ state, costs, ref_rng)
-            assert step_system(theta_star, state, ref.gain @ state, costs, got_rng)[0].tobytes() == z.tobytes()
+            z, next_state, cost = step_system(theta_star, state, ref.gain @ state, costs, noise)
             belief = update_belief(belief, z, next_state)
             state = next_state
-        return fallbacks, past_first_block
+            record.append((cost, ref.rejections, ref.fallback_used))
+        cost, rejections, fallback = map(np.array, zip(*record))
+        return cost, rejections, fallback
+
+    def check(self, theta_star, sources, variant, costs, set_q, max_attempts):
+        """run_episode against the replay; returns the fallback steps, the
+        steps that start inside a block, and the steps whose candidates
+        reach past the end of a block."""
+        block = controller.SAMPLE_BLOCK if theta_star.n > theta_star.m else 1
+        src = effective_sources(sources, variant)
+        cost, rejections, fallback = self.replay(theta_star, src, costs, set_q, max_attempts)
+        result = run_episode(
+            theta_star, sources, costs, set_q, self.STEPS, self.DELTA2, variant, RngStream(7, 1), RngStream(7, 2),
+            max_attempts=max_attempts,
+        )
+        assert result.trace.cost.tobytes() == cost.tobytes()
+        assert result.trace.rejections.tolist() == rejections.tolist()
+        assert result.diagnostics.fallback_steps == fallback.sum()
+        used = np.minimum(rejections + 1, max_attempts)
+        offset = (np.cumsum(used) - used) % block
+        return fallback.sum(), np.count_nonzero(offset), np.count_nonzero(offset + used > block)
 
     @pytest.mark.parametrize("variant", ["tsod", "ts_no_offline"])
     @pytest.mark.parametrize("max_attempts", [5, 20, 100])
@@ -321,11 +344,12 @@ class TestBlockSampler:
     def test_matches_one_at_a_time_sampler(self, summary, theta_star, costs32, set_q, monkeypatch,
                                            variant, max_attempts, block):
         monkeypatch.setattr("tsodlqr.controller.SAMPLE_BLOCK", block)
-        src = effective_sources(summary, variant)
-        fallbacks, past_first_block = self.replay(theta_star, src, costs32, set_q, max_attempts, block)
-        # Admissions, admissions past the first block and exhausted steps all occur.
+        fallbacks, mid_block, spanning = self.check(theta_star, summary, variant, costs32, set_q, max_attempts)
+        # Admissions, exhausted steps, steps that begin with the normals an
+        # earlier step left and steps that draw a new block all occur.
         assert 0 < fallbacks < self.STEPS
-        assert past_first_block > 0 or max_attempts <= block
+        assert mid_block > 0 or block == 1
+        assert spanning > 0
 
     @pytest.mark.parametrize(
         "n, m, precision, m_p, rho", [(1, 1, 10.0, 1.2, 0.3), (3, 1, 100.0, 20.0, 0.95), (2, 3, 10.0, 2.4, 0.3)]
@@ -339,14 +363,15 @@ class TestBlockSampler:
         theta_star = ThetaParams(0.8 * a / np.linalg.norm(a, 2), rng.standard_normal((n, m)))
         src = MultiSourceSummary((make_summary(precision * np.eye(n + m), theta_star),))
         costs = CostMatrices.identity(n, m)
-        fallbacks, past_first_block = self.replay(theta_star, src, costs, ConstraintSetQ(m_p, rho), 20, 3)
-        assert fallbacks < self.STEPS and past_first_block > 0
+        fallbacks, mid_block, spanning = self.check(theta_star, src, "tsod", costs, ConstraintSetQ(m_p, rho), 20)
+        assert fallbacks < self.STEPS and spanning > 0
+        assert mid_block > 0 or n <= m
 
 
 class TestDrawContract:
     """numpy's generator fills an array in order, so one call of shape (k, ...)
     gives the bits, and leaves the state, of k calls of the slice shape.  The
-    sampler's rewind and the offline collector's up-front noise rest on this."""
+    sampler's blocks and the offline collector's up-front noise rest on this."""
 
     @pytest.mark.parametrize("k, d, n", [(8, 5, 3), (3, 2, 1), (13, 4, 4)])
     def test_sampler_block(self, k, d, n):
@@ -465,6 +490,7 @@ class TestRunEpisode:
             delta2_for(0.1, 0),
             "tsod",
             RngStream(1, 1),
+            RngStream(1, 2),
         )
         assert len(result.trace) == 0
         assert result.trace.final_cum_regret == 0.0
@@ -479,6 +505,7 @@ class TestRunEpisode:
             delta2_for(0.1, 4000),
             "oracle",
             RngStream(2, 1),
+            RngStream(2, 2),
         )
         mean_instant = result.trace.instant_regret.mean()
         assert abs(mean_instant) < 0.5
@@ -495,6 +522,7 @@ class TestRunEpisode:
             delta2_for(0.1, 300),
             "tsod",
             RngStream(3, 1),
+            RngStream(3, 2),
         )
         trace = result.trace
         j = solve_dare(theta_star, costs32).avg_cost
@@ -513,7 +541,8 @@ class TestRunEpisode:
             theta_sim, costs32, 500, offline_cfg, 0.01, 0.15, RngStream(9, 0)
         )[0]
         res_single = run_episode(
-            theta_star, summary, costs32, set_q, 200, delta2_for(0.1, 200), "tsod", RngStream(10, 1)
+            theta_star, summary, costs32, set_q, 200, delta2_for(0.1, 200), "tsod", RngStream(10, 1),
+            RngStream(10, 2),
         )
         res_multi = run_episode(
             theta_star,
@@ -524,6 +553,7 @@ class TestRunEpisode:
             delta2_for(0.1, 200),
             "tsod",
             RngStream(10, 1),
+            RngStream(10, 2),
         )
         for field in ("cost", "instant_regret", "cum_regret", "beta", "rejections", "state_norm"):
             assert np.array_equal(getattr(res_single.trace, field), getattr(res_multi.trace, field))
@@ -549,7 +579,8 @@ class TestRunEpisode:
             theta_sim, costs32, 400, offline_cfg, 0.01, 0.15, RngStream(12, 0)
         )[0]
         result = run_episode(
-            theta_star, summary, costs32, set_q, 100, delta2_for(0.1, 100), "tsod", RngStream(13, 1)
+            theta_star, summary, costs32, set_q, 100, delta2_for(0.1, 100), "tsod", RngStream(13, 1),
+            RngStream(13, 2),
         )
         ts = [c.t for c in result.diagnostics.checkpoints]
         assert ts == [25, 50, 100]
@@ -559,17 +590,18 @@ class TestRunEpisode:
         summary = make_summary(np.eye(5) * 50, theta_sim)
         args = (theta_star, summary, costs32, set_q, 100, delta2_for(0.1, 100), "tsod")
         # state_norm[t] is the norm of the state reached after step t.
-        norms = run_episode(*args, RngStream(3, 1)).trace.state_norm
+        norms = run_episode(*args, RngStream(3, 1), RngStream(3, 2)).trace.state_norm
         ceiling = float(np.median(norms))
         step = int(np.argmax(norms > ceiling))
         assert step >= 1
         with pytest.raises(UnstableRollout, match=f"at step {step}$"):
-            run_episode(*args, RngStream(3, 1), state_ceiling=ceiling)
+            run_episode(*args, RngStream(3, 1), RngStream(3, 2), state_ceiling=ceiling)
 
 
-def reference_episode(theta_star, sources, costs, set_q, horizon, delta2, variant, rng, max_attempts):
+def reference_episode(theta_star, sources, costs, set_q, horizon, delta2, variant, rng, sampler_rng, max_attempts):
     """The episode loop written out step by step, every property check updated
-    inside the loop, through the public per-step functions only."""
+    inside the loop, through the public per-step functions only: the process
+    noise comes from rng and the candidates from sampler_rng."""
     src_raw = as_sources(sources)
     src = effective_sources(src_raw, variant)
     star_sol = solve_dare(theta_star, costs)
@@ -586,7 +618,7 @@ def reference_episode(theta_star, sources, costs, set_q, horizon, delta2, varian
     for step_t in range(1, horizon + 1):
         beta_t = compute_beta(belief, src, delta2)
         outcome = oracle or sample_constrained(
-            belief, beta_t, set_q, costs, rng, max_attempts, anchor=anchor, last_accepted=last_accepted
+            belief, beta_t, set_q, costs, sampler_rng, max_attempts, anchor=anchor, last_accepted=last_accepted
         )
         if outcome.fallback_used:
             fallback_steps += 1
@@ -650,8 +682,10 @@ class TestReferenceReplay:
             )[0]
             for variant in ("tsod", "ts_no_offline", "offline_estimate_only", "oracle"):
                 args = (theta_star, summary, costs32, set_q, horizon, delta2_for(delta, horizon), variant)
-                trace, j_star, belief, expected = reference_episode(*args, RngStream(seed, 1), 20)
-                result = run_episode(*args, RngStream(seed, 1), max_attempts=20)
+                ref_noise, noise = RngStream(seed, 1), RngStream(seed, 1)
+                trace, j_star, belief, expected = reference_episode(*args, ref_noise, RngStream(seed, 2), 20)
+                result = run_episode(*args, noise, RngStream(seed, 2), max_attempts=20)
+                assert noise.bit_generator.state == ref_noise.bit_generator.state
                 assert result.trace.j_star == j_star
                 assert np.array_equal(result.belief.v_matrix, belief.v_matrix)
                 assert np.array_equal(result.belief.theta_hat.stacked, belief.theta_hat.stacked)
@@ -671,10 +705,19 @@ class TestReferenceReplay:
         assert totals["zt_violations"] > 0 and totals["fallback_steps"] > 0, totals
 
 
+def streams(seeds):
+    """The process-noise and the sampler streams of the given seeds."""
+    return [RngStream(seed, 1) for seed in seeds], [RngStream(seed, 2) for seed in seeds]
+
+
+def states(*rngs):
+    return [rng.bit_generator.state for rng in rngs]
+
+
 class TestLockstep:
     """run_episodes steps its runs together, and each run's result is what
     the one-run batch, run_episode, gives it: the same bits in every trace
-    array, check and belief, and the generator left in the same state."""
+    array, check and belief, and both generators left in the same state."""
 
     SEEDS = (42, 7, 99, 5)
 
@@ -695,19 +738,21 @@ class TestLockstep:
 
     @pytest.mark.parametrize("variant", ["tsod", "ts_no_offline", "offline_estimate_only", "oracle"])
     def test_one_batch_equals_batches_of_one(self, summaries, theta_star, costs32, set_q, variant):
-        # Runs 1 and 3 play perturbed systems held in C order, runs 0 and 2
-        # the Fortran-ordered golden system, so the batch mixes both layouts.
+        # Runs 1 and 3 play perturbed systems built by from_stacked, runs 0
+        # and 2 the golden system built by ThetaParams(a, b): one layout.
         shift = np.array([[0.0, 0.0, 0.0]] * 3 + [[0.02, -0.01, 0.0]] * 2)
         thetas = [
             theta_star if i % 2 == 0 else ThetaParams.from_stacked(theta_star.stacked + i * shift, 3, 2)
             for i in range(len(self.SEEDS))
         ]
         args = (costs32, set_q, 60, delta2_for(0.1, 60), variant)
-        batch_rngs = [RngStream(seed, 1) for seed in self.SEEDS]
-        batch = run_episodes(thetas, summaries, *args, batch_rngs, max_attempts=20, seeds=list(self.SEEDS))
+        batch_noise, batch_samplers = streams(self.SEEDS)
+        batch = run_episodes(
+            thetas, summaries, *args, batch_noise, batch_samplers, max_attempts=20, seeds=list(self.SEEDS)
+        )
         for i, seed in enumerate(self.SEEDS):
-            rng = RngStream(seed, 1)
-            alone = run_episode(thetas[i], summaries[i], *args, rng, max_attempts=20, seed=seed)
+            (noise,), (sampler,) = streams([seed])
+            alone = run_episode(thetas[i], summaries[i], *args, noise, sampler, max_attempts=20, seed=seed)
             got = batch[i]
             assert isinstance(got, EpisodeResult)
             for name in ("t", "cost", "instant_regret", "cum_regret", "beta", "rejections", "state_norm"):
@@ -723,31 +768,30 @@ class TestLockstep:
             for name in ("v_matrix", "cross_term", "logdet_v", "info_sum", "logdet_u"):
                 assert self.bits(getattr(got.belief, name)) == self.bits(getattr(alone.belief, name)), (i, name)
             assert self.bits(got.belief.theta_hat.stacked) == self.bits(alone.belief.theta_hat.stacked)
-            assert batch_rngs[i].bit_generator.state == rng.bit_generator.state
+            assert states(batch_noise[i], batch_samplers[i]) == states(noise, sampler)
 
     def test_a_failed_run_leaves_the_others_unchanged(self, summaries, theta_star, costs32, set_q):
         args = (costs32, set_q, 60, delta2_for(0.1, 60), "tsod")
-        clean = run_episodes(
-            [theta_star] * 4, summaries, *args, [RngStream(seed, 1) for seed in self.SEEDS], max_attempts=20
-        )
         # A ceiling between the two largest peak state norms fails one run.
+        # state_norm[t] is the norm at the start of step t, so the peaks come
+        # from 61-step episodes, whose first 60 steps are the 60-step ones.
+        clean = run_episodes(
+            [theta_star] * 4, summaries, costs32, set_q, 61, *args[3:], *streams(self.SEEDS), max_attempts=20
+        )
         peaks = [float(r.trace.state_norm.max()) for r in clean]
         worst = int(np.argmax(peaks))
         ceiling = 0.5 * (peaks[worst] + max(p for i, p in enumerate(peaks) if i != worst))
         failed = run_episodes(
-            [theta_star] * 4, summaries, *args, [RngStream(seed, 1) for seed in self.SEEDS],
-            max_attempts=20, state_ceiling=ceiling,
+            [theta_star] * 4, summaries, *args, *streams(self.SEEDS), max_attempts=20, state_ceiling=ceiling
         )
         with pytest.raises(UnstableRollout) as alone:
-            run_episode(
-                theta_star, summaries[worst], *args, RngStream(self.SEEDS[worst], 1),
-                max_attempts=20, state_ceiling=ceiling,
-            )
+            (noise,), (sampler,) = streams([self.SEEDS[worst]])
+            run_episode(theta_star, summaries[worst], *args, noise, sampler, max_attempts=20, state_ceiling=ceiling)
         for i, result in enumerate(failed):
             if i == worst:
                 assert isinstance(result, UnstableRollout) and str(result) == str(alone.value)
             else:
-                assert result.trace.cost.tobytes() == clean[i].trace.cost.tobytes()
+                assert result.trace.cost.tobytes() == clean[i].trace.cost[:60].tobytes()
 
     def test_batch_sampler_admits_only_scipy_admissible_candidates(
         self, summaries, theta_star, costs32, set_q, monkeypatch
@@ -766,7 +810,7 @@ class TestLockstep:
         monkeypatch.setattr(controller, "solve_and_bound", record)
         results = run_episodes(
             [theta_star] * 6, summaries[:1] * 6, costs32, set_q, 60, delta2_for(0.1, 60), "ts_no_offline",
-            [RngStream(seed, 1) for seed in range(6)],
+            *streams(range(6)),
         )
         assert all(isinstance(r, EpisodeResult) for r in results)
         assert len(admitted) > 150
@@ -804,19 +848,20 @@ class TestMixedLockstep:
         ]
         runs = [(variant, s_len, seed) for variant, s_len in cells for seed in self.SEEDS]
         args = (costs32, set_q, 60, delta2_for(0.1, 60))
-        batch_rngs = [RngStream(seed, 1) for _, _, seed in runs]
+        batch_noise, batch_samplers = streams([seed for _, _, seed in runs])
         batch = run_episodes(
             [theta_star] * len(runs), [priors[(s_len, seed)] for _, s_len, seed in runs], *args,
-            [variant for variant, _, _ in runs], batch_rngs, max_attempts=20, seeds=[seed for _, _, seed in runs],
+            [variant for variant, _, _ in runs], batch_noise, batch_samplers, max_attempts=20,
+            seeds=[seed for _, _, seed in runs],
         )
         bits = TestLockstep.bits
         for variant, s_len in cells:
-            cell_rngs = [RngStream(seed, 1) for seed in self.SEEDS]
+            cell_noise, cell_samplers = streams(self.SEEDS)
             alone = run_episodes(
                 [theta_star] * len(self.SEEDS), [priors[(s_len, seed)] for seed in self.SEEDS], *args, variant,
-                cell_rngs, max_attempts=20, seeds=list(self.SEEDS),
+                cell_noise, cell_samplers, max_attempts=20, seeds=list(self.SEEDS),
             )
-            for seed, expected, rng in zip(self.SEEDS, alone, cell_rngs):
+            for seed, expected, noise, sampler in zip(self.SEEDS, alone, cell_noise, cell_samplers):
                 k = runs.index((variant, s_len, seed))
                 got = batch[k]
                 for name in ("t", "cost", "instant_regret", "cum_regret", "beta", "rejections", "state_norm"):
@@ -830,16 +875,16 @@ class TestMixedLockstep:
                         assert bits(getattr(got.diagnostics, name)) == bits(getattr(expected.diagnostics, name))
                 for name in ("v_matrix", "cross_term", "logdet_v", "info_sum", "logdet_u"):
                     assert bits(getattr(got.belief, name)) == bits(getattr(expected.belief, name)), (k, name)
-                assert batch_rngs[k].bit_generator.state == rng.bit_generator.state, k
+                assert states(batch_noise[k], batch_samplers[k]) == states(noise, sampler), k
         # The oracle draws only its process noise; the learners also sample.
         oracle = runs.index(("oracle", 150, 42))
         assert batch[oracle].trace.rejections.sum() == 0
         assert batch[runs.index(("ts_no_offline", 150, 42))].trace.rejections.sum() > 0
 
 
-def assert_same_run(got, alone, got_rng, alone_rng):
+def assert_same_run(got, alone, got_rngs, alone_rngs):
     """got and alone agree bit for bit in every trace array, check and belief
-    field, and left their generators in the same state."""
+    field, and left their generators in the same states."""
     bits = TestLockstep.bits
     for name in ("t", "cost", "instant_regret", "cum_regret", "beta", "rejections", "state_norm"):
         assert bits(getattr(got.trace, name)) == bits(getattr(alone.trace, name)), name
@@ -853,7 +898,7 @@ def assert_same_run(got, alone, got_rng, alone_rng):
     for name in ("v_matrix", "cross_term", "logdet_v", "info_sum", "logdet_u"):
         assert bits(getattr(got.belief, name)) == bits(getattr(alone.belief, name)), name
     assert bits(got.belief.theta_hat.stacked) == bits(alone.belief.theta_hat.stacked)
-    assert got_rng.bit_generator.state == alone_rng.bit_generator.state
+    assert states(*got_rngs) == states(*alone_rngs)
 
 
 class TestSamplerRounds:
@@ -882,7 +927,7 @@ class TestSamplerRounds:
         monkeypatch.setattr(controller, "solve_and_bound", solve)
         results = run_episodes(
             [theta] * 6, sources, CostMatrices.identity(1, 1), ConstraintSetQ(1.5, 0.3), 40, delta2_for(0.1, 40),
-            variants, [RngStream(seed, 1) for seed in range(6)], max_attempts=max_attempts,
+            variants, *streams(range(6)), max_attempts=max_attempts,
         )
         assert all(isinstance(r, EpisodeResult) for r in results)
         # At most one solve per round, holding at most one slice per sampling run.
@@ -902,7 +947,7 @@ class TestSamplerRounds:
     def test_one_candidate_blocks_when_the_screen_cannot_reject(self, monkeypatch, n, m, m_p, rho):
         # When m >= n the screen passes every draw, so each run draws one
         # candidate per round whatever SAMPLE_BLOCK is: every candidate drawn
-        # is screened once and solved once, and no stream is rewound.
+        # is screened once and solved once, and none is left to a later step.
         monkeypatch.setattr("tsodlqr.controller.SAMPLE_BLOCK", 8)
         rng = np.random.default_rng(n * 10 + m)
         a = rng.standard_normal((n, n))
@@ -924,8 +969,8 @@ class TestSamplerRounds:
         monkeypatch.setattr(controller, "_screen", screen)
         monkeypatch.setattr(controller, "solve_and_bound", solve)
         seeds = list(range(len(variants)))
-        batch_rngs = [RngStream(seed, 1) for seed in seeds]
-        batch = run_episodes([theta] * len(variants), sources, *args, variants, batch_rngs,
+        batch_noise, batch_samplers = streams(seeds)
+        batch = run_episodes([theta] * len(variants), sources, *args, variants, batch_noise, batch_samplers,
                              max_attempts=max_attempts, seeds=seeds)
         tested = [
             int(np.minimum(r.trace.rejections + 1, max_attempts).sum()) if variant != "oracle" else 0
@@ -933,14 +978,15 @@ class TestSamplerRounds:
         ]
         assert sum(screened) == sum(solved) == sum(tested)
         for k, (variant, seed) in enumerate(zip(variants, seeds)):
-            alone_rng = RngStream(seed, 1)
-            alone = run_episode(theta, sources[k], *args, variant, alone_rng, max_attempts=max_attempts, seed=seed)
-            assert_same_run(batch[k], alone, batch_rngs[k], alone_rng)
-            # The stream has drawn the normals of the tested candidates and
-            # of the process noise, and no others.
-            twin = RngStream(seed, 1)
-            twin.standard_normal(tested[k] * (n + m) * n + horizon * n)
-            assert batch_rngs[k].bit_generator.state == twin.bit_generator.state, k
+            alone_rngs = [rngs[0] for rngs in streams([seed])]
+            alone = run_episode(theta, sources[k], *args, variant, *alone_rngs, max_attempts=max_attempts, seed=seed)
+            assert_same_run(batch[k], alone, (batch_noise[k], batch_samplers[k]), alone_rngs)
+            # The sampler stream has drawn the normals of the tested
+            # candidates and no others, the noise stream those of the steps.
+            noise, sampler = (rngs[0] for rngs in streams([seed]))
+            noise.standard_normal(horizon * n)
+            sampler.standard_normal(tested[k] * (n + m) * n)
+            assert states(batch_noise[k], batch_samplers[k]) == states(noise, sampler), k
         # Steps that reject some candidates, and steps that fall back, occur.
         rejections = np.concatenate([r.trace.rejections for r in batch])
         assert (0 < rejections).any() and (rejections == max_attempts).any()
@@ -948,14 +994,14 @@ class TestSamplerRounds:
     @pytest.mark.parametrize("variants", [["oracle", "oracle"], ["oracle", "tsod"]])
     def test_max_attempts_below_one_raises_on_entry(self, theta_star, costs32, set_q, variants):
         # A batch of oracles never samples, and still rejects the budget.
-        rngs = [RngStream(seed, 1) for seed in range(2)]
-        starts = [rng.bit_generator.state for rng in rngs]
+        noise, samplers = streams(range(2))
+        starts = states(*noise, *samplers)
         with pytest.raises(ValueError, match="max_attempts"):
             run_episodes(
                 [theta_star] * 2, [make_summary(np.eye(5), theta_star)] * 2, costs32, set_q, 10,
-                delta2_for(0.1, 10), variants, rngs, max_attempts=0,
+                delta2_for(0.1, 10), variants, noise, samplers, max_attempts=0,
             )
-        assert [rng.bit_generator.state for rng in rngs] == starts
+        assert states(*noise, *samplers) == starts
 
     def test_ladder_takes_the_last_accepted_sample_without_a_solve(
         self, theta_sim, theta_star, costs32, set_q, offline_cfg, monkeypatch
@@ -986,7 +1032,7 @@ class TestSamplerRounds:
         monkeypatch.setattr(controller, "q_membership", membership)
         results = run_episodes(
             [theta_star] * 3, [summary] * 3, costs32, set_q, 30, delta2_for(0.1, 30), "tsod",
-            [RngStream(seed, 1) for seed in range(3)], max_attempts=5,
+            *streams(range(3)), max_attempts=5,
         )
         assert all(isinstance(r, EpisodeResult) for r in results)
         assert closed[0] and solved_after == []
@@ -1006,15 +1052,16 @@ class TestSamplerRounds:
         runs = [("oracle", 250, 42), ("tsod", 20000, 7), ("ts_no_offline", 250, 99), ("tsod", 250, 5),
                 ("offline_estimate_only", 20000, 3), ("oracle", 20000, 1)]
         args = (costs32, set_q, 60, delta2_for(0.1, 60))
-        batch_rngs = [RngStream(seed, 1) for _, _, seed in runs]
+        batch_noise, batch_samplers = streams([seed for _, _, seed in runs])
         batch = run_episodes(
             [theta_star] * len(runs), [priors[s_len] for _, s_len, _ in runs], *args,
-            [variant for variant, _, _ in runs], batch_rngs, max_attempts=20, seeds=[seed for _, _, seed in runs],
+            [variant for variant, _, _ in runs], batch_noise, batch_samplers, max_attempts=20,
+            seeds=[seed for _, _, seed in runs],
         )
         for k, (variant, s_len, seed) in enumerate(runs):
-            rng = RngStream(seed, 1)
-            alone = run_episode(theta_star, priors[s_len], *args, variant, rng, max_attempts=20, seed=seed)
-            assert_same_run(batch[k], alone, batch_rngs[k], rng)
+            alone_rngs = [rngs[0] for rngs in streams([seed])]
+            alone = run_episode(theta_star, priors[s_len], *args, variant, *alone_rngs, max_attempts=20, seed=seed)
+            assert_same_run(batch[k], alone, (batch_noise[k], batch_samplers[k]), alone_rngs)
         fallbacks = [r.diagnostics.fallback_steps for r in batch]
         at_once = [int(np.count_nonzero(r.trace.rejections == 0)) for r in batch]
         assert fallbacks[2] > 40 and fallbacks[1] == 0 and at_once[1] > 20
@@ -1024,7 +1071,6 @@ class TestSamplerRounds:
         # Of the candidates that pass the screen on this short trajectory's
         # prior, many fail the solve, so a step often takes several rounds:
         # one per candidate solved.
-        monkeypatch.setattr("tsodlqr.controller.SAMPLE_BLOCK", 8)
         summary = simulate_offline(
             theta_sim, costs32, 250, offline_cfg, delta1_for(0.1, 250, 60), 0.15, RngStream(42, 0)
         )[0]

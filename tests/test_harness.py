@@ -217,7 +217,7 @@ class TestRunExperiment:
             results = real_episodes(*args, **kwargs)
             return [
                 UnstableRollout("online state norm exceeded 1e+06 at step 7")
-                if seed == hash64(42, "tsod", 1, 250) else result
+                if seed == hash64(42, "", 1, 250) else result
                 for seed, result in zip(kwargs["seeds"], results)
             ]
 
@@ -237,7 +237,7 @@ class TestRunExperiment:
                 "variant": "tsod",
                 "S": 250,
                 "run_id": 1,
-                "seed": hash64(42, "tsod", 1, 250),
+                "seed": hash64(42, "", 1, 250),
                 "error": "UnstableRollout",
                 "message": "online state norm exceeded 1e+06 at step 7",
             }
@@ -345,11 +345,16 @@ class TestExperimentBatch:
 
         def record(seed, stream_id):
             rng = RngStream(seed, stream_id)
-            streams[(seed, stream_id)] = rng
+            streams.setdefault((seed, stream_id), []).append(rng)
             return rng
 
         monkeypatch.setattr(harness, "RngStream", record)
         return streams
+
+    @staticmethod
+    def end_states(streams):
+        """The distinct end states of the generators of each (seed, stream)."""
+        return {key: sorted({json.dumps(rng.bit_generator.state) for rng in rngs}) for key, rngs in streams.items()}
 
     def test_mixed_batch_equals_its_cells(self, monkeypatch):
         # theta* is drawn, so the batch also redraws offsets in rounds, and
@@ -364,11 +369,13 @@ class TestExperimentBatch:
         ]
         streams = self.recorded_streams(monkeypatch)
         batch = harness.execute_batch(specs)
-        batch_states = {key: rng.bit_generator.state for key, rng in streams.items()}
+        batch_states = self.end_states(streams)
         streams.clear()
         cells = [harness.execute_batch(specs[k : k + 3]) for k in range(0, len(specs), 3)]
-        assert {key: rng.bit_generator.state for key, rng in streams.items()} == batch_states
-        assert len(batch_states) == 3 * len(specs) - 2 * 3  # ts_no_offline collects no offline data
+        assert self.end_states(streams) == batch_states
+        # Run i of each S has one delta, one offline and one noise stream,
+        # which every variant shares, and each run its own sampler stream.
+        assert len(batch_states) == 3 * 2 * 3 + len(specs)
         failures = 0
         for got, expected in zip(batch, [o for cell in cells for o in cell]):
             assert type(got) is type(expected)
@@ -401,6 +408,7 @@ class TestExperimentBatch:
 
 class TestSeedPlan:
     def test_offline_subcommand_writes_the_tsod_runs_datasets(self, tmp_path, monkeypatch):
+        # The datasets of run i are those of every variant that uses offline data.
         used = {}
         real_episodes = harness.run_episodes
 
@@ -417,7 +425,7 @@ class TestSeedPlan:
         assert main(["offline", "--config", str(config), "--out", str(tmp_path / "off")]) == 0
         for run_id in range(2):
             cached, _, _ = load_offline(tmp_path / "off" / "offline" / f"s250_run{run_id:03d}")
-            prior = used[hash64(42, "tsod", run_id, 250)]
+            prior = used[hash64(42, "", run_id, 250)]
             assert np.array_equal(cached.u_matrix, prior.u_matrix)
             assert np.array_equal(cached.theta_hat_sim.stacked, prior.theta_hat_sim.stacked)
 
@@ -449,8 +457,8 @@ class TestSeedPlan:
             ).read_bytes()
 
     @staticmethod
-    def offline_state(cfg, variant, run_id):
-        seed = RunSpec(cfg, variant, 250, run_id).seed
+    def offline_state(cfg, run_id):
+        seed = RunSpec(cfg, "tsod", 250, run_id).seed
         return RngStream(seed, harness.STREAM_OFFLINE).bit_generator.state
 
     @pytest.mark.parametrize("share", [True, False])
@@ -466,18 +474,20 @@ class TestSeedPlan:
 
         monkeypatch.setattr(harness, "collect_offline_batch", record)
         run_experiment(cfg, out_dir=tmp_path)
+        # tsod and offline_estimate_only use the same datasets.
         run_ids = [0] if share else [0, 1, 2]
-        expected = [self.offline_state(cfg, v, i) for v in ("tsod", "offline_estimate_only") for i in run_ids]
-        assert calls == [(250, expected)]
+        assert calls == [(250, [self.offline_state(cfg, i) for i in run_ids])]
 
     def test_failed_shared_dataset_fails_the_runs_of_its_cell(self, tmp_path, monkeypatch):
-        variants = ["tsod", "offline_estimate_only"]
+        # The shared dataset of S = 250 fails, so every run that uses it
+        # fails, and the runs of ts_no_offline, which use none, finish.
+        variants = ["tsod", "ts_no_offline", "offline_estimate_only"]
         cfg = tiny_config(num_runs=3, variants=variants, share_offline=True)
         config = tmp_path / "shared.cfg"
         config.write_text(json.dumps(cfg.raw))
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "clean")]) == 0
         real_collect = harness.collect_offline_batch
-        failing = self.offline_state(cfg, "tsod", 0)
+        failing = self.offline_state(cfg, 0)
 
         def fail_tsod(*args):
             states = [rng.bit_generator.state for rng in args[-1]]
@@ -490,30 +500,33 @@ class TestSeedPlan:
         out = tmp_path / "failed"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 3
         written = sorted(p.name for p in (out / "runs").iterdir())
-        assert written == [f"offline_estimate_only_run00{i}.csv" for i in range(3)]
+        assert written == [f"ts_no_offline_run00{i}.csv" for i in range(3)]
         for name in written:
             assert (out / "runs" / name).read_bytes() == (tmp_path / "clean" / "runs" / name).read_bytes()
         assert not (out / "aggregate.csv").exists()
         assert json.loads((out / "failures.json").read_text()) == [
             {
-                "variant": "tsod",
+                "variant": variant,
                 "S": 250,
                 "run_id": run_id,
-                "seed": hash64(42, "tsod", run_id, 250),
+                "seed": hash64(42, "", run_id, 250),
                 "error": "UnstableRollout",
                 "message": "offline state norm exceeded 1e+06 at step 3",
             }
+            for variant in ("tsod", "offline_estimate_only")
             for run_id in range(3)
         ]
 
     def test_diagnostics_run_identity(self):
         cfg = tiny_config(diag_delta1=0.25, diag_delta2=0.3)
         diag = RunSpec(cfg, "tsod", 250, 3, diagnostics=True)
-        assert diag.seed == hash64(42, "diag:tsod", 3, 250)
+        assert diag.seed == hash64(42, "diag:", 3, 250)
+        assert diag.sampler_seed == hash64(42, "diag:tsod", 3, 250)
         assert (diag.delta1, diag.delta2) == (0.25, 0.3)
         # A plain run of the same config ignores the diagnostics overrides.
         plain = RunSpec(cfg, "tsod", 250, 3)
-        assert plain.seed == hash64(42, "tsod", 3, 250)
+        assert plain.seed == hash64(42, "", 3, 250)
+        assert plain.sampler_seed == hash64(42, "tsod", 3, 250)
         assert plain.delta1 == delta1_for(0.1, 250, 60)
         assert plain.delta2 == delta2_for(0.1, 60)
 
@@ -521,6 +534,82 @@ class TestSeedPlan:
         diag = RunSpec(tiny_config(), "tsod", 250, 0, diagnostics=True)
         assert diag.delta1 == delta1_for(0.1, 250, 60)
         assert diag.delta2 == delta2_for(0.1, 60)
+
+
+class TestStreamPlan:
+    """Run i of every variant faces the same random inputs (common random
+    numbers): the true system, the offline dataset and the process noise come
+    from streams keyed without the variant, and only the sampler's stream is
+    keyed by it."""
+
+    VARIANTS = TestExperimentBatch.VARIANTS
+
+    def test_run_i_of_every_variant_faces_the_same_inputs(self, tmp_path, monkeypatch):
+        cfg = tiny_config(
+            variants=self.VARIANTS, num_runs=3, t_horizon=20, a_star=None, b_star=None, sample_delta=True,
+            m_delta=0.1,
+        )
+        calls, collected = [], []
+        real_episodes, real_collect = harness.run_episodes, harness.collect_offline_batch
+
+        def record_episodes(thetas, sources, costs, set_q, horizon, delta2, variants, rngs, sampler_rngs, **kwargs):
+            for entry in zip(kwargs["seeds"], variants, thetas, sources, rngs, sampler_rngs):
+                seed, variant, theta, src, rng, sampler = entry
+                calls.append((seed, variant, theta, src, rng.bit_generator.state, sampler.bit_generator.state))
+            return real_episodes(thetas, sources, costs, set_q, horizon, delta2, variants, rngs, sampler_rngs, **kwargs)
+
+        def record_collect(*args):
+            collected.append((args[2], len(args[-1])))
+            return real_collect(*args)
+
+        monkeypatch.setattr(harness, "run_episodes", record_episodes)
+        monkeypatch.setattr(harness, "collect_offline_batch", record_collect)
+        result = run_experiment(cfg, out_dir=tmp_path)
+        assert len(result.runs) == len(calls) == 3 * len(self.VARIANTS)
+        # One collection of S = 250 with one dataset per run.
+        assert collected == [(250, 3)]
+        for run_id in range(3):
+            seed = RunSpec(cfg, "tsod", 250, run_id).seed
+            runs = {variant: rest for s, variant, *rest in calls if s == seed}
+            assert sorted(runs) == sorted(self.VARIANTS)
+            thetas = {theta.stacked.tobytes() for theta, _, _, _ in runs.values()}
+            noise = {json.dumps(state) for _, _, state, _ in runs.values()}
+            samplers = {json.dumps(state) for _, _, _, state in runs.values()}
+            assert len(thetas) == len(noise) == 1 and len(samplers) == len(self.VARIANTS)
+            # The true system is drawn around theta_sim, not theta_sim itself.
+            assert thetas != {cfg.theta_sim.stacked.tobytes()}
+            tsod, estimate_only = runs["tsod"][1], runs["offline_estimate_only"][1]
+            assert tsod.summaries[0] is estimate_only.summaries[0]
+
+    def test_block_size_moves_no_byte(self, tmp_path, monkeypatch):
+        # n = 3 > m = 2, so the sampler draws SAMPLE_BLOCK candidates a call.
+        cfg = tiny_config(variants=self.VARIANTS, num_runs=2)
+        streams = TestExperimentBatch.recorded_streams(monkeypatch)
+        trees = []
+        for block in (1, 3, 8):
+            monkeypatch.setattr("tsodlqr.controller.SAMPLE_BLOCK", block)
+            streams.clear()
+            records = run_experiment(cfg, out_dir=tmp_path / str(block)).runs
+            files = sorted(path for path in (tmp_path / str(block)).rglob("*") if path.is_file())
+            trees.append({str(path.relative_to(tmp_path / str(block))): path.read_bytes() for path in files})
+        assert trees[0] == trees[1] == trees[2]
+        # With blocks of 8, a step takes up the normals that the last one
+        # left, so a run that tests `tested` candidates in all has drawn
+        # the normals of fewer than tested + 8, where fresh blocks for each
+        # step would draw the normals of 8 per step.
+        d, n = cfg.n + cfg.m, cfg.n
+        for rec in records:
+            if rec.variant == "oracle":
+                continue
+            seed = RunSpec(cfg, rec.variant, 250, rec.run_id).sampler_seed
+            (sampler,) = streams[(seed, harness.STREAM_EPISODE)]
+            twin = RngStream(seed, harness.STREAM_EPISODE)
+            twin.standard_normal(int(np.minimum(rec.trace.rejections + 1, cfg.max_attempts).sum()) * d * n)
+            for _ in range(7):
+                if twin.bit_generator.state == sampler.bit_generator.state:
+                    break
+                twin.standard_normal(d * n)
+            assert twin.bit_generator.state == sampler.bit_generator.state
 
 
 class TestDiagnostics:

@@ -332,9 +332,9 @@ def reference_admissible(theta, costs, trace_bound, rho):
 
 class TestAdmittedStack:
     """admitted_stack against the one-slice reference, verdict and bits, for
-    theta held column-major (ThetaParams(a, b)) and row-major (from_stacked):
-    the last bits of a solve depend on the layout.  (1, 1) and (2, 3) skip
-    the screen (m >= n); (3, 1) and (2, 1) have m = 1."""
+    theta built by ThetaParams(a, b) and by from_stacked, which both hold it
+    row-major.  (1, 1) and (2, 3) skip the screen (m >= n); (3, 1) and
+    (2, 1) have m = 1."""
 
     SHAPES = [(1, 1), (3, 1), (2, 1), (2, 3), (3, 2), (4, 2)]
     BOUNDS = [(50.0, 0.99), (4.0, 0.8)]
@@ -343,9 +343,9 @@ class TestAdmittedStack:
     def thetas(n, m, count):
         rng = np.random.default_rng(100 * n + m)
         for _ in range(count):
-            column = random_theta(rng, n, m, min(n, m), rng.uniform(0.3, 1.6))
-            yield column
-            yield ThetaParams.from_stacked(column.stacked, n, m)
+            built = random_theta(rng, n, m, min(n, m), rng.uniform(0.3, 1.6))
+            yield built
+            yield ThetaParams.from_stacked(built.stacked, n, m)
 
     @pytest.mark.parametrize("n, m", SHAPES)
     def test_membership_matches_the_reference(self, n, m):
@@ -361,8 +361,7 @@ class TestAdmittedStack:
                 assert p_membership(theta, costs, small_phi) is None
                 admitted += ref is not None
         assert admitted >= 10
-        if n > 1:
-            assert layouts == 40  # one of each pair is row-major
+        assert layouts == 80  # both constructors hold theta row-major
 
     @pytest.mark.parametrize("n, m", SHAPES)
     def test_each_slice_gets_its_one_slice_verdict_and_bits(self, n, m):
@@ -370,10 +369,8 @@ class TestAdmittedStack:
         thetas = list(self.thetas(n, m, 20))
         for trace_bound, rho in self.BOUNDS:
             refs = [reference_admissible(theta, costs, trace_bound, rho) for theta in thetas]
-            # A stack of row-major slices, and the one-slice stack of each theta.
-            rows = [theta for theta in thetas if theta.stacked.flags.c_contiguous or n == 1]
-            stacked = np.stack([theta.stacked for theta in rows])
-            cases = [(stacked, [refs[thetas.index(theta)] for theta in rows])]
+            # The stack of every theta, and the one-slice stack of each.
+            cases = [(np.stack([theta.stacked for theta in thetas]), refs)]
             cases += [(theta.stacked[None], [ref]) for theta, ref in zip(thetas, refs)]
             for stack, expected in cases:
                 admitted, sols = admitted_stack(stack, costs, trace_bound, rho)
@@ -424,6 +421,21 @@ class TestThetaParams:
             ThetaParams.from_stacked(bad, n, m)
         with pytest.raises(DimensionMismatch):
             ThetaParams.from_stacked(theta.stacked[:-1], n, m)
+
+    def test_every_theta_is_row_major(self):
+        a, b = np.arange(9.0).reshape(3, 3), np.arange(6.0).reshape(3, 2)
+        stacked = np.vstack([a.T, b.T])
+        thetas = [
+            ThetaParams(a, b),
+            ThetaParams(np.asfortranarray(a), np.asfortranarray(b)),
+            ThetaParams.from_stacked(stacked, 3, 2),
+            ThetaParams.from_stacked(np.asfortranarray(stacked), 3, 2),
+            pickle.loads(pickle.dumps(ThetaParams(a, b))),
+        ]
+        for theta in thetas:
+            assert theta.stacked.flags.c_contiguous
+            assert theta.stacked.tobytes() == stacked.tobytes()
+        assert ThetaParams.zeros(3, 2).stacked.flags.c_contiguous
 
     def test_pickle_keeps_arrays_read_only(self):
         theta = ThetaParams(np.arange(9.0).reshape(3, 3), np.arange(6.0).reshape(3, 2))

@@ -468,6 +468,18 @@ class TestSerialization:
         assert np.array_equal(states, states3)
         assert np.array_equal(controls, controls3)
 
+    def test_loaded_theta_is_the_collected_one(self, tmp_path, theta_sim, costs32, offline_cfg):
+        # Equal in bits and in layout, so a run warm-started from a saved
+        # dataset does what a run on a fresh collection does.
+        summary, states, controls = simulate_offline(
+            theta_sim, costs32, 50, offline_cfg, 0.1, 0.15, RngStream(8, 0)
+        )
+        save_offline(tmp_path / "offline_s50", summary, states, controls)
+        loaded = load_offline(tmp_path / "offline_s50")[0].theta_hat_sim.stacked
+        collected = summary.theta_hat_sim.stacked
+        assert loaded.tobytes() == collected.tobytes()
+        assert loaded.flags.c_contiguous and loaded.strides == collected.strides
+
     def test_pickle_keeps_arrays_read_only(self, theta_sim, costs32, offline_cfg):
         summary = simulate_offline(theta_sim, costs32, 50, offline_cfg, 0.1, 0.15, RngStream(8, 0))[0]
         back = pickle.loads(pickle.dumps(summary))
