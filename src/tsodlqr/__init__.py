@@ -41,7 +41,6 @@ from .lqr import (
     CostMatrices,
     RiccatiSolution,
     ThetaParams,
-    closed_loop_norm,
     p_membership,
     q_membership,
     riccati_map,

@@ -10,13 +10,13 @@ import json
 import logging
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .controller import VARIANTS
+from .controller import DEFAULT_MAX_ATTEMPTS, DEFAULT_STATE_CEILING, VARIANTS
 from .errors import ConfigError, UsageError
 from .lqr import ConstraintSetP, ConstraintSetQ, CostMatrices, ThetaParams, p_membership, q_membership
 from .offline import OfflineConfig
@@ -119,6 +119,9 @@ class Key(NamedTuple):
     help: str
 
 
+# The offline section's defaults are OfflineConfig's own.
+_OFFLINE = {f.name: f.default for f in fields(OfflineConfig)}
+
 # The key schema; a nested dict is a section, addressed with dotted keys.  The
 # ranges of the section keys are checked by the dataclasses they build.
 SCHEMA = {
@@ -148,21 +151,23 @@ SCHEMA = {
         "rho_sim": Key(0.99, _number, "auxiliary-system closed-loop norm bound rho_sim"),
     },
     "offline": {
-        "dither_std": Key(1.0, _number, "standard deviation of the offline exploration dither"),
-        "regularizer": Key(1.0, _number, "ridge regularizer lambda of the offline estimate"),
-        "controller_mode": Key("ce_dither", _text, "ce_dither (a_sim, b_sim must lie in set_p) or fixed_gain"),
-        "fixed_gain": Key(None, _optional(_matrix), "m x n gain of fixed_gain mode"),
-        "gain_refresh": Key(50, _count, "steps between ce_dither gain refreshes"),
-        "state_ceiling": Key(1e6, _number, "offline state norm that aborts the rollout"),
+        "dither_std": Key(_OFFLINE["dither_std"], _number, "standard deviation of the offline exploration dither"),
+        "regularizer": Key(_OFFLINE["regularizer"], _number, "ridge regularizer lambda of the offline estimate"),
+        "controller_mode": Key(
+            _OFFLINE["controller_mode"], _text, "ce_dither (a_sim, b_sim must lie in set_p) or fixed_gain"
+        ),
+        "fixed_gain": Key(_OFFLINE["fixed_gain"], _optional(_matrix), "m x n gain of fixed_gain mode"),
+        "gain_refresh": Key(_OFFLINE["gain_refresh"], _count, "steps between ce_dither gain refreshes"),
+        "state_ceiling": Key(_OFFLINE["state_ceiling"], _number, "offline state norm that aborts the rollout"),
     },
     "beta_mdelta_scale": Key(1.0, _nonnegative, "scale on the sqrt(lambda_max(U)) * M_delta width term"),
-    "max_attempts": Key(100, _count, "rejection-sampling budget per step"),
+    "max_attempts": Key(DEFAULT_MAX_ATTEMPTS, _count, "rejection-sampling budget per step"),
     "share_offline": Key(False, _flag, "reuse run 0's offline dataset for every run of an S"),
     "workers": Key(
         1, _workers, f"processes for run, diagnostics and sweep (at most {MAX_WORKERS}, one per CPU and run)"
     ),
     "output_dir": Key("out", _text, "output directory (also --out / TSOD_OUT_DIR)"),
-    "state_ceiling": Key(1e6, _positive, "online state norm that aborts the episode"),
+    "state_ceiling": Key(DEFAULT_STATE_CEILING, _positive, "online state norm that aborts the episode"),
     "diag_runs": Key(200, _count, "diagnostics run count"),
     "diag_delta1": Key(None, _optional(_fraction), "diagnostics override of delta1"),
     "diag_delta2": Key(None, _optional(_fraction), "diagnostics override of delta2"),
@@ -358,6 +363,13 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
             "offline length S=%d does not exceed the horizon T=%d; the confidence "
             "schedule falls back to max(S, T + 1)", min(v["s_len"]), v["t_horizon"]
         )
+    if v["a_star"] is not None:
+        distance = float(np.linalg.norm(np.hstack((v["a_star"] - v["a_sim"], v["b_star"] - v["b_sim"]))))
+        if distance > v["m_delta"]:
+            logger.warning(
+                "the true system lies %.4g from the auxiliary system in Frobenius norm, "
+                "farther than the dissimilarity bound m_delta=%g", distance, v["m_delta"]
+            )
 
     v["s_values"] = v.pop("s_len")
     v.update(q_matrix=costs.q_matrix, r_matrix=costs.r_matrix, set_q=set_q, offline=offline_cfg)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -220,12 +221,13 @@ def _fallback_candidates(
 
 
 def _sampler_fields(count: int, d: int, n: int, block_size: int) -> dict:
-    """The sampler's per-run fields of a _Runs, for runs of (d, n) stacked
-    parameters: the width and V^{-1/2} of the step, the candidates formed so
-    far in the step, the normals of block_size candidates from the sampler
-    stream with the slot of the first not yet used, the candidates formed
-    from them with the mask of those that passed the screen and are not yet
-    solved, and the step's outcome.
+    """The sampler's arrays of a batch, one row per run of (d, n) stacked
+    parameters, which the run keeps for the whole batch: the width and
+    V^{-1/2} of the step, the candidates formed so far in the step, the
+    normals of block_size candidates from the sampler stream with the slot of
+    the first not yet used, the candidates formed from them with the mask of
+    those that passed the screen and are not yet solved, and the step's
+    outcome.
 
     The normals that a step does not use are the first of the next step's
     candidates, so candidate k of a run is the k-th (d, n) normal block of
@@ -245,11 +247,11 @@ def _sampler_fields(count: int, d: int, n: int, block_size: int) -> dict:
     )
 
 
-def _begin_step(runs: "_Runs", rows: np.ndarray) -> Dict[int, TsodLqrError]:
-    """Start a sampling step for the runs at positions `rows`, whose widths
-    are set: one stacked eigh gives their V^{-1/2}, and none has formed a
-    candidate.  Returns the errors of the runs that cannot sample, by
-    position."""
+def _begin_step(runs: SimpleNamespace, rows: np.ndarray) -> Dict[int, TsodLqrError]:
+    """Start a sampling step for the runs of `rows`, whose widths are set:
+    one stacked eigh gives their V^{-1/2}, and none has formed a candidate.
+    Returns the errors of the runs that cannot sample, by row; the caller
+    takes those runs out of the batch."""
     errors: Dict[int, TsodLqrError] = {}
     for k in np.flatnonzero(runs.beta[rows] < 0):
         errors[int(rows[k])] = DomainError("beta must be nonnegative")
@@ -266,14 +268,14 @@ def _begin_step(runs: "_Runs", rows: np.ndarray) -> Dict[int, TsodLqrError]:
 
 
 def _sample_round(
-    runs: "_Runs",
+    runs: SimpleNamespace,
     rows: np.ndarray,
     set_q: ConstraintSetQ,
     costs: CostMatrices,
     max_attempts: int,
     ladder: Callable[[int], Iterable[Tuple[ThetaParams, Optional[np.ndarray]]]],
 ) -> Tuple[np.ndarray, Dict[int, TsodLqrError]]:
-    """One round of sample_constrained for the runs at positions `rows`, each
+    """One round of sample_constrained for the runs of `rows`, each
     in a step that _begin_step started.
 
     Each run that holds no candidate that passed the screen moves the
@@ -291,8 +293,8 @@ def _sample_round(
     step, so each step uses the normals of the candidates it tested.
 
     The outcome of a run that ends its sampling is in theta_tilde, gain,
-    rejections and fallback.  Returns the positions of those runs and the
-    errors of the runs that raised TsodLqrError, by position.
+    rejections and fallback.  Returns the rows of those runs and the errors
+    of the runs that raised TsodLqrError, by row.
     """
     block_size = runs.normals.shape[1]
     need = rows[~runs.passed[rows].any(axis=1)]
@@ -376,8 +378,8 @@ def sample_constrained(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
-    runs = _Runs(
-        sampler_rng=_objects([rng]),
+    runs = SimpleNamespace(
+        sampler_rng=[rng],
         v_matrix=belief.v_matrix[None],
         theta_hat=belief.theta_hat.stacked[None],
         **_sampler_fields(1, belief.dim, belief.n, 1),
@@ -495,18 +497,6 @@ class EpisodeResult:
     diagnostics: EpisodeDiagnostics
 
 
-class _Runs:
-    """The per-run arrays of the runs still in a batch, in run order; keep()
-    drops the others from every array at once."""
-
-    def __init__(self, **arrays):
-        self.__dict__.update(arrays)
-
-    def keep(self, mask: np.ndarray) -> None:
-        for name, value in list(vars(self).items()):
-            setattr(self, name, value[mask])
-
-
 def run_episodes(
     theta_stars: Sequence[ThetaParams],
     sources: Sequence[SourcesLike],
@@ -521,7 +511,6 @@ def run_episodes(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     beta_mdelta_scale: float = 1.0,
     state_ceiling: float = DEFAULT_STATE_CEILING,
-    seeds: Optional[Sequence[int]] = None,
 ) -> List[Union[EpisodeResult, TsodLqrError]]:
     """Run one online episode per hidden system, all as one batch: run i plays
     theta_stars[i] as variants[i] (one variant string stands for every run)
@@ -529,21 +518,27 @@ def run_episodes(
     its candidates from sampler_rngs[i], and from no other stream, so its
     result does not depend on the others.
 
-    Per step: sample an admissible parameter, apply its gain, observe the
-    transition and stage cost, and apply the rank-one belief update.  The
-    batch moves in global rounds, and each run keeps its own step.  In a
+    Run i owns row i of every per-run array from its set-up to its last
+    step.  Per step: sample an admissible parameter, apply its gain, observe
+    the transition and stage cost, and apply the rank-one belief update.
+    The batch moves in global rounds, and each run keeps its own step.  In a
     round, the runs that start a step compute beta and record their
     checkpoints, every sampling run takes one _sample_round, and the runs
-    whose step ends (admitted, fallen back, or oracle) step their systems and
-    update their beliefs as one stacked operation over that subset.  The
+    whose step ends (admitted, fallen back, or oracle) step their systems
+    and update their beliefs as one stacked operation over their rows.  The
     oracle variant plays the hidden parameters directly and serves as a
-    policy-level sanity check.  A state
-    whose norm exceeds `state_ceiling`, or is not finite, raises
-    UnstableRollout.  A run that raises TsodLqrError leaves the batch, and
-    its entry of the result is that error; the other entries are
-    EpisodeResults.  The loop only records each step; the property checks
-    are computed from that record afterwards.  delta2 is the online
-    confidence split, delta2_for(delta, horizon) on the schedule.
+    policy-level sanity check.
+
+    A run fails with the TsodLqrError it raises, at set-up (DimensionMismatch,
+    NonStabilizable or SingularPrecision) or in the loop; a state whose norm
+    exceeds `state_ceiling`, or is not finite, raises UnstableRollout.  The
+    ceiling also tests the state after step T, which no trace row shows, so
+    a run can fail "at step T" on a state that its trace never holds.  A
+    failed run leaves the live mask, its row is not read again, and its
+    entry of the result is its error; the other entries are EpisodeResults.
+    The loop only records each step; the property checks are computed from
+    that record afterwards.  delta2 is the online confidence split,
+    delta2_for(delta, horizon) on the schedule.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -552,62 +547,62 @@ def run_episodes(
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     count = len(theta_stars)
-    seeds = list(seeds) if seeds is not None else [0] * count
     variants = [variants] * count if isinstance(variants, str) else list(variants)
     results: List[Union[EpisodeResult, TsodLqrError, None]] = [None] * count
     n, m = costs.n, costs.m
+    d = n + m
     checkpoint_ts = sorted({max(1, int(round(horizon * f))) for f in CHECKPOINT_FRACTIONS if horizon >= 1})
 
-    # Per run: (sources as given, effective sources, the hidden system's
-    # average cost, the initial belief); the hidden systems are solved as
-    # one stack.
-    sized = {}
-    for i in range(count):
-        src_raw = as_sources(sources[i])
-        src = effective_sources(src_raw, variants[i])
-        if (theta_stars[i].n, theta_stars[i].m) != (src.n, src.m):
-            results[i] = DimensionMismatch("hidden parameters do not match the offline summaries")
+    # The hidden systems are solved as one stack.  A run whose dimensions do
+    # not match keeps a zero row, which solves in one doubling step and is
+    # never read.
+    srcs = [effective_sources(as_sources(s), variant) for s, variant in zip(sources, variants)]
+    errors: Dict[int, TsodLqrError] = {}
+    star_stack = np.zeros((count, d, n))
+    for i, (theta, src) in enumerate(zip(theta_stars, srcs)):
+        if (theta.n, theta.m) != (src.n, src.m):
+            errors[i] = DimensionMismatch("hidden parameters do not match the offline summaries")
         else:
-            sized[i] = (src_raw, src)
-    star_stack = np.array([theta_stars[i].stacked for i in sized]).reshape(-1, n + m, n)
+            star_stack[i] = theta.stacked
     star_sols = solve_dare_stack(star_stack, costs)
-    setups, solved = {}, []
-    for j, i in enumerate(sized):
-        try:
-            if star_sols.failure[j]:
-                raise NonStabilizable(failure_text(star_sols.failure[j]))
-            setups[i] = (*sized[i], float(star_sols.avg_cost[j]), init_belief(sized[i][1]))
-        except TsodLqrError as exc:
-            results[i] = exc
-        solved.append(i in setups)
-    started = list(setups)
-    beliefs = [setups[i][3] for i in started]
-    runs = _Runs(
-        index=np.array(started, dtype=np.int64),
-        noise_rng=_objects([rngs[i] for i in started]),
-        sampler_rng=_objects([sampler_rngs[i] for i in started]),
-        oracle=np.array([variants[i] == "oracle" for i in started], dtype=bool),
-        anchor=_objects([belief.theta_hat for belief in beliefs]),
-        last_accepted=np.zeros((len(started), n + m, n)),
-        last_gain=np.zeros((len(started), m, n)),
-        has_last=np.zeros(len(started), dtype=bool),
-        theta_star=star_stack[solved],
-        alpha_sum=np.array([setups[i][1].alpha_sum for i in started]),
-        mdelta_sum=np.array([setups[i][1].mdelta_sum for i in started]),
-        logdet_u=np.array([belief.logdet_u for belief in beliefs]),
-        v_matrix=np.array([belief.v_matrix for belief in beliefs]).reshape(-1, n + m, n + m),
-        cross_term=np.array([belief.cross_term for belief in beliefs]).reshape(-1, n + m, n),
-        theta_hat=np.array([belief.theta_hat.stacked for belief in beliefs]).reshape(-1, n + m, n),
-        logdet_v=np.array([belief.logdet_v for belief in beliefs]),
-        info_sum=np.zeros(len(started)),
-        state=np.zeros((len(started), n)),
-        state_norm=np.zeros(len(started)),
-        step=np.zeros(len(started), dtype=np.int64),
-        fresh=np.ones(len(started), dtype=bool),
-        **_sampler_fields(len(started), n + m, n, SAMPLE_BLOCK if n > m else 1),
+    runs = SimpleNamespace(
+        noise_rng=list(rngs),
+        sampler_rng=list(sampler_rngs),
+        oracle=np.array([variant == "oracle" for variant in variants], dtype=bool),
+        anchor=[None] * count,
+        last_accepted=np.zeros((count, d, n)),
+        last_gain=np.zeros((count, m, n)),
+        has_last=np.zeros(count, dtype=bool),
+        theta_star=star_stack,
+        alpha_sum=np.array([src.alpha_sum for src in srcs]),
+        mdelta_sum=np.array([src.mdelta_sum for src in srcs]),
+        logdet_u=np.zeros(count),
+        v_matrix=np.zeros((count, d, d)),
+        cross_term=np.zeros((count, d, n)),
+        theta_hat=np.zeros((count, d, n)),
+        logdet_v=np.zeros(count),
+        info_sum=np.zeros(count),
+        state=np.zeros((count, n)),
+        state_norm=np.zeros(count),
+        step=np.zeros(count, dtype=np.int64),
+        fresh=np.ones(count, dtype=bool),
+        **_sampler_fields(count, d, n, SAMPLE_BLOCK if n > m else 1),
     )
     # Oracle runs play the hidden system's gain, with no rejection, at every step.
-    runs.gain[:] = star_sols.gain[solved]
+    runs.gain[:] = star_sols.gain
+    for i in range(count):
+        if i in errors:
+            continue
+        try:
+            if star_sols.failure[i]:
+                raise NonStabilizable(failure_text(star_sols.failure[i]))
+            belief = init_belief(srcs[i])
+        except TsodLqrError as exc:
+            errors[i] = exc
+            continue
+        runs.anchor[i], runs.theta_hat[i] = belief.theta_hat, belief.theta_hat.stacked
+        runs.v_matrix[i], runs.cross_term[i] = belief.v_matrix, belief.cross_term
+        runs.logdet_u[i], runs.logdet_v[i] = belief.logdet_u, belief.logdet_v
 
     # The per-step record of every run, and the belief at sampling time of
     # each checkpoint step.
@@ -615,8 +610,8 @@ def run_episodes(
     record["rejections"] = np.zeros((count, horizon), dtype=np.int64)
     record["fallback"] = np.zeros((count, horizon), dtype=bool)
     record["gain"] = np.zeros((count, horizon, m, n))
-    checkpoint_theta = np.zeros((count, len(checkpoint_ts), n + m, n))
-    checkpoint_v = np.zeros((count, len(checkpoint_ts), n + m, n + m))
+    checkpoint_theta = np.zeros((count, len(checkpoint_ts), d, n))
+    checkpoint_v = np.zeros((count, len(checkpoint_ts), d, d))
     slot_of = np.full(horizon + 1, -1)
     slot_of[checkpoint_ts] = np.arange(len(checkpoint_ts))
 
@@ -628,18 +623,18 @@ def run_episodes(
         hat = ThetaParams.from_stacked(runs.theta_hat[j], n, m)
         yield from ((rung, None) for rung in _fallback_candidates(hat, runs.anchor[j], None))
 
+    # The runs still in the batch: a run leaves when it finishes or fails.
+    live = np.ones(count, dtype=bool)
+
     def fail(errors: Dict[int, TsodLqrError]) -> None:
-        # A run that raises records its error, takes no further part in the
-        # round, and leaves the batch at the round's end.
+        # A run that raises records its error and takes no further part.
         for j, error in errors.items():
-            results[runs.index[j]] = error
+            results[j] = error
             live[j] = False
 
+    fail(errors)
     while True:
-        ended = runs.step == horizon
-        for j in np.flatnonzero(ended):
-            i = runs.index[j]
-            src_raw, src, j_star, _ = setups[i]
+        for j in np.flatnonzero(live & (runs.step == horizon)):
             belief = BeliefState(
                 v_matrix=runs.v_matrix[j],
                 theta_hat=ThetaParams.from_stacked(runs.theta_hat[j], n, m),
@@ -648,18 +643,16 @@ def run_episodes(
                 logdet_u=float(runs.logdet_u[j]),
                 cross_term=runs.cross_term[j],
             )
-            results[i] = _episode_result(
-                theta_stars[i], src_raw, src, j_star, set_q, horizon, checkpoint_ts,
-                checkpoint_theta[i], checkpoint_v[i], belief, seeds[i], {name: arr[i] for name, arr in record.items()},
+            results[j] = _episode_result(
+                theta_stars[j], srcs[j], float(star_sols.avg_cost[j]), set_q, horizon, checkpoint_ts,
+                checkpoint_theta[j], checkpoint_v[j], belief, {name: arr[j] for name, arr in record.items()},
             )
-        if ended.any():
-            runs.keep(~ended)
-        if not runs.index.size:
+            live[j] = False
+        if not live.any():
             break
-        live = np.ones(runs.index.size, dtype=bool)
 
         # The runs that start a step: beta, checkpoints, and the sampler's start.
-        new = np.flatnonzero(runs.fresh)
+        new = np.flatnonzero(live & runs.fresh)
         beta, inconsistent = _betas(
             n, runs.logdet_v[new], runs.logdet_u[new], runs.alpha_sum[new], runs.mdelta_sum[new], delta2,
             beta_mdelta_scale,
@@ -671,7 +664,7 @@ def run_episodes(
         slots = slot_of[runs.step[new] + 1]
         hit = slots >= 0
         if hit.any():
-            at = (runs.index[new[hit]], slots[hit])
+            at = (new[hit], slots[hit])
             checkpoint_theta[at], checkpoint_v[at] = runs.theta_hat[new[hit]], runs.v_matrix[new[hit]]
         learners = new[~runs.oracle[new]]
         if learners.size:
@@ -707,7 +700,7 @@ def run_episodes(
                 "state_norm": runs.state_norm[ends], "fallback": runs.fallback[ends], "gain": gains,
                 "z_norm": np.sqrt(np.vecdot(z, z)), "logdet": runs.logdet_v[ends], "info": runs.info_sum[ends],
             }
-            at = (runs.index[ends], runs.step[ends])
+            at = (ends, runs.step[ends])
             for name, value in step.items():
                 record[name][at] = value
 
@@ -721,21 +714,11 @@ def run_episodes(
                 j: UnstableRollout(f"online state norm exceeded {state_ceiling:g} at step {runs.step[j]}")
                 for j in unstable
             })
-        if not live.all():
-            runs.keep(live)
     return results
-
-
-def _objects(items: list) -> np.ndarray:
-    # A 1-d object array, which keep() can index like the numeric arrays.
-    arr = np.empty(len(items), dtype=object)
-    arr[:] = items
-    return arr
 
 
 def _episode_result(
     theta_star: ThetaParams,
-    src_raw: MultiSourceSummary,
     src: MultiSourceSummary,
     j_star: float,
     set_q: ConstraintSetQ,
@@ -744,7 +727,6 @@ def _episode_result(
     checkpoint_theta: np.ndarray,
     checkpoint_v: np.ndarray,
     belief: BeliefState,
-    seed: int,
     record: Dict[str, np.ndarray],
 ) -> EpisodeResult:
     """The trace and the property checks of one run, from its per-step record."""
@@ -758,8 +740,9 @@ def _episode_result(
     # Information inequalities: sum_s z_s^T V_s^{-1} z_s against the log-det
     # growth, with the running max of ||z||; they assume the warm-start
     # precision actually used grows like S/40, which variants that replace it
-    # do not.
-    d, s_total = theta_star.n + theta_star.m, src_raw.s_total
+    # do not.  effective_sources keeps every s_len, so s_total is that of
+    # the sources as given.
+    d, s_total = theta_star.n + theta_star.m, src.s_total
     z_max = np.maximum.accumulate(record["z_norm"])
     zt_rhs = 2.0 * np.maximum(1.0, 40.0 * z_max**2 / s_total) * (record["logdet"] - belief.logdet_u)
     z_top = float(z_max[-1]) if horizon else 0.0
@@ -780,7 +763,6 @@ def _episode_result(
         rejections=record["rejections"],
         state_norm=record["state_norm"],
         j_star=j_star,
-        seed=seed,
     )
     diagnostics = EpisodeDiagnostics(
         checkpoints=tuple(checkpoints),
@@ -810,7 +792,6 @@ def run_episode(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     beta_mdelta_scale: float = 1.0,
     state_ceiling: float = DEFAULT_STATE_CEILING,
-    seed: int = 0,
 ) -> EpisodeResult:
     """Run one online episode of the given variant against the hidden system,
     with process noise from rng and candidates from sampler_rng: the one-run
@@ -818,7 +799,7 @@ def run_episode(
     (result,) = run_episodes(
         [theta_star_hidden], [sources], costs, set_q, horizon, delta2, variant, [rng], [sampler_rng],
         max_attempts=max_attempts, beta_mdelta_scale=beta_mdelta_scale,
-        state_ceiling=state_ceiling, seeds=[seed],
+        state_ceiling=state_ceiling,
     )
     if isinstance(result, TsodLqrError):
         raise result

@@ -239,7 +239,6 @@ def execute_batch(specs: Sequence[RunSpec]) -> List[Union[RunRecord, RunFailure]
         max_attempts=cfg.max_attempts,
         beta_mdelta_scale=cfg.beta_mdelta_scale,
         state_ceiling=cfg.state_ceiling,
-        seeds=[spec.seed for spec in kept],
     )
     for index, spec, report, result in zip(indices, kept, reports, results):
         if isinstance(result, TsodLqrError):

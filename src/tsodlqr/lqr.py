@@ -308,14 +308,6 @@ def closed_loop_norms(stacked: np.ndarray, gains: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stacked[:, :n].mT + stacked[:, n:].mT @ gains, compute_uv=False)[:, 0]
 
 
-def closed_loop_norm(theta: ThetaParams, gain: np.ndarray) -> float:
-    """Spectral norm (largest singular value) of A + B K."""
-    gain = np.asarray(gain, dtype=np.float64)
-    if gain.shape != (theta.m, theta.n):
-        raise DimensionMismatch(f"gain must be {(theta.m, theta.n)}, got {gain.shape}")
-    return float(closed_loop_norms(theta.stacked[None], gain[None])[0])
-
-
 def closed_loop_floors(stacked: np.ndarray) -> np.ndarray:
     """Lower bound on ||A + B K||_2 over every gain K, for every slice of a
     (K, n+m, n) stack of stacked parameters, with one stacked QR for the

@@ -25,7 +25,6 @@ class RegretTrace:
     rejections: np.ndarray
     state_norm: np.ndarray
     j_star: float
-    seed: int
 
     def __len__(self) -> int:
         return len(self.t)

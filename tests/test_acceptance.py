@@ -276,7 +276,7 @@ def test_criterion_8_multi_source_reduction(theta_star, theta_sim, costs32, set_
         theta_sim, costs32, 600, offline_cfg, 0.01, 0.15, RngStream(77, 0)
     )
     res_single = run_episode(
-        theta_star, summary, costs32, set_q, 250, 0.1, "tsod", RngStream(78, 1), RngStream(78, 2), seed=78
+        theta_star, summary, costs32, set_q, 250, 0.1, "tsod", RngStream(78, 1), RngStream(78, 2)
     )
     res_multi = run_episode(
         theta_star,
@@ -288,7 +288,6 @@ def test_criterion_8_multi_source_reduction(theta_star, theta_sim, costs32, set_
         "tsod",
         RngStream(78, 1),
         RngStream(78, 2),
-        seed=78,
     )
     from tsodlqr.traces import write_run_csv
 

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from tsodlqr import harness
 from tsodlqr.cli import build_parser, main
-from tsodlqr.config import MAX_WORKERS, ExperimentConfig, build_experiment_config, dotted_keys
+from tsodlqr.config import MAX_WORKERS, ExperimentConfig, build_experiment_config, dotted_keys, load_experiment_config
 from tsodlqr.controller import VARIANTS
 from tsodlqr.errors import ConfigError
 
-FIG1 = Path(__file__).resolve().parent.parent / "configs" / "paper_fig1.cfg"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+FIG1 = CONFIGS / "paper_fig1.cfg"
 
 # The test_cli system: (a_sim, b_sim) has Frobenius norm about 2.16, so it
 # lies in set_p for phi = 5 and outside it for phi = 2.
@@ -97,6 +98,22 @@ class TestHorizonWarning:
     def test_silent_when_s_exceeds_t(self, caplog):
         with caplog.at_level(logging.WARNING, logger="tsodlqr"):
             build_experiment_config(SYSTEM)
+        assert caplog.records == []
+
+
+class TestDissimilarityWarning:
+    def test_logged_when_theta_star_lies_beyond_m_delta(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="tsodlqr"):
+            load_experiment_config(CONFIGS / "paper_fig2.cfg", ["m_delta=0.02"])
+        assert [r.getMessage() for r in caplog.records] == [
+            "the true system lies 0.1414 from the auxiliary system in Frobenius norm, "
+            "farther than the dissimilarity bound m_delta=0.02"
+        ]
+
+    @pytest.mark.parametrize("name", ["paper_fig1.cfg", "paper_fig2.cfg", "corollary1.cfg"])
+    def test_shipped_configs_are_silent(self, caplog, name):
+        with caplog.at_level(logging.WARNING, logger="tsodlqr"):
+            load_experiment_config(CONFIGS / name)
         assert caplog.records == []
 
 

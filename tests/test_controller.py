@@ -8,12 +8,15 @@ import scipy.linalg
 from tsodlqr import (
     ConstraintSetQ,
     CostMatrices,
+    DimensionMismatch,
     DomainError,
     MultiSourceSummary,
     NonStabilizable,
     OfflineSummary,
     RngStream,
+    SingularPrecision,
     ThetaParams,
+    TsodLqrError,
     UnstableRollout,
     compute_beta,
     effective_sources,
@@ -748,16 +751,16 @@ class TestLockstep:
         args = (costs32, set_q, 60, delta2_for(0.1, 60), variant)
         batch_noise, batch_samplers = streams(self.SEEDS)
         batch = run_episodes(
-            thetas, summaries, *args, batch_noise, batch_samplers, max_attempts=20, seeds=list(self.SEEDS)
+            thetas, summaries, *args, batch_noise, batch_samplers, max_attempts=20
         )
         for i, seed in enumerate(self.SEEDS):
             (noise,), (sampler,) = streams([seed])
-            alone = run_episode(thetas[i], summaries[i], *args, noise, sampler, max_attempts=20, seed=seed)
+            alone = run_episode(thetas[i], summaries[i], *args, noise, sampler, max_attempts=20)
             got = batch[i]
             assert isinstance(got, EpisodeResult)
             for name in ("t", "cost", "instant_regret", "cum_regret", "beta", "rejections", "state_norm"):
                 assert self.bits(getattr(got.trace, name)) == self.bits(getattr(alone.trace, name)), (i, name)
-            assert (got.trace.j_star, got.trace.seed) == (alone.trace.j_star, alone.trace.seed)
+            assert got.trace.j_star == alone.trace.j_star
             for name in vars(alone.diagnostics):
                 if name == "checkpoints":
                     assert [tuple(map(self.bits, vars(c).values())) for c in got.diagnostics.checkpoints] == [
@@ -792,6 +795,47 @@ class TestLockstep:
                 assert isinstance(result, UnstableRollout) and str(result) == str(alone.value)
             else:
                 assert result.trace.cost.tobytes() == clean[i].trace.cost[:60].tobytes()
+
+    def test_set_up_and_loop_failures_in_one_batch(self, summaries, theta_star, costs32, set_q):
+        # Runs 0 to 2 cannot start: theta* of the wrong dimensions, an
+        # unstabilizable theta* (A = 2I, B = 0) and a singular prior.  Of
+        # runs 3 to 6, a ceiling between the two largest peak state norms of
+        # the 61-step episodes fails one mid-episode, and the others finish.
+        args = (costs32, set_q, 60, delta2_for(0.1, 60))
+        looped = list(zip(summaries, ["tsod", "ts_no_offline", "offline_estimate_only", "oracle"]))
+        clean = run_episodes(
+            [theta_star] * 4, [s for s, _ in looped], *args[:2], 61, args[3], [v for _, v in looped],
+            *streams(self.SEEDS), max_attempts=20,
+        )
+        norms = [r.trace.state_norm for r in clean]
+        peaks = [float(norm.max()) for norm in norms]
+        worst = int(np.argmax(peaks))
+        ceiling = 0.5 * (peaks[worst] + max(p for i, p in enumerate(peaks) if i != worst))
+        assert np.argmax(norms[worst] > ceiling) < 60
+        cases = [
+            (ThetaParams(0.5 * np.eye(2), np.ones((2, 1))), summaries[0], "tsod"),
+            (ThetaParams(2.0 * np.eye(3), np.zeros((3, 2))), summaries[1], "tsod"),
+            (theta_star, make_summary(np.zeros((5, 5)), theta_star), "tsod"),
+        ] + [(theta_star, summary, variant) for summary, variant in looped]
+        seeds = (11, 12, 13) + self.SEEDS
+        batch_noise, batch_samplers = streams(seeds)
+        batch = run_episodes(
+            [c[0] for c in cases], [c[1] for c in cases], *args, [c[2] for c in cases], batch_noise,
+            batch_samplers, max_attempts=20, state_ceiling=ceiling,
+        )
+        expected_errors = {0: DimensionMismatch, 1: NonStabilizable, 2: SingularPrecision, 3 + worst: UnstableRollout}
+        for k, (theta, summary, variant) in enumerate(cases):
+            alone_rngs = [rngs[0] for rngs in streams([seeds[k]])]
+            try:
+                alone = run_episode(theta, summary, *args, variant, *alone_rngs, max_attempts=20, state_ceiling=ceiling)
+            except TsodLqrError as exc:
+                alone = exc
+            if k in expected_errors:
+                assert type(batch[k]) is type(alone) is expected_errors[k], k
+                assert str(batch[k]) == str(alone), k
+                assert states(batch_noise[k], batch_samplers[k]) == states(*alone_rngs), k
+            else:
+                assert_same_run(batch[k], alone, (batch_noise[k], batch_samplers[k]), alone_rngs)
 
     def test_batch_sampler_admits_only_scipy_admissible_candidates(
         self, summaries, theta_star, costs32, set_q, monkeypatch
@@ -852,21 +896,20 @@ class TestMixedLockstep:
         batch = run_episodes(
             [theta_star] * len(runs), [priors[(s_len, seed)] for _, s_len, seed in runs], *args,
             [variant for variant, _, _ in runs], batch_noise, batch_samplers, max_attempts=20,
-            seeds=[seed for _, _, seed in runs],
         )
         bits = TestLockstep.bits
         for variant, s_len in cells:
             cell_noise, cell_samplers = streams(self.SEEDS)
             alone = run_episodes(
                 [theta_star] * len(self.SEEDS), [priors[(s_len, seed)] for seed in self.SEEDS], *args, variant,
-                cell_noise, cell_samplers, max_attempts=20, seeds=list(self.SEEDS),
+                cell_noise, cell_samplers, max_attempts=20,
             )
             for seed, expected, noise, sampler in zip(self.SEEDS, alone, cell_noise, cell_samplers):
                 k = runs.index((variant, s_len, seed))
                 got = batch[k]
                 for name in ("t", "cost", "instant_regret", "cum_regret", "beta", "rejections", "state_norm"):
                     assert bits(getattr(got.trace, name)) == bits(getattr(expected.trace, name)), (k, name)
-                assert (got.trace.j_star, got.trace.seed) == (expected.trace.j_star, expected.trace.seed)
+                assert got.trace.j_star == expected.trace.j_star
                 assert [tuple(map(bits, vars(c).values())) for c in got.diagnostics.checkpoints] == [
                     tuple(map(bits, vars(c).values())) for c in expected.diagnostics.checkpoints
                 ]
@@ -888,7 +931,7 @@ def assert_same_run(got, alone, got_rngs, alone_rngs):
     bits = TestLockstep.bits
     for name in ("t", "cost", "instant_regret", "cum_regret", "beta", "rejections", "state_norm"):
         assert bits(getattr(got.trace, name)) == bits(getattr(alone.trace, name)), name
-    assert (got.trace.j_star, got.trace.seed) == (alone.trace.j_star, alone.trace.seed)
+    assert got.trace.j_star == alone.trace.j_star
     assert [tuple(map(bits, vars(c).values())) for c in got.diagnostics.checkpoints] == [
         tuple(map(bits, vars(c).values())) for c in alone.diagnostics.checkpoints
     ]
@@ -971,7 +1014,7 @@ class TestSamplerRounds:
         seeds = list(range(len(variants)))
         batch_noise, batch_samplers = streams(seeds)
         batch = run_episodes([theta] * len(variants), sources, *args, variants, batch_noise, batch_samplers,
-                             max_attempts=max_attempts, seeds=seeds)
+                             max_attempts=max_attempts)
         tested = [
             int(np.minimum(r.trace.rejections + 1, max_attempts).sum()) if variant != "oracle" else 0
             for r, variant in zip(batch, variants)
@@ -979,7 +1022,7 @@ class TestSamplerRounds:
         assert sum(screened) == sum(solved) == sum(tested)
         for k, (variant, seed) in enumerate(zip(variants, seeds)):
             alone_rngs = [rngs[0] for rngs in streams([seed])]
-            alone = run_episode(theta, sources[k], *args, variant, *alone_rngs, max_attempts=max_attempts, seed=seed)
+            alone = run_episode(theta, sources[k], *args, variant, *alone_rngs, max_attempts=max_attempts)
             assert_same_run(batch[k], alone, (batch_noise[k], batch_samplers[k]), alone_rngs)
             # The sampler stream has drawn the normals of the tested
             # candidates and no others, the noise stream those of the steps.
@@ -1056,11 +1099,10 @@ class TestSamplerRounds:
         batch = run_episodes(
             [theta_star] * len(runs), [priors[s_len] for _, s_len, _ in runs], *args,
             [variant for variant, _, _ in runs], batch_noise, batch_samplers, max_attempts=20,
-            seeds=[seed for _, _, seed in runs],
         )
         for k, (variant, s_len, seed) in enumerate(runs):
             alone_rngs = [rngs[0] for rngs in streams([seed])]
-            alone = run_episode(theta_star, priors[s_len], *args, variant, *alone_rngs, max_attempts=20, seed=seed)
+            alone = run_episode(theta_star, priors[s_len], *args, variant, *alone_rngs, max_attempts=20)
             assert_same_run(batch[k], alone, (batch_noise[k], batch_samplers[k]), alone_rngs)
         fallbacks = [r.diagnostics.fallback_steps for r in batch]
         at_once = [int(np.count_nonzero(r.trace.rejections == 0)) for r in batch]

@@ -38,7 +38,6 @@ def make_trace(length):
         rejections=np.resize(BIG_INTEGERS[::-1], length),
         state_norm=column(4),
         j_star=0.0,
-        seed=0,
     )
 
 

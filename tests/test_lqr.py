@@ -15,7 +15,6 @@ from tsodlqr import (
     DimensionMismatch,
     NonStabilizable,
     ThetaParams,
-    closed_loop_norm,
     riccati_map,
     solve_dare,
 )
@@ -147,28 +146,19 @@ class TestSolveDareStack:
         assert failure_text(STALLED) == f"riccati iteration did not converge within {self.LIMIT} steps"
         assert failure_text(DIVERGED) == "riccati iteration diverged"
 
-    def test_closed_loop_norms_are_the_one_slice_norms(self, theta_star, costs32):
-        rng = np.random.default_rng(3)
-        stacked = theta_star.stacked + 0.1 * rng.standard_normal((9, 5, 3))
-        gains = rng.standard_normal((9, 2, 3))
-        norms = closed_loop_norms(stacked, gains)
-        for i in range(9):
-            theta = ThetaParams.from_stacked(stacked[i], 3, 2)
-            assert norms[i] == closed_loop_norm(theta, gains[i])
-
 
 class TestClosedLoopNorm:
     def test_zero(self):
         theta = ThetaParams(np.zeros((2, 2)), np.eye(2))
-        assert closed_loop_norm(theta, np.zeros((2, 2))) == 0.0
+        assert closed_loop_norms(theta.stacked[None], np.zeros((1, 2, 2)))[0] == 0.0
 
     def test_exact_cancellation(self):
         theta = ThetaParams(0.5 * np.eye(2), np.eye(2))
-        assert closed_loop_norm(theta, -0.5 * np.eye(2)) == pytest.approx(0.0, abs=1e-15)
+        assert closed_loop_norms(theta.stacked[None], -0.5 * np.eye(2)[None])[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_section_v_against_power_iteration(self, theta_star, costs32):
         gain = solve_dare(theta_star, costs32).gain
-        norm = closed_loop_norm(theta_star, gain)
+        norm = closed_loop_norms(theta_star.stacked[None], gain[None])[0]
         assert norm < 1.0
         m = theta_star.a_matrix + theta_star.b_matrix @ gain
         g = m.T @ m
@@ -177,10 +167,6 @@ class TestClosedLoopNorm:
             v = g @ v
             v /= np.linalg.norm(v)
         assert norm == pytest.approx(math.sqrt(v @ g @ v), rel=1e-10)
-
-    def test_dimension_mismatch(self, theta_star):
-        with pytest.raises(DimensionMismatch):
-            closed_loop_norm(theta_star, np.zeros((3, 3)))
 
 
 class TestMembership:
@@ -208,7 +194,7 @@ class TestMembership:
         p = scipy.linalg.solve_discrete_are(a, b, costs32.q_matrix, costs32.r_matrix)
         gain = -np.linalg.solve(costs32.r_matrix + b.T @ p @ b, b.T @ p @ a)
         assert np.trace(p) <= set_q.m_p
-        assert closed_loop_norm(theta_star, gain) <= set_q.rho
+        assert closed_loop_norms(theta_star.stacked[None], gain[None])[0] <= set_q.rho
 
     def test_trace_bound_excludes(self, theta_star, costs32):
         assert q_membership(theta_star, costs32, ConstraintSetQ(1.0, 0.99)) is None
@@ -237,7 +223,7 @@ def unscreened_membership(theta, costs, trace_bound, rho):
         sol = solve_dare(theta, costs)
     except NonStabilizable:
         return None
-    if sol.avg_cost > trace_bound or closed_loop_norm(theta, sol.gain) > rho:
+    if sol.avg_cost > trace_bound or closed_loop_norms(theta.stacked[None], sol.gain[None])[0] > rho:
         return None
     return sol
 
@@ -293,11 +279,13 @@ class TestClosedLoopFloor:
             gains.append(ref.gain)
         slacks = [1e-12 * (1.0 + np.linalg.norm(theta.b_matrix, 2) * np.linalg.norm(g, 2)) for g in gains]
         for gain, slack in zip(gains, slacks):
-            assert closed_loop_norm(theta, gain) >= floor * (1.0 - 1e-12) - slack
+            assert closed_loop_norms(theta.stacked[None], gain[None])[0] >= floor * (1.0 - 1e-12) - slack
         if rank == min(n, m):
             # With B of full rank, K = -B^+ A attains the floor, up to a
             # rounding error of order eps cond(B) ||A||.
-            assert closed_loop_norm(theta, gains[3]) == pytest.approx(floor, rel=1e-9, abs=slacks[3])
+            assert closed_loop_norms(theta.stacked[None], gains[3][None])[0] == pytest.approx(
+                floor, rel=1e-9, abs=slacks[3]
+            )
 
     def test_sampler_like_candidates(self, theta_star, costs32, set_q):
         # Perturbations of the Section V system, as the sampler draws them:
