@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .lqr import (  # noqa: F401
     CostMatrices,
     ThetaParams,
     _screen,
+    admitted_stack,
     failure_text,
     q_membership,
     solve_and_bound,
@@ -203,31 +204,14 @@ def compute_beta(
     return float(beta)
 
 
-def _fallback_candidates(
-    theta_hat: ThetaParams,
-    anchor: Optional[ThetaParams],
-    last_accepted: Optional[ThetaParams],
-) -> Iterable[ThetaParams]:
-    if last_accepted is not None:
-        yield last_accepted
-    yield theta_hat
-    n, m = theta_hat.n, theta_hat.m
-    target = anchor if anchor is not None else theta_hat
-    if anchor is not None:
-        for lam in (0.25, 0.5, 0.75, 1.0):
-            yield ThetaParams.from_stacked((1.0 - lam) * theta_hat.stacked + lam * anchor.stacked, n, m)
-    for scale in (0.75, 0.5, 0.25, 0.0):
-        yield ThetaParams.from_stacked(scale * target.stacked, n, m)
-
-
 def _sampler_fields(count: int, d: int, n: int, block_size: int) -> dict:
     """The sampler's arrays of a batch, one row per run of (d, n) stacked
     parameters, which the run keeps for the whole batch: the width and
     V^{-1/2} of the step, the candidates formed so far in the step, the
     normals of block_size candidates from the sampler stream with the slot of
     the first not yet used, the candidates formed from them with the mask of
-    those that passed the screen and are not yet solved, and the step's
-    outcome.
+    those that passed the screen and are not yet solved, the step's outcome,
+    and the fallback's anchor (or None) and last accepted sample and gain.
 
     The normals that a step does not use are the first of the next step's
     candidates, so candidate k of a run is the k-th (d, n) normal block of
@@ -244,23 +228,23 @@ def _sampler_fields(count: int, d: int, n: int, block_size: int) -> dict:
         gain=np.zeros((count, d - n, n)),
         rejections=np.zeros(count, dtype=np.int64),
         fallback=np.zeros(count, dtype=bool),
+        anchor=[None] * count,
+        last_accepted=np.zeros((count, d, n)),
+        last_gain=np.zeros((count, d - n, n)),
+        has_last=np.zeros(count, dtype=bool),
     )
 
 
 def _begin_step(runs: SimpleNamespace, rows: np.ndarray) -> Dict[int, TsodLqrError]:
     """Start a sampling step for the runs of `rows`, whose widths are set:
     one stacked eigh gives their V^{-1/2}, and none has formed a candidate.
-    Returns the errors of the runs that cannot sample, by row; the caller
-    takes those runs out of the batch."""
-    errors: Dict[int, TsodLqrError] = {}
-    for k in np.flatnonzero(runs.beta[rows] < 0):
-        errors[int(rows[k])] = DomainError("beta must be nonnegative")
+    Returns the errors of the runs whose precision is singular, by row; the
+    caller takes those runs out of the batch."""
     eigvals, eigvecs = np.linalg.eigh(runs.v_matrix[rows])
-    for k in np.flatnonzero(eigvals[:, 0] <= 0):
-        errors.setdefault(int(rows[k]), SingularPrecision("belief precision is not positive definite"))
+    singular = eigvals[:, 0] <= 0
+    errors = {int(j): SingularPrecision("belief precision is not positive definite") for j in rows[singular]}
     if errors:
-        ok = np.array([int(j) not in errors for j in rows], dtype=bool)
-        rows, eigvals, eigvecs = rows[ok], eigvals[ok], eigvecs[ok]
+        rows, eigvals, eigvecs = rows[~singular], eigvals[~singular], eigvecs[~singular]
     runs.inv_half[rows] = (eigvecs / np.sqrt(eigvals)[:, None, :]) @ eigvecs.mT
     runs.drawn[rows] = 0
     runs.passed[rows] = False
@@ -273,7 +257,6 @@ def _sample_round(
     set_q: ConstraintSetQ,
     costs: CostMatrices,
     max_attempts: int,
-    ladder: Callable[[int], Iterable[Tuple[ThetaParams, Optional[np.ndarray]]]],
 ) -> Tuple[np.ndarray, Dict[int, TsodLqrError]]:
     """One round of sample_constrained for the runs of `rows`, each
     in a step that _begin_step started.
@@ -283,14 +266,15 @@ def _sample_round(
     the rest with one call on its sampler stream, and forms the block's
     candidates, never more than max_attempts in a step.  One stacked screen
     covers every run's new candidates, until each run holds a passing
-    candidate or has formed max_attempts.  A run in the second case tries
-    the candidates of ladder(j), its fallback ladder, one by one: ladder(j)
-    yields each with its gain, or with None when it must be solved.  Then
-    one solve_and_bound call takes each other run's next passing candidate
-    in draw order, one slice per run, and the runs it admits end their
-    sampling; the others try their next candidate in the next round.  A run
-    admitted at slot k of its block leaves the normals after k to its next
-    step, so each step uses the normals of the candidates it tested.
+    candidate or has formed max_attempts.  A run in the second case falls
+    back to its last accepted sample, unsolved, if it holds one, and else
+    to the first rung of its ladder that one admitted_stack call over every
+    such run's rungs admits.  Then one solve_and_bound call takes each other
+    run's next passing candidate in draw order, one slice per run, and the
+    runs it admits end their sampling; the others try their next candidate
+    in the next round.  A run admitted at slot k of its block leaves the
+    normals after k to its next step, so each step uses the normals of the
+    candidates it tested.
 
     The outcome of a run that ends its sampling is in theta_tilde, gain,
     rejections and fallback.  Returns the rows of those runs and the errors
@@ -322,18 +306,30 @@ def _sample_round(
 
     holding = runs.passed[rows].any(axis=1)
     done, errors = [], {}
-    for j in rows[~holding]:
-        for candidate, gain in ladder(j):
-            if gain is None:
-                sol = q_membership(candidate, costs, set_q)
-                gain = None if sol is None else sol.gain
-            if gain is not None:
-                runs.theta_tilde[j], runs.gain[j] = candidate.stacked, gain
-                runs.rejections[j], runs.fallback[j] = max_attempts, True
-                done.append(j)
-                break
-        else:
-            errors[int(j)] = NonStabilizable("no admissible fallback parameter found")
+    falling = rows[~holding]
+    if falling.size:
+        # The last accepted sample passed under the same set_q, so it keeps
+        # its gain.
+        last = falling[runs.has_last[falling]]
+        runs.theta_tilde[last], runs.gain[last] = runs.last_accepted[last], runs.last_gain[last]
+        climbing, ladders = falling[~runs.has_last[falling]], []
+        for j in climbing:
+            hat, anchor = runs.theta_hat[j], runs.anchor[j]
+            mixes = [] if anchor is None else [(1.0 - lam) * hat + lam * anchor for lam in (0.25, 0.5, 0.75, 1.0)]
+            target = hat if anchor is None else anchor
+            ladders.append(np.stack([hat, *mixes, *(scale * target for scale in (0.75, 0.5, 0.25, 0.0))]))
+        if ladders:
+            admitted, sols = admitted_stack(np.concatenate(ladders), costs, set_q.m_p, set_q.rho)
+            start = 0
+            for j, rungs in zip(climbing, ladders):
+                found = np.flatnonzero(admitted[start : start + len(rungs)])
+                if found.size:
+                    runs.theta_tilde[j], runs.gain[j] = rungs[found[0]], sols.gain[start + found[0]]
+                else:
+                    errors[int(j)] = NonStabilizable("no admissible fallback parameter found")
+                start += len(rungs)
+        done = [j for j in falling if j not in errors]
+        runs.rejections[done], runs.fallback[done] = max_attempts, True
     solving = rows[holding]
     if solving.size:
         first = runs.passed[solving].argmax(axis=1)
@@ -365,7 +361,8 @@ def sample_constrained(
     V^{-1/2} is the symmetric inverse square root.  On exhaustion the sampler
     falls back, in order, to the last accepted sample, the current mean,
     interpolations from the mean toward `anchor`, and scalings of the anchor
-    toward zero; fallback_used marks that path.
+    toward zero (of the mean when there is no anchor); fallback_used marks
+    that path.  One q_membership call on entry admits last_accepted.
 
     Candidate k is the k-th (n+m) x n normal block drawn from rng, the
     run's sampler stream.  Each is drawn, and screened, only when every
@@ -374,10 +371,12 @@ def sample_constrained(
     tests and no others: k successive calls use the normals that k steps of
     run_episodes use.  These are the rounds of the one-run batch that
     run_episodes samples all runs with, with blocks of one candidate.
-    max_attempts must be at least 1.
+    max_attempts must be at least 1 and beta nonnegative (not NaN).
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
+    if not beta >= 0:
+        raise DomainError("beta must be nonnegative")
     runs = SimpleNamespace(
         sampler_rng=[rng],
         v_matrix=belief.v_matrix[None],
@@ -385,14 +384,15 @@ def sample_constrained(
         **_sampler_fields(1, belief.dim, belief.n, 1),
     )
     runs.beta[0] = beta
+    runs.anchor[0] = None if anchor is None else anchor.stacked
+    sol = None if last_accepted is None else q_membership(last_accepted, costs, set_q)
+    if sol is not None:
+        runs.last_accepted[0], runs.last_gain[0], runs.has_last[0] = last_accepted.stacked, sol.gain, True
     rows = np.zeros(1, dtype=np.int64)
     errors = _begin_step(runs, rows)
     done = ()
     while not errors and not len(done):
-        done, errors = _sample_round(
-            runs, rows, set_q, costs, max_attempts,
-            lambda j: ((rung, None) for rung in _fallback_candidates(belief.theta_hat, anchor, last_accepted)),
-        )
+        done, errors = _sample_round(runs, rows, set_q, costs, max_attempts)
     if errors:
         raise errors[0]
     return SampleOutcome(
@@ -522,12 +522,12 @@ def run_episodes(
     step.  Per step: sample an admissible parameter, apply its gain, observe
     the transition and stage cost, and apply the rank-one belief update.
     The batch moves in global rounds, and each run keeps its own step.  In a
-    round, the runs that start a step compute beta and record their
-    checkpoints, every sampling run takes one _sample_round, and the runs
-    whose step ends (admitted, fallen back, or oracle) step their systems
-    and update their beliefs as one stacked operation over their rows.  The
-    oracle variant plays the hidden parameters directly and serves as a
-    policy-level sanity check.
+    round, every sampling run takes one _sample_round, and the runs whose
+    step ends (admitted, fallen back, or oracle) step their systems and
+    update their beliefs as one stacked operation over their rows; each that
+    is still live then finishes or starts its next step (beta, checkpoint,
+    _begin_step), as set-up starts the first.  The oracle variant plays the
+    hidden parameters directly and serves as a policy-level sanity check.
 
     A run fails with the TsodLqrError it raises, at set-up (DimensionMismatch,
     NonStabilizable or SingularPrecision) or in the loop; a state whose norm
@@ -544,6 +544,9 @@ def run_episodes(
         raise ValueError("horizon must be nonnegative")
     if not 0.0 < delta2 < 1.0:
         raise DomainError("delta2 must lie in (0, 1)")
+    # beta is then a sum of nonnegative terms, so no step tests it.
+    if not beta_mdelta_scale >= 0:
+        raise DomainError("beta_mdelta_scale must be nonnegative")
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     count = len(theta_stars)
@@ -554,14 +557,16 @@ def run_episodes(
     checkpoint_ts = sorted({max(1, int(round(horizon * f))) for f in CHECKPOINT_FRACTIONS if horizon >= 1})
 
     # The hidden systems are solved as one stack.  A run whose dimensions do
-    # not match keeps a zero row, which solves in one doubling step and is
-    # never read.
+    # not match each other or the costs keeps a zero row, which solves in one
+    # doubling step and is never read.
     srcs = [effective_sources(as_sources(s), variant) for s, variant in zip(sources, variants)]
     errors: Dict[int, TsodLqrError] = {}
     star_stack = np.zeros((count, d, n))
     for i, (theta, src) in enumerate(zip(theta_stars, srcs)):
         if (theta.n, theta.m) != (src.n, src.m):
             errors[i] = DimensionMismatch("hidden parameters do not match the offline summaries")
+        elif (src.n, src.m) != (n, m):
+            errors[i] = DimensionMismatch(f"cost matrices sized ({n}, {m}) do not match theta ({src.n}, {src.m})")
         else:
             star_stack[i] = theta.stacked
     star_sols = solve_dare_stack(star_stack, costs)
@@ -569,10 +574,6 @@ def run_episodes(
         noise_rng=list(rngs),
         sampler_rng=list(sampler_rngs),
         oracle=np.array([variant == "oracle" for variant in variants], dtype=bool),
-        anchor=[None] * count,
-        last_accepted=np.zeros((count, d, n)),
-        last_gain=np.zeros((count, m, n)),
-        has_last=np.zeros(count, dtype=bool),
         theta_star=star_stack,
         alpha_sum=np.array([src.alpha_sum for src in srcs]),
         mdelta_sum=np.array([src.mdelta_sum for src in srcs]),
@@ -585,7 +586,6 @@ def run_episodes(
         state=np.zeros((count, n)),
         state_norm=np.zeros(count),
         step=np.zeros(count, dtype=np.int64),
-        fresh=np.ones(count, dtype=bool),
         **_sampler_fields(count, d, n, SAMPLE_BLOCK if n > m else 1),
     )
     # Oracle runs play the hidden system's gain, with no rejection, at every step.
@@ -600,7 +600,7 @@ def run_episodes(
         except TsodLqrError as exc:
             errors[i] = exc
             continue
-        runs.anchor[i], runs.theta_hat[i] = belief.theta_hat, belief.theta_hat.stacked
+        runs.anchor[i] = runs.theta_hat[i] = belief.theta_hat.stacked
         runs.v_matrix[i], runs.cross_term[i] = belief.v_matrix, belief.cross_term
         runs.logdet_u[i], runs.logdet_v[i] = belief.logdet_u, belief.logdet_v
 
@@ -615,14 +615,6 @@ def run_episodes(
     slot_of = np.full(horizon + 1, -1)
     slot_of[checkpoint_ts] = np.arange(len(checkpoint_ts))
 
-    def ladder(j: int) -> Iterable[Tuple[ThetaParams, Optional[np.ndarray]]]:
-        # The last accepted sample passed under the same set_q, so it keeps
-        # its gain.
-        if runs.has_last[j]:
-            yield ThetaParams.from_stacked(runs.last_accepted[j], n, m), runs.last_gain[j]
-        hat = ThetaParams.from_stacked(runs.theta_hat[j], n, m)
-        yield from ((rung, None) for rung in _fallback_candidates(hat, runs.anchor[j], None))
-
     # The runs still in the batch: a run leaves when it finishes or fails.
     live = np.ones(count, dtype=bool)
 
@@ -632,9 +624,11 @@ def run_episodes(
             results[j] = error
             live[j] = False
 
-    fail(errors)
-    while True:
-        for j in np.flatnonzero(live & (runs.step == horizon)):
+    def start(rows: np.ndarray) -> None:
+        # The live runs of `rows`, each set up or at the end of a step,
+        # finish at the horizon or start their next step: beta, checkpoints,
+        # and the sampler's start.
+        for j in rows[runs.step[rows] == horizon]:
             belief = BeliefState(
                 v_matrix=runs.v_matrix[j],
                 theta_hat=ThetaParams.from_stacked(runs.theta_hat[j], n, m),
@@ -648,33 +642,31 @@ def run_episodes(
                 checkpoint_theta[j], checkpoint_v[j], belief, {name: arr[j] for name, arr in record.items()},
             )
             live[j] = False
-        if not live.any():
-            break
-
-        # The runs that start a step: beta, checkpoints, and the sampler's start.
-        new = np.flatnonzero(live & runs.fresh)
+        rows = rows[runs.step[rows] < horizon]
         beta, inconsistent = _betas(
-            n, runs.logdet_v[new], runs.logdet_u[new], runs.alpha_sum[new], runs.mdelta_sum[new], delta2,
+            n, runs.logdet_v[rows], runs.logdet_u[rows], runs.alpha_sum[rows], runs.mdelta_sum[rows], delta2,
             beta_mdelta_scale,
         )
-        runs.beta[new] = beta
-        fail({j: DomainError(_INCONSISTENT) for j in new[inconsistent]})
-        new = new[~inconsistent]
-        runs.fresh[new] = False
-        slots = slot_of[runs.step[new] + 1]
+        runs.beta[rows] = beta
+        fail({j: DomainError(_INCONSISTENT) for j in rows[inconsistent]})
+        rows = rows[~inconsistent]
+        slots = slot_of[runs.step[rows] + 1]
         hit = slots >= 0
         if hit.any():
-            at = (new[hit], slots[hit])
-            checkpoint_theta[at], checkpoint_v[at] = runs.theta_hat[new[hit]], runs.v_matrix[new[hit]]
-        learners = new[~runs.oracle[new]]
+            at = (rows[hit], slots[hit])
+            checkpoint_theta[at], checkpoint_v[at] = runs.theta_hat[rows[hit]], runs.v_matrix[rows[hit]]
+        learners = rows[~runs.oracle[rows]]
         if learners.size:
             fail(_begin_step(runs, learners))
 
+    fail(errors)
+    start(np.flatnonzero(live))
+    while live.any():
         # One sampler round for every learner, then the steps that end.
         sampling = np.flatnonzero(live & ~runs.oracle)
         ending = live & runs.oracle
         if sampling.size:
-            done, errors = _sample_round(runs, sampling, set_q, costs, max_attempts, ladder)
+            done, errors = _sample_round(runs, sampling, set_q, costs, max_attempts)
             fail(errors)
             accepted = done[~runs.fallback[done]]
             runs.last_accepted[accepted], runs.last_gain[accepted] = runs.theta_tilde[accepted], runs.gain[accepted]
@@ -707,13 +699,13 @@ def run_episodes(
             runs.state[ends] = next_state
             runs.state_norm[ends] = np.sqrt(np.vecdot(next_state, next_state))
             runs.step[ends] += 1
-            runs.fresh[ends] = True
             # Also true when the state has a NaN or an inf.
             unstable = ends[~(runs.state_norm[ends] <= state_ceiling)]
             fail({
                 j: UnstableRollout(f"online state norm exceeded {state_ceiling:g} at step {runs.step[j]}")
                 for j in unstable
             })
+            start(ends[live[ends]])
     return results
 
 

@@ -366,7 +366,8 @@ def admitted_stack(
     mask and the stack's Riccati solutions.  One stacked QR screens the stack;
     a slice that it rejects keeps NaN P, gain and cost and the failure code
     SCREENED.  solve_and_bound takes the rest.  Each slice gets the verdict
-    and bits it gets alone."""
+    and bits it gets alone.  The harness's draws of the true systems and the
+    sampler's fallback ladder use it."""
     count, d, n = stacked.shape
     admitted = np.zeros(count, dtype=bool)
     sols = RiccatiStack(
@@ -384,8 +385,9 @@ def admitted_stack(
 def q_membership(
     theta: ThetaParams, costs: CostMatrices, set_q: ConstraintSetQ
 ) -> Optional[RiccatiSolution]:
-    """Riccati solution when theta is admissible, else None: admitted_stack's
-    screen and bound tests for theta alone, around one solve_dare call."""
+    """Riccati solution when theta is admissible, else None: the verdict and
+    bits of admitted_stack on the one-slice stack of theta, from the same
+    screen and bound tests around one solve_dare call."""
     stacked = theta.stacked[None]
     if not _screen(stacked, set_q.rho)[0]:
         return None

@@ -34,7 +34,6 @@ from tsodlqr.controller import (
     CHECKPOINT_FRACTIONS,
     EpisodeResult,
     SampleOutcome,
-    _fallback_candidates,
     as_sources,
     delta2_for,
     run_episodes,
@@ -207,6 +206,15 @@ class TestSampleConstrained:
             sample_constrained(belief, 1.0, set_q, costs32, rng, max_attempts=0)
         assert rng.bit_generator.state == start
 
+    @pytest.mark.parametrize("beta", [-1.0, math.nan])
+    def test_negative_or_nan_beta_raises_on_entry(self, costs32, set_q, theta_star, beta):
+        belief = init_belief(MultiSourceSummary((make_summary(np.eye(5), theta_star),)))
+        rng = RngStream(4, 1)
+        start = rng.bit_generator.state
+        with pytest.raises(DomainError, match="beta must be nonnegative"):
+            sample_constrained(belief, beta, set_q, costs32, rng)
+        assert rng.bit_generator.state == start
+
     def test_fallback_marks_flag(self, costs32, set_q):
         # A mean far outside the admissible set forces the fallback ladder.
         wild = ThetaParams(5.0 * np.eye(3), np.zeros((3, 2)))
@@ -229,19 +237,26 @@ class TestSampleConstrained:
         belief = init_belief(make_summary(np.eye(5), theta_sim))
         anchor = ThetaParams(0.5 * theta_star.a_matrix, -theta_star.b_matrix)
         last = ThetaParams(0.25 * theta_star.a_matrix, theta_star.b_matrix)
-        seen, screened = [], []
+        seen, stacks, screened = [], [], []
 
         def reject(theta, *args):
             seen.append(theta.stacked.copy())
             return None
 
+        def reject_stack(stacked, *args):
+            stacks.append(stacked.copy())
+            return np.zeros(len(stacked), dtype=bool), None
+
         def screen_out(stacked):
             screened.append(len(stacked))
             return np.full(len(stacked), np.inf)
 
-        # The draws go through the block screen, the ladder through q_membership.
+        # The draws go through the block screen, the last accepted sample
+        # through q_membership on entry, the other rungs through one stacked
+        # admissibility call.
         monkeypatch.setattr("tsodlqr.lqr.closed_loop_floors", screen_out)
         monkeypatch.setattr("tsodlqr.controller.q_membership", reject)
+        monkeypatch.setattr("tsodlqr.controller.admitted_stack", reject_stack)
         with pytest.raises(NonStabilizable, match="no admissible fallback"):
             sample_constrained(
                 belief, 1.0, set_q, costs32, RngStream(4, 1), max_attempts=2,
@@ -254,7 +269,23 @@ class TestSampleConstrained:
         target = anchor.stacked if with_anchor else hat
         expected += [scale * target for scale in (0.75, 0.5, 0.25, 0.0)]
         assert sum(screened) == 2
-        assert [c.tobytes() for c in seen] == [e.tobytes() for e in expected]
+        assert len(stacks) == 1
+        assert [c.tobytes() for c in seen + list(stacks[0])] == [e.tobytes() for e in expected]
+
+
+def reference_ladder(theta_hat, anchor, last_accepted):
+    """The fallback rungs in order: the last accepted sample, the mean, the
+    interpolations from the mean toward the anchor, and the scalings of the
+    anchor (of the mean when there is none) toward zero."""
+    n, m = theta_hat.n, theta_hat.m
+    hat = theta_hat.stacked
+    rungs = [] if last_accepted is None else [last_accepted.stacked]
+    rungs.append(hat)
+    if anchor is not None:
+        rungs += [(1.0 - lam) * hat + lam * anchor.stacked for lam in (0.25, 0.5, 0.75, 1.0)]
+    target = hat if anchor is None else anchor.stacked
+    rungs += [scale * target for scale in (0.75, 0.5, 0.25, 0.0)]
+    return [ThetaParams.from_stacked(rung, n, m) for rung in rungs]
 
 
 def reference_sampler(belief, beta, set_q, costs, rng, max_attempts, anchor, last_accepted):
@@ -270,7 +301,7 @@ def reference_sampler(belief, beta, set_q, costs, rng, max_attempts, anchor, las
         ThetaParams.from_stacked(mean + beta * (inv_half @ rng.standard_normal((n + m, n))), n, m)
         for _ in range(max_attempts)
     )
-    candidates = itertools.chain(draws, _fallback_candidates(belief.theta_hat, anchor, last_accepted))
+    candidates = itertools.chain(draws, reference_ladder(belief.theta_hat, anchor, last_accepted))
     for index, candidate in enumerate(candidates):
         sol = q_membership(candidate, costs, set_q)
         if sol is not None:
@@ -483,6 +514,17 @@ class TestUpdateBelief:
 
 
 class TestRunEpisode:
+    @pytest.mark.parametrize("scale", [-1.0, math.nan])
+    def test_negative_or_nan_width_scale_raises_on_entry(self, theta_star, costs32, set_q, scale):
+        noise, sampler = RngStream(1, 1), RngStream(1, 2)
+        starts = states(noise, sampler)
+        with pytest.raises(DomainError, match="beta_mdelta_scale must be nonnegative"):
+            run_episode(
+                theta_star, make_summary(np.eye(5), theta_star, m_delta=0.5), costs32, set_q, 10,
+                delta2_for(0.1, 10), "tsod", noise, sampler, beta_mdelta_scale=scale,
+            )
+        assert states(noise, sampler) == starts
+
     def test_zero_horizon(self, theta_star, theta_sim, costs32, set_q):
         result = run_episode(
             theta_star,
@@ -797,10 +839,12 @@ class TestLockstep:
                 assert result.trace.cost.tobytes() == clean[i].trace.cost[:60].tobytes()
 
     def test_set_up_and_loop_failures_in_one_batch(self, summaries, theta_star, costs32, set_q):
-        # Runs 0 to 2 cannot start: theta* of the wrong dimensions, an
-        # unstabilizable theta* (A = 2I, B = 0) and a singular prior.  Of
-        # runs 3 to 6, a ceiling between the two largest peak state norms of
-        # the 61-step episodes fails one mid-episode, and the others finish.
+        # Runs 0 to 3 cannot start: theta* of the wrong dimensions, an
+        # unstabilizable theta* (A = 2I, B = 0), a singular prior, and a
+        # theta* and prior that agree with each other but not with the
+        # costs.  Of runs 4 to 7, a ceiling between the two largest peak
+        # state norms of the 61-step episodes fails one mid-episode, and the
+        # others finish.
         args = (costs32, set_q, 60, delta2_for(0.1, 60))
         looped = list(zip(summaries, ["tsod", "ts_no_offline", "offline_estimate_only", "oracle"]))
         clean = run_episodes(
@@ -812,18 +856,22 @@ class TestLockstep:
         worst = int(np.argmax(peaks))
         ceiling = 0.5 * (peaks[worst] + max(p for i, p in enumerate(peaks) if i != worst))
         assert np.argmax(norms[worst] > ceiling) < 60
+        small = ThetaParams(0.5 * np.eye(2), np.ones((2, 1)))
         cases = [
-            (ThetaParams(0.5 * np.eye(2), np.ones((2, 1))), summaries[0], "tsod"),
+            (small, summaries[0], "tsod"),
             (ThetaParams(2.0 * np.eye(3), np.zeros((3, 2))), summaries[1], "tsod"),
             (theta_star, make_summary(np.zeros((5, 5)), theta_star), "tsod"),
+            (small, make_summary(np.eye(3), small), "tsod"),
         ] + [(theta_star, summary, variant) for summary, variant in looped]
-        seeds = (11, 12, 13) + self.SEEDS
+        seeds = (11, 12, 13, 14) + self.SEEDS
         batch_noise, batch_samplers = streams(seeds)
         batch = run_episodes(
             [c[0] for c in cases], [c[1] for c in cases], *args, [c[2] for c in cases], batch_noise,
             batch_samplers, max_attempts=20, state_ceiling=ceiling,
         )
-        expected_errors = {0: DimensionMismatch, 1: NonStabilizable, 2: SingularPrecision, 3 + worst: UnstableRollout}
+        expected_errors = {
+            0: DimensionMismatch, 1: NonStabilizable, 2: SingularPrecision, 3: DimensionMismatch, 4 + worst: UnstableRollout
+        }
         for k, (theta, summary, variant) in enumerate(cases):
             alone_rngs = [rngs[0] for rngs in streams([seeds[k]])]
             try:
@@ -1056,7 +1104,7 @@ class TestSamplerRounds:
             theta_sim, costs32, 250, offline_cfg, delta1_for(0.1, 250, 30), 0.15, RngStream(42, 0)
         )[0]
         closed, solved_after = [False], []
-        real_round, real_screen, real_membership = controller._sample_round, controller._screen, controller.q_membership
+        real_round, real_screen, real_ladder = controller._sample_round, controller._screen, controller.admitted_stack
 
         def sample_round(runs, rows, *args):
             closed[0] = closed[0] or bool(runs.has_last.all())
@@ -1065,14 +1113,14 @@ class TestSamplerRounds:
         def screen(stacked, rho):
             return np.zeros(len(stacked), dtype=bool) if closed[0] else real_screen(stacked, rho)
 
-        def membership(theta, *args):
+        def ladder(stacked, *args):
             if closed[0]:
-                solved_after.append(theta)
-            return real_membership(theta, *args)
+                solved_after.append(stacked)
+            return real_ladder(stacked, *args)
 
         monkeypatch.setattr(controller, "_sample_round", sample_round)
         monkeypatch.setattr(controller, "_screen", screen)
-        monkeypatch.setattr(controller, "q_membership", membership)
+        monkeypatch.setattr(controller, "admitted_stack", ladder)
         results = run_episodes(
             [theta_star] * 3, [summary] * 3, costs32, set_q, 30, delta2_for(0.1, 30), "tsod",
             *streams(range(3)), max_attempts=5,
@@ -1080,6 +1128,78 @@ class TestSamplerRounds:
         assert all(isinstance(r, EpisodeResult) for r in results)
         assert closed[0] and solved_after == []
         assert all(r.diagnostics.fallback_steps > 20 for r in results)
+
+    def test_one_stacked_ladder_call_serves_every_fallback_of_a_round(
+        self, theta_sim, theta_star, costs32, set_q, offline_cfg, monkeypatch
+    ):
+        # In the batch's second round run 1 falls back to its last accepted
+        # sample, runs 2 to 5 climb their ladders, and run 0, whose rungs the
+        # spy rejects, exhausts its ladder; the others finish.  A run that
+        # climbs takes the first rung that q_membership admits, and each run
+        # equals itself alone.
+        priors = {
+            seed: simulate_offline(
+                theta_sim, costs32, 250, offline_cfg, delta1_for(0.1, 250, 30), 0.15, RngStream(seed, 0)
+            )[0]
+            for seed in (42, 7)
+        }
+        doomed = make_summary(100.0 * np.eye(5), ThetaParams(0.3 * theta_star.a_matrix, theta_star.b_matrix))
+        cases = [("tsod", doomed), ("tsod", priors[42]), ("ts_no_offline", priors[42]), ("tsod", priors[7]),
+                 ("ts_no_offline", priors[7]), ("offline_estimate_only", priors[42])]
+        seeds = (11, 12, 13, 14, 15, 16)
+        real_ladder, real_round = controller.admitted_stack, controller._sample_round
+        rounds = []
+
+        def ladder(stacked, *args):
+            # Every run here has an anchor, so each ladder is nine rungs, the
+            # fifth of which is the anchor itself.
+            admitted, sols = real_ladder(stacked, *args)
+            for k, rungs in enumerate(stacked.reshape(-1, 9, 5, 3)):
+                if np.array_equal(rungs[4], doomed.theta_hat_sim.stacked):
+                    admitted[9 * k : 9 * k + 9] = False
+            return admitted, sols
+
+        def sample_round(runs, rows, *args):
+            had_last = runs.has_last.copy()
+            done, errors = real_round(runs, rows, *args)
+            fell = [int(j) for j in done if runs.fallback[j]]
+            for j in fell:
+                if had_last[j]:
+                    theta, gain = runs.last_accepted[j], runs.last_gain[j]
+                else:
+                    hat = ThetaParams.from_stacked(runs.theta_hat[j], 3, 2)
+                    anchor = ThetaParams.from_stacked(runs.anchor[j], 3, 2)
+                    theta, sol = next(
+                        (rung.stacked, sol) for rung in reference_ladder(hat, anchor, None)
+                        if (sol := q_membership(rung, costs32, set_q)) is not None
+                    )
+                    gain = sol.gain
+                assert runs.theta_tilde[j].tobytes() == theta.tobytes(), j
+                assert runs.gain[j].tobytes() == gain.tobytes(), j
+            rounds.append(([j for j in fell if had_last[j]], [j for j in fell if not had_last[j]], sorted(errors)))
+            return done, errors
+
+        monkeypatch.setattr(controller, "admitted_stack", ladder)
+        monkeypatch.setattr(controller, "_sample_round", sample_round)
+        args = (costs32, set_q, 30, delta2_for(0.1, 30))
+        batch_noise, batch_samplers = streams(seeds)
+        batch = run_episodes(
+            [theta_star] * len(cases), [prior for _, prior in cases], *args, [variant for variant, _ in cases],
+            batch_noise, batch_samplers, max_attempts=5,
+        )
+        assert rounds[1] == ([1], [2, 3, 4, 5], [0])
+        for k, (variant, prior) in enumerate(cases):
+            alone_rngs = [rngs[0] for rngs in streams([seeds[k]])]
+            try:
+                alone = run_episode(theta_star, prior, *args, variant, *alone_rngs, max_attempts=5)
+            except TsodLqrError as exc:
+                alone = exc
+            if k == 0:
+                assert type(batch[k]) is type(alone) is NonStabilizable
+                assert str(batch[k]) == str(alone) == "no admissible fallback parameter found"
+                assert states(batch_noise[k], batch_samplers[k]) == states(*alone_rngs)
+            else:
+                assert_same_run(batch[k], alone, (batch_noise[k], batch_samplers[k]), alone_rngs)
 
     def test_uneven_rounds_equal_each_run_alone(self, theta_star, theta_sim, costs32, offline_cfg):
         # Under a tight set_q the no-offline runs reach the fallback ladder at

@@ -14,8 +14,11 @@ outputs written to a temporary directory, and prints one JSON line:
   they solved;
 - `screen_calls` and `screened_slices`: the calls of the sampler's screen,
   `controller._screen`, and the candidates they screened;
-- `ladder_solves`: the fallback ladder's one-candidate solves, the calls of
-  `controller.q_membership`.
+- `ladder_calls` and `ladder_slices`: the calls of the fallback ladder's
+  stacked admissibility test, `controller.admitted_stack`, one in each round
+  in which some run climbs its ladder, and the rungs they tested.  A run
+  that falls back to its last accepted sample takes it unsolved and is not
+  counted.
 
 The counts come from wrappers around those module bindings, so no file
 under `src/` needs to change.
@@ -40,10 +43,10 @@ from tsodlqr.harness import run_diagnostics, run_experiment  # noqa: E402
 def count(config: str, overrides: list, command: str) -> dict:
     counts = {
         "steps": 0, "rounds": 0, "solve_calls": 0, "solved_slices": 0, "max_slices_per_call": 0,
-        "screen_calls": 0, "screened_slices": 0, "ladder_solves": 0,
+        "screen_calls": 0, "screened_slices": 0, "ladder_calls": 0, "ladder_slices": 0,
     }
     real_round, real_solve, real_step = controller._sample_round, controller.solve_and_bound, controller.step_systems
-    real_screen, real_membership = controller._screen, controller.q_membership
+    real_screen, real_ladder = controller._screen, controller.admitted_stack
 
     def sample_round(*args, **kwargs):
         counts["rounds"] += 1
@@ -64,13 +67,14 @@ def count(config: str, overrides: list, command: str) -> dict:
         counts["steps"] += len(thetas)
         return real_step(thetas, *args, **kwargs)
 
-    def q_membership(*args, **kwargs):
-        counts["ladder_solves"] += 1
-        return real_membership(*args, **kwargs)
+    def admitted_stack(stacked, *args, **kwargs):
+        counts["ladder_calls"] += 1
+        counts["ladder_slices"] += len(stacked)
+        return real_ladder(stacked, *args, **kwargs)
 
     cfg = load_experiment_config(config, list(overrides) + ["workers=1"])
     controller._sample_round, controller.solve_and_bound = sample_round, solve_and_bound
-    controller.step_systems, controller.q_membership = step_systems, q_membership
+    controller.step_systems, controller.admitted_stack = step_systems, admitted_stack
     controller._screen = screen
     try:
         with tempfile.TemporaryDirectory(prefix="sampler_rounds_") as out:
@@ -80,7 +84,7 @@ def count(config: str, overrides: list, command: str) -> dict:
                 run_diagnostics(cfg, out_dir=out)
     finally:
         controller._sample_round, controller.solve_and_bound = real_round, real_solve
-        controller.step_systems, controller.q_membership = real_step, real_membership
+        controller.step_systems, controller.admitted_stack = real_step, real_ladder
         controller._screen = real_screen
     return counts
 
